@@ -581,39 +581,6 @@ let remove_result c index =
   in
   { c with results; weights; counts; fmaps; ids; pairs; links_table }
 
-let reparams ?params ?weight ?domains ?deadline c =
-  Deadline.check deadline;
-  let weight_fn = match weight with Some w -> w | None -> c.weight_fn in
-  let weights =
-    match weight with
-    | Some _ -> Array.map (weights_row weight_fn) c.results
-    | None -> c.weights
-  in
-  let params_changed =
-    match params with Some p -> p <> c.params | None -> false
-  in
-  if not params_changed then { c with weight_fn; weights }
-  else begin
-    (* threshold/measure feed the first-gap scans, so every pair entry is
-       stale — recompute them all (still reusing counts and type maps) *)
-    let params = Option.get params in
-    let domains = resolve_domains domains in
-    let n = Array.length c.results in
-    let pair_i, pair_j = all_pairs n in
-    let buffers =
-      compute_pairs ~domains ?deadline params c.results c.counts c.fmaps
-        pair_i pair_j
-    in
-    let pairs = ref Pair_map.empty in
-    Array.iteri
-      (fun p entries ->
-        pairs :=
-          Pair_map.add (c.ids.(pair_i.(p)), c.ids.(pair_j.(p))) entries !pairs)
-      buffers;
-    let links_table = derive_links_table c.results c.ids !pairs in
-    { c with params; weight_fn; weights; pairs = !pairs; links_table }
-  end
-
 type op =
   | Add of Result_profile.t
   | Remove of int
@@ -728,6 +695,23 @@ let apply_batch ~domains ?deadline c ops =
     next_id = !next_id;
     pairs = !pairs;
   }
+
+(* Only a weight-only change has a fast path: the pair tables do not
+   depend on weights. Threshold/measure feed the first-gap scans, so a
+   params change recomputes every pair — exactly what a one-op batch does. *)
+let reparams ?params ?weight ?domains ?deadline c =
+  Deadline.check deadline;
+  match params with
+  | Some p when p <> c.params ->
+    apply_batch ~domains:(resolve_domains domains) ?deadline c
+      [ Reparams { params; weight } ]
+  | _ ->
+    let weights =
+      match weight with
+      | Some w -> Array.map (weights_row w) c.results
+      | None -> c.weights
+    in
+    { c with weight_fn = Option.value weight ~default:c.weight_fn; weights }
 
 let apply ?domains ?deadline c ops =
   Deadline.check deadline;

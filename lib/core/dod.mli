@@ -113,8 +113,8 @@ val reparams :
 (** Re-derive the context under new parameters and/or weighting without
     re-extracting profiles. A weighting change alone rebuilds just the
     weight rows (the pair tables don't depend on weights); a [params]
-    change invalidates the first-gap data and recomputes every pair, but
-    still reuses the per-result count and type maps.
+    change invalidates the first-gap data and recomputes every pair — the
+    same work as a one-op {!apply} batch.
     @raise Xsact_util.Deadline.Expired on a tripped deadline.
     @raise Invalid_argument on a negative weight. *)
 

@@ -103,7 +103,8 @@ let fold_payload t payload =
     | Some n -> t.max_id <- max t.max_id n
     | None -> ()
   in
-  match parse_payload payload with
+  let parsed = parse_payload payload in
+  (match parsed with
   | P_meta next -> t.max_id <- max t.max_id (next - 1)
   | P_upsert { id; at; entry } ->
     track_id id;
@@ -111,7 +112,8 @@ let fold_payload t payload =
   | P_delete id ->
     track_id id;
     Hashtbl.remove t.mirror id
-  | P_unknown -> t.dropped <- t.dropped + 1
+  | P_unknown -> t.dropped <- t.dropped + 1);
+  parsed
 
 (* ---- Compaction ---------------------------------------------------------- *)
 
@@ -184,6 +186,8 @@ let write_fence dir ~epoch ~winner =
       (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
   with Unix.Unix_error _ -> ()
 
+let recovered_locked t = { entries = sorted_entries t; next_id = t.max_id + 1 }
+
 (* ---- Public -------------------------------------------------------------- *)
 
 let recover ~dir ~fsync ~snapshot_every =
@@ -209,13 +213,12 @@ let recover ~dir ~fsync ~snapshot_every =
       fence_winner;
     }
   in
-  List.iter (fold_payload t) rec_.Store.snapshot;
-  List.iter (fold_payload t) rec_.Store.journal;
-  t.replayed <-
-    List.length rec_.Store.snapshot + List.length rec_.Store.journal;
+  let payloads = rec_.Store.snapshot @ rec_.Store.journal in
+  List.iter (fun p -> ignore (fold_payload t p)) payloads;
+  t.replayed <- List.length payloads;
   t.recovered_sessions <- Hashtbl.length t.mirror;
   t.recovery_ms <- 1000. *. (Unix.gettimeofday () -. t0);
-  (t, { entries = sorted_entries t; next_id = t.max_id + 1 })
+  (t, recovered_locked t)
 
 let log_upsert t ~op ~id ~at ~entry =
   locked t (fun () ->
@@ -310,21 +313,23 @@ let resync t =
 let install_resync t payloads =
   locked t (fun () ->
       Hashtbl.reset t.mirror;
-      List.iter (fold_payload t) payloads;
+      List.iter (fun p -> ignore (fold_payload t p)) payloads;
       t.replayed <- t.replayed + List.length payloads;
       (* Fold the primary's full state into our own snapshot immediately:
          the follower's directory is self-sufficient from the first
          heartbeat on — killing it and recovering locally replays exactly
          the primary's acked state. *)
       compact_locked t;
-      Store.sync t.store)
+      Store.sync t.store;
+      recovered_locked t)
 
 let append_replicated t payload =
   locked t (fun () ->
       Store.append t.store payload;
-      fold_payload t payload;
+      let parsed = fold_payload t payload in
       t.replayed <- t.replayed + 1;
-      after_append t)
+      after_append t;
+      parsed)
 
 let stats_json t =
   locked t (fun () ->

@@ -93,15 +93,14 @@ val stats_json : t -> Json.t
     higher epoch than its own knows it has been superseded. *)
 
 (** One parsed journal payload — the shape the replay fold consumes.
-    Exposed so the serve layer can mirror a replicated record into its
-    live session store without re-parsing conventions. *)
+    {!append_replicated} returns it, so the serve layer mirrors a
+    replicated record into its live session store without parsing it
+    twice. *)
 type parsed =
   | P_upsert of { id : string; at : float; entry : Json.t }
   | P_delete of string
   | P_meta of int  (** snapshot meta: first session number safe to mint *)
-  | P_unknown
-
-val parse_payload : string -> parsed
+  | P_unknown  (** counted under [recovery_dropped] *)
 
 val boot_id : t -> string
 (** Unique per process (pid + boot stamp). *)
@@ -165,13 +164,14 @@ val resync : t -> resync
     journal tail from [r_offset] a valid continuation of them, and the
     digest of the captured state. *)
 
-val install_resync : t -> string list -> unit
+val install_resync : t -> string list -> recovered
 (** Follower: replace the entire fold with the primary's resync payloads,
     compact them into the local snapshot and fsync — after this the
     follower's state directory recovers to exactly the primary's acked
-    state, with no dependence on the primary being alive. *)
+    state, with no dependence on the primary being alive. Returns the
+    fold as {!recover} would. *)
 
-val append_replicated : t -> string -> unit
+val append_replicated : t -> string -> parsed
 (** Follower: append one replicated journal record verbatim and fold it —
     the replicated counterpart of {!log_upsert}/{!log_delete}. May
-    compact inline like any append. *)
+    compact inline like any append. Returns the record as folded. *)

@@ -205,7 +205,8 @@ type client = {
   reset : payloads:string list -> warm:string list -> unit;
       (* resync: full payload list (meta first) + base64 warm records *)
   takeover_after : float option;
-  on_lost : (unit -> unit) option;
+  (* the election: a primary to re-point to, or [None] to stop *)
+  on_lost : (unit -> (string * int) option) option;
   stop : bool Atomic.t;
   lag : int Atomic.t;
   connected : bool Atomic.t;
@@ -386,8 +387,8 @@ let set_primary c p =
 
 let client_loop c =
   let backoff = ref backoff_min_s in
-  let lost = ref false in
-  while (not (Atomic.get c.stop)) && not !lost do
+  let running = ref true in
+  while !running && not (Atomic.get c.stop) do
     (* Discovery: no target yet, or the current one silent past the probe
        threshold — walk the peers; the highest live epoch wins. *)
     (if
@@ -433,21 +434,22 @@ let client_loop c =
       c.last_contact <-
         Float.min c.last_contact (Unix.gettimeofday () -. probe_after_s)
     | `Down -> ());
-    if not (Atomic.get c.stop) then begin
-      (match c.takeover_after with
-      | Some after
-        when Unix.gettimeofday () -. c.last_contact >= after
-             && c.on_lost <> None ->
-        lost := true
-      | _ -> ());
-      if not !lost then begin
+    if not (Atomic.get c.stop) then
+      match (c.takeover_after, c.on_lost) with
+      | Some after, Some elect
+        when Unix.gettimeofday () -. c.last_contact >= after -> (
+        (* The election re-points this same client (so the move counts
+           under [repoints]) or ends it: promoted, or shutting down. *)
+        match elect () with
+        | Some p ->
+          set_primary c p;
+          c.last_contact <- Unix.gettimeofday ();
+          backoff := backoff_min_s
+        | None -> running := false)
+      | _ ->
         Thread.delay (jittered c !backoff);
         backoff := Float.min backoff_max_s (!backoff *. 2.)
-      end
-    end
-  done;
-  if !lost && not (Atomic.get c.stop) then
-    match c.on_lost with Some f -> f () | None -> ()
+  done
 
 let start_client ?primary ~durability ~my_epoch ~on_epoch
     ?(probe = fun () -> None) ?(on_repoint = fun _ -> ()) ~apply ~reset
@@ -502,4 +504,3 @@ let applied_records c = Atomic.get c.applied
 let resyncs c = Atomic.get c.resyncs
 let divergences c = Atomic.get c.divergences
 let repoints c = Atomic.get c.repoints
-let current_primary c = c.primary

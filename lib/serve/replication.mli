@@ -71,7 +71,7 @@ val start_client :
   apply:(string -> unit) ->
   reset:(payloads:string list -> warm:string list -> unit) ->
   ?takeover_after:float ->
-  ?on_lost:(unit -> unit) ->
+  ?on_lost:(unit -> (string * int) option) ->
   unit ->
   client
 (** Follower side: a background thread that connects to [primary]
@@ -93,10 +93,11 @@ val start_client :
     Only messages from a valid primary (and a clean end-of-stream)
     refresh the liveness clock — merely connecting does not, so a
     live-but-stale primary cannot suppress takeover. With
-    [takeover_after], a primary silent for that many seconds fires
-    [on_lost] (once, from the replication thread, which then exits) —
-    the server's auto-promotion hook, which must {e not} join this
-    thread. *)
+    [takeover_after], a primary silent for that many seconds runs
+    [on_lost] on the replication thread — the server's election.
+    [Some p] re-points this client at [p] (counted under {!repoints});
+    [None] ends the thread (the server promoted itself, which must
+    {e not} join this thread, or is closing). *)
 
 val stop_client : ?join:bool -> client -> unit
 (** Idempotent; unblocks any parked read. [join] (default true) waits for
@@ -116,8 +117,3 @@ val divergences : client -> int
 
 val repoints : client -> int
 (** Times the subscription target changed (first discovery included). *)
-
-val current_primary : client -> (string * int) option
-(** The primary currently subscribed to (or targeted), if any — what the
-    follower's 503 hint and [/ready] report. Read from other threads;
-    single-word read, safely racy. *)

@@ -45,15 +45,6 @@ let cold_of_entry se =
     c_size_bound = Session.size_bound se.s_session;
   }
 
-(* A server is born [Primary] (the normal standalone daemon is just a
-   primary with no followers) or — when created with [replica_of] —
-   [Follower]: read-only, journaling nothing of its own, mirroring the
-   primary's journal stream into live state. The word flips both ways:
-   promotion makes a follower primary, and a primary that observes a
-   higher fencing epoch (a demote probe, a subscriber ahead of it, an
-   operator POST /v1/demote) self-demotes back to follower. *)
-type role = Primary | Follower
-
 type t = {
   entries : (string * entry) list;
   cache : string Lru.t;  (* full-scope key -> response body; under [lock] *)
@@ -83,38 +74,24 @@ type t = {
   persist : (string * Xsact_persist.Journal.policy * int) option;
   durability : Durability.t option ref;
   ready : bool Atomic.t;
-  (* Warm failover (DESIGN.md §14). [replica_of] names the primary this
-     server follows; [recover] starts the replication client and fills
-     [repl_client] (swapped out under [lock] by promotion — the join
-     happens outside every lock). [streams] counts live /v1/replicate
-     streams on this side. [context_snapshots] gates writing/loading the
-     warm-boot [contexts] file. *)
-  role : role Atomic.t;
+  (* Failover (DESIGN.md §14). [cluster] is this node's role, fencing
+     epoch, winner and current primary: read lock-free, changed only by
+     [transition] under [cluster_lock]. [replica_of] is the static
+     primary from the command line; [repl_client] the follower's
+     replication client (swapped under [lock]; joins happen outside every
+     lock). [streams] counts live /v1/replicate streams on this side.
+     [peers] is the static membership walked by discovery, election and
+     the fencer; [advertise] is this node's HOST:PORT once [start] binds.
+     [closing] winds down the fencer and election threads. *)
+  cluster : Cluster.t Atomic.t;
+  cluster_lock : Mutex.t;
   replica_of : (string * int) option;
   takeover_after : float option;
   context_snapshots : bool;
   repl_client : Replication.client option ref;
   streams : int Atomic.t;
-  (* Coordinated failover (DESIGN.md §14). [peers] is the static cluster
-     membership walked by discovery, election and the post-promotion
-     fencer; [advertise] is this node's own HOST:PORT once [start] binds
-     (what the fencer announces and elections rank by). [current_primary]
-     tracks where mutations should go {e now} — it follows re-pointing,
-     unlike the static [replica_of]. [fenced] marks an ex-primary
-     superseded by a higher epoch: its mutations answer 409 (naming the
-     winner) rather than the ordinary follower 503. [mem_epoch] /
-     [mem_winner] back the fencing epoch for servers without a state dir
-     (with one, {!Durability.fence_epoch} is the durable truth).
-     [ensure_client] (filled by [recover]) starts a discovery-driven
-     replication client on a freshly-demoted node; [closing] tells the
-     fencer and election threads the server is shutting down. *)
   peers : (string * int) list;
   mutable advertise : (string * int) option;
-  current_primary : (string * int) option ref;
-  fenced : bool Atomic.t;
-  mem_epoch : int Atomic.t;
-  mem_winner : string option ref;
-  mutable ensure_client : unit -> unit;
   closing : bool Atomic.t;
   mutable routes : Router.route list;
   (* Wired up by [start]: depth of the pending-connection queue and the
@@ -127,13 +104,13 @@ type t = {
 
 let dataset_names t = List.map fst t.entries
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let with_session_update t f =
-  Mutex.lock t.session_update;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.session_update) f
+let locked t f = with_lock t.lock f
+let with_session_update t f = with_lock t.session_update f
+let cluster t = Atomic.get t.cluster
 
 (* ---- Response helpers -------------------------------------------------- *)
 
@@ -201,57 +178,29 @@ let handle_root t _req _params =
 let handle_health _t _req _params =
   json_response ~status:200 (Json.Obj [ ("status", Json.String "ok") ])
 
-let role_string t =
-  match Atomic.get t.role with Primary -> "primary" | Follower -> "follower"
+(* ---- Cluster topology ----------------------------------------------------
 
-(* ---- Fencing epochs and cluster topology --------------------------------
+   Role and fencing epoch live in the pure [Cluster.t]; this section only
+   reads it, renders it, and probes the peers that feed the election. *)
 
-   The fencing epoch is a durable, monotone promotion counter: promotion
-   mints the next epoch before the new primary serves a mutation, and any
-   node observing a higher epoch than its own knows it has been
-   superseded. With a state dir the epoch lives in [Durability] (the
-   [<state-dir>/epoch] file); without one it is process-local. *)
+let addr_string = Cluster.addr_string
+let fence_epoch t = (cluster t).Cluster.epoch
+let role_string t = Cluster.role_name (cluster t).Cluster.role
 
-let addr_string (host, port) = Printf.sprintf "%s:%d" host port
-
-let parse_hostport s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-    let host = String.sub s 0 i in
-    match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-    | Some port when host <> "" && port > 0 && port < 65536 ->
-      Some (host, port)
-    | _ -> None)
-
-let fence_epoch t =
-  match !(t.durability) with
-  | Some d -> Durability.fence_epoch d
-  | None -> Atomic.get t.mem_epoch
-
-let fence_winner t =
-  match !(t.durability) with
-  | Some d -> Durability.fence_winner d
-  | None -> !(t.mem_winner)
-
-let set_fence t ~epoch ?winner () =
-  match !(t.durability) with
-  | Some d -> Durability.set_fence d ~epoch ?winner ()
-  | None ->
-    if epoch > Atomic.get t.mem_epoch then begin
-      Atomic.set t.mem_epoch epoch;
-      t.mem_winner := winner
-    end
+let json_of_addr = function
+  | Some hp -> Json.String (addr_string hp)
+  | None -> Json.Null
 
 (* Who holds (or last held) the pen, as a HOST:PORT hint for error
    bodies: ourselves when primary, else the fencing winner, else
    whichever primary we currently follow. *)
 let winner_hint t =
-  if Atomic.get t.role = Primary then Option.map addr_string t.advertise
+  let c = cluster t in
+  if c.Cluster.role = Cluster.Primary then Option.map addr_string t.advertise
   else
-    match fence_winner t with
+    match c.Cluster.winner with
     | Some w -> Some w
-    | None -> Option.map addr_string !(t.current_primary)
+    | None -> Option.map addr_string c.Cluster.primary
 
 (* The fencing 409s carry the deciding facts at top level next to the
    standard error envelope, so a superseded caller can re-point without a
@@ -300,13 +249,6 @@ let probe_request ~host ~port ?meth ?body path =
       None
     | status, _, resp_body -> Some (status, resp_body))
 
-type peer_state = {
-  p_addr : string * int;
-  p_role : string;  (* "primary" | "follower" *)
-  p_epoch : int;
-  p_primary : (string * int) option;  (* a follower's current target *)
-}
-
 let probe_epoch ~host ~port =
   match probe_request ~host ~port "/v1/epoch" with
   | Some (200, body) -> (
@@ -319,10 +261,11 @@ let probe_epoch ~host ~port =
       | Some role, Some epoch ->
         Some
           {
-            p_addr = (host, port);
-            p_role = role;
+            Cluster.p_addr = (host, port);
+            p_role =
+              (if role = "primary" then Cluster.Primary else Cluster.Follower);
             p_epoch = epoch;
-            p_primary = Option.bind (str "primary") parse_hostport;
+            p_primary = Option.bind (str "primary") Cluster.parse_hostport;
           }
       | _ -> None))
   | _ -> None
@@ -331,12 +274,13 @@ let probe_epoch ~host ~port =
    primary, wherever we currently point, and any fencing winner on
    record — minus ourselves. *)
 let candidates t =
+  let c = cluster t in
   let extra =
     List.filter_map Fun.id
       [
         t.replica_of;
-        !(t.current_primary);
-        Option.bind (fence_winner t) parse_hostport;
+        c.Cluster.primary;
+        Option.bind c.Cluster.winner Cluster.parse_hostport;
       ]
   in
   let all = t.peers @ extra in
@@ -353,13 +297,13 @@ let probe_cluster t =
   let direct =
     List.filter_map (fun (h, p) -> probe_epoch ~host:h ~port:p) (candidates t)
   in
-  let known = List.map (fun s -> s.p_addr) direct in
+  let known = List.map (fun s -> s.Cluster.p_addr) direct in
   let hops =
     List.filter_map
       (fun s ->
-        match s.p_primary with
+        match s.Cluster.p_primary with
         | Some hp
-          when s.p_role = "follower"
+          when s.Cluster.p_role <> Cluster.Primary
                && (not (List.mem hp known))
                && Some hp <> t.advertise ->
           Some hp
@@ -369,58 +313,27 @@ let probe_cluster t =
   in
   direct @ List.filter_map (fun (h, p) -> probe_epoch ~host:h ~port:p) hops
 
-(* The live primary to follow, if any: highest fencing epoch no lower
-   than ours wins (a lower-epoch "primary" is a stale node the fencer has
-   not reached yet — following it would roll us back). *)
+(* The live primary to follow, if any, by the election's ranking. *)
 let discover_primary t =
-  let mine = fence_epoch t in
-  probe_cluster t
-  |> List.filter (fun s -> s.p_role = "primary" && s.p_epoch >= mine)
-  |> List.fold_left
-       (fun best s ->
-         match best with
-         | Some b when b.p_epoch >= s.p_epoch -> best
-         | _ -> Some s)
-       None
-  |> Option.map (fun s -> s.p_addr)
+  match
+    Cluster.elect ~self:t.advertise ~epoch:(fence_epoch t) (probe_cluster t)
+  with
+  | Some (Cluster.Follow hp) -> Some hp
+  | _ -> None
 
-(* Self-demotion: durably adopt the higher epoch (and winner, when we
-   were primary — that is what keeps a revived ex-primary fenced across
-   restarts), flip to read-only follower, and get a replication client
-   hunting for the winner. Safe to call in any role; called from the
-   demote endpoint, the subscriber-epoch check, and the fencer when its
-   own probe is answered with a still-higher epoch. *)
-let demote t ~epoch ?winner () =
-  if Atomic.get t.role = Primary then begin
-    set_fence t ~epoch ?winner ();
-    (match Option.bind winner parse_hostport with
-    | Some hp -> t.current_primary := Some hp
-    | None -> ());
-    Atomic.set t.fenced true;
-    Atomic.set t.role Follower;
-    Metrics.incr_counter t.metrics "demotions";
-    t.ensure_client ()
-  end
-  else begin
-    (* an ordinary follower just adopts the epoch; no winner is persisted
-       (restarting a follower's directory standalone still boots primary,
-       which is the deliberate fork-the-state operator move) *)
-    set_fence t ~epoch ();
-    match Option.bind winner parse_hostport with
-    | Some hp -> t.current_primary := Some hp
-    | None -> ()
-  end
-
-(* Operator step-down (planned handover): stop accepting mutations and
-   wait to follow whoever is promoted next. No epoch change — the
-   subsequent promotion mints the higher epoch that makes the handover
-   stick. *)
-let step_down t =
-  if Atomic.get t.role = Primary then begin
-    Atomic.set t.role Follower;
-    Metrics.incr_counter t.metrics "demotions";
-    t.ensure_client ()
-  end
+(* The role block shared by /ready, /metrics and /v1/epoch; [self] is
+   what a primary reports as [primary] (absent: null). *)
+let cluster_fields ?self t =
+  let c = cluster t in
+  [
+    ("role", Json.String (Cluster.role_name c.Cluster.role));
+    ("epoch", Json.Int c.Cluster.epoch);
+    ("fenced", Json.Bool (c.Cluster.role = Cluster.Fenced));
+    ( "primary",
+      json_of_addr
+        (if c.Cluster.role = Cluster.Primary then self else c.Cluster.primary)
+    );
+  ]
 
 (* Readiness: route traffic here only once recovered state is live. Not a
    bare 200/503 — the body reports how far recovery/replication has
@@ -430,14 +343,8 @@ let step_down t =
 let handle_ready t _req _params =
   let counter = Metrics.counter t.metrics in
   let progress =
-    [
-      ("role", Json.String (role_string t));
-      ("epoch", Json.Int (fence_epoch t));
-      ("fenced", Json.Bool (Atomic.get t.fenced));
-      ( "primary",
-        match !(t.current_primary) with
-        | Some hp -> Json.String (addr_string hp)
-        | None -> Json.Null );
+    cluster_fields t
+    @ [
       ( "records_replayed",
         Json.Int
           (match !(t.durability) with
@@ -728,9 +635,10 @@ let result_with_rank results rank =
    so a session created with [top: 3] and one created with
    [select: [1,2,3]] intern the same entry, and /compare requests with an
    explicit selection share it too. *)
-let session_ctx_key se =
-  Api.canonical_key ~scope:Api.Context
-    { se.s_request with Api.select = Some se.s_ranks }
+let ctx_key creq ranks =
+  Api.canonical_key ~scope:Api.Context { creq with Api.select = Some ranks }
+
+let session_ctx_key se = ctx_key se.s_request se.s_ranks
 
 (* Build the resident state for a session over [creq] with [ranks]
    selected ([None] → the first [top]) at [size_bound]. Shared by
@@ -786,10 +694,7 @@ let build_session_entry t creq ~ranks ~size_bound =
               s_session = session;
             }
           in
-          let ctx_key =
-            Api.canonical_key ~scope:Api.Context
-              { creq with Api.select = Some ranks }
-          in
+          let ctx_key = ctx_key creq ranks in
           match
             if t.incremental then Intern.acquire t.intern ctx_key else None
           with
@@ -1217,14 +1122,8 @@ let handle_metrics t _req _params =
            ("role", Json.String (role_string t));
            ( "replication",
              Json.Obj
-               ([
-                  ("role", Json.String (role_string t));
-                  ("epoch", Json.Int (fence_epoch t));
-                  ("fenced", Json.Bool (Atomic.get t.fenced));
-                  ( "primary",
-                    match !(t.current_primary) with
-                    | Some hp -> Json.String (addr_string hp)
-                    | None -> Json.Null );
+               (cluster_fields t
+               @ [
                   ("streams", Json.Int (Atomic.get t.streams));
                   ( "promotions",
                     Json.Int (Metrics.counter t.metrics "promotions") );
@@ -1251,253 +1150,6 @@ let handle_metrics t _req _params =
                  ]
                | None -> []) );
          ])
-
-(* ---- Promotion, demotion and the fencer ---------------------------------- *)
-
-(* After promotion, chase every peer with POST /v1/demote until each has
-   acknowledged the new epoch — with capped jittered backoff, retrying
-   unreachable peers for as long as we remain primary at this epoch.
-   The indefinite retry is the channel that fences a dead ex-primary
-   whenever it comes back, even minutes later. A peer answering with a
-   {e higher} epoch means we lost a race we did not know about: we
-   self-demote on the spot. *)
-let spawn_fencer t ~epoch =
-  let targets = candidates t in
-  if targets <> [] then
-    ignore
-      (Thread.create
-         (fun () ->
-           let prng =
-             Xsact_util.Prng.of_int
-               (Hashtbl.hash (Unix.getpid (), epoch, "fencer"))
-           in
-           let pending = ref targets in
-           let backoff = ref 0.1 in
-           while
-             !pending <> []
-             && Atomic.get t.role = Primary
-             && fence_epoch t = epoch
-             && not (Atomic.get t.closing)
-           do
-             let announce =
-               Json.to_string
-                 (Json.Obj
-                    (("epoch", Json.Int epoch)
-                    ::
-                    (match t.advertise with
-                    | Some hp ->
-                      [ ("primary", Json.String (addr_string hp)) ]
-                    | None -> [])))
-             in
-             pending :=
-               List.filter
-                 (fun (host, port) ->
-                   match
-                     probe_request ~host ~port ~meth:"POST" ~body:announce
-                       "/v1/demote"
-                   with
-                   | Some (200, _) -> false
-                   | Some (409, body) ->
-                     (match Json.of_string body with
-                     | Ok j -> (
-                       let int name =
-                         Option.bind (Json.member name j) Json.to_int
-                       in
-                       let str name =
-                         Option.bind (Json.member name j) Json.to_str
-                       in
-                       match int "epoch" with
-                       | Some e when e > fence_epoch t ->
-                         demote t ~epoch:e ?winner:(str "winner") ()
-                       | _ -> ())
-                     | Error _ -> ());
-                     false
-                   | Some _ -> false  (* answered; not a fencing peer *)
-                   | None -> true (* unreachable: keep chasing *))
-                 !pending;
-             if !pending <> [] then begin
-               Thread.delay (!backoff *. (0.5 +. Xsact_util.Prng.float prng 1.0));
-               backoff := Float.min 2.0 (!backoff *. 2.)
-             end
-           done)
-         ())
-
-(* Flip a follower to primary. Ordering is the fencing contract: the new
-   epoch is minted {e durably} first — before the role word flips, so no
-   mutation is ever served under the old epoch — then the replication
-   client is detached (the swap is O(1) under [lock]; the join — waiting
-   for an in-flight apply to land — happens outside every lock, because
-   the replication thread takes [session_update]), then the role flips
-   and the fencer starts chasing the peers. Mutations are accepted only
-   after the flip, so everything the dying primary acked and shipped is
-   applied before the first new write. [join:false] is the auto-takeover
-   path: the replication thread promoting from its own [on_lost] must
-   not join itself. Returns false when already primary — promotion is
-   idempotent. *)
-let promote t ~join =
-  if Atomic.get t.role = Primary then false
-  else begin
-    let epoch = fence_epoch t + 1 in
-    set_fence t ~epoch ();
-    (match !(t.durability) with
-    | None -> t.mem_winner := None
-    | Some _ -> ());
-    let client =
-      locked t (fun () ->
-          let c = !(t.repl_client) in
-          t.repl_client := None;
-          c)
-    in
-    (match client with
-    | Some c -> Replication.stop_client ~join c
-    | None -> ());
-    (match !(t.durability) with
-    | Some d -> Session_store.ensure_next t.sessions (Durability.next_id d)
-    | None -> ());
-    Atomic.set t.fenced false;
-    t.current_primary := None;
-    Atomic.set t.role Primary;
-    Metrics.incr_counter t.metrics "promotions";
-    spawn_fencer t ~epoch;
-    true
-  end
-
-(* POST /v1/promote. An optional body [{"epoch":E}] is a compare-and-set
-   guard for scripted runbooks: the promotion happens only if this node's
-   fencing epoch still equals [E] — otherwise 409 [stale_epoch] naming
-   the current epoch and winner, and the script knows the topology moved
-   under it. *)
-let handle_promote t req _params =
-  let expected =
-    if String.trim req.Http.body = "" then None
-    else
-      match Json.of_string req.Http.body with
-      | Ok j -> Option.bind (Json.member "epoch" j) Json.to_int
-      | Error _ -> None
-  in
-  match expected with
-  | Some e when e <> fence_epoch t ->
-    fencing_error ~status:409 ~code:"stale_epoch" t
-      (Printf.sprintf
-         "promote expected epoch %d but the current epoch is %d" e
-         (fence_epoch t))
-  | _ ->
-    let promoted = promote t ~join:true in
-    json_response ~status:200
-      (Json.Obj
-         [
-           ("role", Json.String (role_string t));
-           ("promoted", Json.Bool promoted);
-           ("epoch", Json.Int (fence_epoch t));
-         ])
-
-(* GET /v1/epoch: the discovery/election probe. [primary] is where this
-   node believes mutations go — itself when primary, its current target
-   when following (the hint that lets discovery take one indirection hop
-   through an already-re-pointed follower). *)
-let handle_epoch t _req _params =
-  json_response ~status:200
-    (Json.Obj
-       [
-         ("role", Json.String (role_string t));
-         ("epoch", Json.Int (fence_epoch t));
-         ("fenced", Json.Bool (Atomic.get t.fenced));
-         ( "primary",
-           match
-             if Atomic.get t.role = Primary then t.advertise
-             else !(t.current_primary)
-           with
-           | Some hp -> Json.String (addr_string hp)
-           | None -> Json.Null );
-       ])
-
-(* POST /v1/demote. Two distinct requests share the endpoint:
-
-   - [{"epoch":E,"primary":"H:P"}] — a fencing probe from the epoch-E
-     winner. [E] above our epoch fences us (durably, with the winner
-     recorded); [E] at or below it is a stale prober and gets the 409
-     that tells {e it} to stand down.
-   - empty body — an operator's planned step-down: stop accepting
-     mutations and wait to follow whoever is promoted next. *)
-let handle_demote t req _params =
-  if String.trim req.Http.body = "" then begin
-    step_down t;
-    json_response ~status:200
-      (Json.Obj
-         [
-           ("role", Json.String (role_string t));
-           ("epoch", Json.Int (fence_epoch t));
-         ])
-  end
-  else
-    match Json.of_string req.Http.body with
-    | Error e ->
-      error_response ~status:400 ~code:"bad_request" ("invalid JSON: " ^ e)
-    | Ok j -> (
-      match Option.bind (Json.member "epoch" j) Json.to_int with
-      | None ->
-        error_response ~status:400 ~code:"bad_request"
-          "demote body must carry an integer \"epoch\""
-      | Some e when e > fence_epoch t ->
-        demote t ~epoch:e
-          ?winner:(Option.bind (Json.member "primary" j) Json.to_str)
-          ();
-        json_response ~status:200
-          (Json.Obj
-             [
-               ("role", Json.String (role_string t));
-               ("epoch", Json.Int (fence_epoch t));
-             ])
-      | Some _ when Atomic.get t.role = Follower ->
-        (* already no primary: adopting an old epoch is a no-op ack *)
-        json_response ~status:200
-          (Json.Obj
-             [
-               ("role", Json.String (role_string t));
-               ("epoch", Json.Int (fence_epoch t));
-             ])
-      | Some e ->
-        fencing_error ~status:409 ~code:"stale_epoch" t
-          (Printf.sprintf
-             "demote carries epoch %d but this primary holds epoch %d" e
-             (fence_epoch t)))
-
-(* The plain-router stand-in for GET /v1/replicate: the real stream takes
-   over the raw socket in [serve_connection] before dispatch ever runs,
-   so reaching this handler means the request came through [handle]
-   directly (unit tests) — where no streaming is possible. *)
-let handle_replicate_plain _t _req _params =
-  error_response ~status:501 ~code:"not_streamable"
-    "replication requires a streaming connection"
-
-(* ---- Construction and dispatch ----------------------------------------- *)
-
-let routes_of t =
-  let r meth pattern handler =
-    Router.route ~meth ~pattern (fun req params -> handler t req params)
-  in
-  [
-    r "GET" "" handle_root;
-    r "GET" "health" handle_health;
-    r "GET" "ready" handle_ready;
-    r "GET" "datasets" handle_datasets;
-    r "GET" "search" handle_search;
-    r "POST" "compare" handle_compare;
-    r "GET" "metrics" handle_metrics;
-    r "POST" "session" handle_session_create;
-    r "GET" "session" handle_session_list;
-    r "GET" "session/:id" handle_session_get;
-    r "POST" "session/:id/add" handle_session_add;
-    r "POST" "session/:id/remove" handle_session_remove;
-    r "POST" "session/:id/size" handle_session_size;
-    r "POST" "session/:id/apply" handle_session_apply;
-    r "PATCH" "session/:id/params" handle_session_params;
-    r "DELETE" "session/:id" handle_session_delete;
-    r "GET" "v1/replicate" handle_replicate_plain;
-    r "POST" "v1/promote" handle_promote;
-    r "GET" "v1/epoch" handle_epoch;
-    r "POST" "v1/demote" handle_demote;
-  ]
 
 (* The session's durable representation: everything needed to rebuild it
    through [build_session_entry] — the originating request (in
@@ -1547,9 +1199,7 @@ let log_event d = function
 let stored_ctx_key st =
   match st.state with
   | Warm se -> session_ctx_key se
-  | Cold c ->
-    Api.canonical_key ~scope:Api.Context
-      { c.c_request with Api.select = Some c.c_ranks }
+  | Cold c -> ctx_key c.c_request c.c_ranks
 
 let release_stored intern st =
   if Atomic.compare_and_set st.owns true false then
@@ -1558,6 +1208,9 @@ let release_stored intern st =
 (* ---- Warm-boot context snapshots ----------------------------------------- *)
 
 let contexts_path dir = Filename.concat dir "contexts"
+
+(* Context snapshots need interned contexts to snapshot. *)
+let warm_snapshots t = t.context_snapshots && t.incremental
 
 (* Serialize the warm population: one record per distinct interned
    context (k sessions over one corpus write one context), one per warm
@@ -1619,7 +1272,7 @@ let warm_records_locked t =
    produce misses). Runs after the worker drain, so no lock. *)
 let write_context_snapshot t =
   match t.persist with
-  | Some (dir, _, _) when t.context_snapshots && t.incremental ->
+  | Some (dir, _, _) when warm_snapshots t ->
     let path = contexts_path dir in
     (match warm_records_locked t with
     | [] -> ( try Sys.remove path with Sys_error _ -> ())
@@ -1629,10 +1282,499 @@ let write_context_snapshot t =
 (* Resync consumer: what [serve_stream]'s [warm] callback ships, called
    from the streaming worker at each resync. *)
 let warm_wire_records t =
-  if t.context_snapshots && t.incremental then
+  if warm_snapshots t then
     with_session_update t (fun () ->
         List.map B64.encode (warm_records_locked t))
   else []
+
+(* ---- Installing sessions --------------------------------------------------
+
+   Recovery, a replication resync and a replicated record all land session
+   state through [install_sessions]. Every store touch there is event-free
+   ([drop]/[restore]): the entries are already in this node's journal,
+   exactly once, as themselves. *)
+
+(* Decode a journal entry into the cold recipe. Pure parsing — no search,
+   no extraction, no context build: recovery restores every session cold
+   and the first touch rewarms it through [build_session_entry], so boot
+   time is O(journal) instead of O(sessions × n²) and the durability
+   contract (a recovered session serves exactly what was acknowledged) is
+   discharged lazily by the same deterministic build path. *)
+let cold_of_journal entry_json =
+  match Json.member "request" entry_json with
+  | None -> Error "missing \"request\""
+  | Some rj -> (
+    match Api.decode_compare rj with
+    | Error e -> Error e
+    | Ok creq -> (
+      let ranks =
+        match Option.bind (Json.member "ranks" entry_json) Json.to_list with
+        | None -> None
+        | Some items ->
+          let ints = List.filter_map Json.to_int items in
+          if List.length ints = List.length items then Some ints else None
+      in
+      let size_bound =
+        Option.bind (Json.member "size_bound" entry_json) Json.to_int
+      in
+      match (ranks, size_bound) with
+      | Some ranks, Some size_bound ->
+        Ok { c_request = creq; c_ranks = ranks; c_size_bound = size_bound }
+      | _ -> Error "malformed entry (ranks/size_bound)"))
+
+let drop_session t id =
+  Option.iter (release_stored t.intern) (Session_store.drop t.sessions id)
+
+(* Warm-boot one cold cell from its snapshot record, paying bounded
+   verification instead of an O(n²) rebuild. The record must name the same
+   context key and bound as the journal's recipe (the journal is truth — a
+   session mutated after the snapshot was written simply misses and stays
+   cold). The context comes from the intern table when another session
+   already loaded it (k sessions over one corpus = one deserialization) or
+   from the blob, itself cross-checked by [Dod.deserialize_context]; the
+   DFS vectors and the assembly are re-validated by [Dfs.of_q_array] and
+   [Session.restore]. Any defect is a miss, never wrong state. *)
+let warm_from_record t ~blobs ~search (s : Warmboot.sess) =
+  let miss () = Metrics.incr_counter t.metrics "context_snapshot_misses" in
+  match Session_store.find t.sessions s.Warmboot.z_id with
+  | Some ({ state = Cold c; _ } as st)
+    when stored_ctx_key st = s.Warmboot.z_ctx
+         && c.c_size_bound = s.Warmboot.z_bound -> (
+    let key = s.Warmboot.z_ctx in
+    let creq = c.c_request in
+    let config = request_config t creq in
+    match find_entry t creq.Api.dataset with
+    | None -> miss () (* dataset gone; stays cold *)
+    | Some entry -> (
+      let interned =
+        match Intern.acquire t.intern key with
+        | Some pair -> Some pair
+        | None ->
+          Option.bind (Hashtbl.find_opt blobs key) (fun (profiles, blob) ->
+              match
+                Dod.deserialize_context ~weight:config.Config.weight profiles
+                  blob
+              with
+              | Error _ -> None
+              | Ok context ->
+                Some (Intern.publish t.intern key ~profiles ~context))
+      in
+      match interned with
+      | None -> miss ()
+      | Some (profiles, context) -> (
+        match
+          Session.restore ~runs:s.Warmboot.z_runs ~config
+            ~size_bound:s.Warmboot.z_bound ~profiles ~context
+            ~dfss:
+              (Array.mapi
+                 (fun i q -> Dfs.of_q_array profiles.(i) q)
+                 s.Warmboot.z_dfss)
+            ()
+        with
+        | exception Invalid_argument _ ->
+          Intern.release t.intern key;
+          miss ()
+        | Error _ ->
+          Intern.release t.intern key;
+          miss ()
+        | Ok session ->
+          st.state <-
+            Warm
+              {
+                s_dataset = creq.Api.dataset;
+                s_request = creq;
+                s_results = search entry creq;
+                s_ranks = c.c_ranks;
+                s_session = session;
+              };
+          Atomic.set st.owns true;
+          Metrics.incr_counter t.metrics "context_snapshot_loads")))
+  | Some _ | None -> miss ()
+
+(* The one install path. Journal [entries] restore cold (an entry this
+   build cannot even parse is counted and skipped — the server keeps
+   serving); warm-boot [records] upgrade the cells they match; [eager]
+   rebuilds whatever is still cold, so a follower serves — and, promoted,
+   keeps serving — warm sessions. [replace] drops every other session
+   first (a resync is the whole state). *)
+let install_sessions t d ?(replace = false) ?(records = []) ~eager entries =
+  with_session_update t (fun () ->
+      if replace then List.iter (drop_session t) (Session_store.ids t.sessions);
+      let ids =
+        List.filter_map
+          (fun (id, at, entry) ->
+            drop_session t id;
+            match cold_of_journal entry with
+            | Ok cold ->
+              Session_store.restore t.sessions ~id ~last_used:at
+                { state = Cold cold; owns = Atomic.make false };
+              Some id
+            | Error msg ->
+              Durability.mark_dropped d;
+              Printf.eprintf
+                "xsact-serve: dropped unrecoverable session %s: %s\n%!" id msg;
+              None)
+          entries
+      in
+      if records <> [] then begin
+        let blobs = Hashtbl.create 8 in
+        (* one search per distinct (dataset, keywords): restored sessions
+           over one query share the result list as they share the context *)
+        let searches = Hashtbl.create 8 in
+        let search entry creq =
+          let key = creq.Api.dataset ^ "\x00" ^ creq.Api.keywords in
+          match Hashtbl.find_opt searches key with
+          | Some r -> r
+          | None ->
+            let r = Pipeline.search entry.pipeline creq.Api.keywords in
+            Hashtbl.add searches key r;
+            r
+        in
+        List.filter_map
+          (fun r ->
+            match Warmboot.decode r with
+            | Ok (Warmboot.Ctx c) ->
+              Hashtbl.replace blobs c.Warmboot.x_key
+                (c.Warmboot.x_profiles, c.Warmboot.x_blob);
+              None
+            | Ok (Warmboot.Sess s) -> Some s
+            | Error _ ->
+              Metrics.incr_counter t.metrics "context_snapshot_misses";
+              None)
+          records
+        |> List.iter (warm_from_record t ~blobs ~search);
+        enforce_context_budget t ~keep:""
+      end;
+      if eager then
+        List.iter
+          (fun id ->
+            match Session_store.find t.sessions id with
+            | Some ({ state = Cold _; _ } as st) ->
+              ignore (warm_session t id st)
+            | Some { state = Warm _; _ } | None -> ())
+          ids)
+
+(* The replication client's state hooks, run on its thread. Both journal
+   through [Durability] first, never through the store's event hook. *)
+let repl_apply t d payload =
+  match Durability.append_replicated d payload with
+  | Durability.P_upsert { id; at; entry } ->
+    install_sessions t d ~eager:true [ (id, at, entry) ]
+  | Durability.P_delete id -> with_session_update t (fun () -> drop_session t id)
+  | Durability.P_meta next -> Session_store.ensure_next t.sessions next
+  | Durability.P_unknown -> ()  (* counted by the fold *)
+
+(* Full-state handover: the primary's warm records (the warm resync — k
+   sessions over one corpus decode one context blob) cover what they can,
+   the rest rebuilds eagerly. *)
+let repl_reset t d ~payloads ~warm =
+  let r = Durability.install_resync d payloads in
+  let records =
+    if not (warm_snapshots t) then []
+    else
+      List.filter_map
+        (fun w ->
+          let r = B64.decode w in
+          if r = None then
+            Metrics.incr_counter t.metrics "context_snapshot_misses";
+          r)
+        warm
+  in
+  install_sessions t d ~replace:true ~records ~eager:true
+    r.Durability.entries;
+  Session_store.ensure_next t.sessions r.Durability.next_id
+
+(* ---- Cluster transitions --------------------------------------------------
+
+   [transition] is the one place role and epoch change: it runs
+   [Cluster.step] under [cluster_lock], makes the fence durable before the
+   new state becomes visible (no mutation is ever served under a stale
+   epoch), then executes the other effects outside the lock. Effects reach
+   back into this section — a demoted node starts a replication client,
+   whose callbacks transition again — hence one recursive group. *)
+
+let stop_client t ~join =
+  let detached =
+    locked t (fun () ->
+        let c = !(t.repl_client) in
+        t.repl_client := None;
+        c)
+  in
+  Option.iter (Replication.stop_client ~join) detached
+
+let rec transition t ev =
+  let before, after, effects =
+    with_lock t.cluster_lock (fun () ->
+        let before = cluster t in
+        let after, effects = Cluster.step before ev in
+        List.iter
+          (function
+            | Cluster.Persist_fence { epoch; winner } ->
+              Option.iter
+                (fun d -> Durability.set_fence d ~epoch ?winner ())
+                !(t.durability)
+            | _ -> ())
+          effects;
+        Atomic.set t.cluster after;
+        (before, after, effects))
+  in
+  List.iter
+    (function
+      | Cluster.Persist_fence _ -> ()
+      | Cluster.Start_fencer epoch -> spawn_fencer t ~epoch
+      | Cluster.Ensure_client -> ensure_client t
+      | Cluster.Stop_client -> stop_client t ~join:false
+      | Cluster.Count name -> Metrics.incr_counter t.metrics name)
+    effects;
+  (before, after)
+
+(* After promotion, chase every peer with POST /v1/demote until each has
+   acknowledged the new epoch — with capped jittered backoff, retrying
+   unreachable peers for as long as we remain primary at this epoch.
+   The indefinite retry is the channel that fences a dead ex-primary
+   whenever it comes back, even minutes later. A peer answering with a
+   {e higher} epoch means we lost a race we did not know about. *)
+and spawn_fencer t ~epoch =
+  let targets = candidates t in
+  let announce =
+    Json.to_string
+      (Json.Obj
+         (("epoch", Json.Int epoch)
+         :: Option.fold ~none:[]
+              ~some:(fun hp -> [ ("primary", Json.String (addr_string hp)) ])
+              t.advertise))
+  in
+  let chase () =
+    let prng =
+      Xsact_util.Prng.of_int (Hashtbl.hash (Unix.getpid (), epoch, "fencer"))
+    in
+    let pending = ref targets in
+    let backoff = ref 0.1 in
+    let still_mine () =
+      let c = cluster t in
+      c.Cluster.role = Cluster.Primary
+      && c.Cluster.epoch = epoch
+      && not (Atomic.get t.closing)
+    in
+    while !pending <> [] && still_mine () do
+      pending :=
+        List.filter
+          (fun (host, port) ->
+            match
+              probe_request ~host ~port ~meth:"POST" ~body:announce
+                "/v1/demote"
+            with
+            | Some (409, body) ->
+              (match Json.of_string body with
+              | Ok j ->
+                let str name = Option.bind (Json.member name j) Json.to_str in
+                Option.iter
+                  (fun e ->
+                    ignore
+                      (transition t
+                         (Cluster.Observe { epoch = e; winner = str "winner" })))
+                  (Option.bind (Json.member "epoch" j) Json.to_int)
+              | Error _ -> ());
+              false
+            | Some _ -> false  (* acknowledged, or not a fencing peer *)
+            | None -> true (* unreachable: keep chasing *))
+          !pending;
+      if !pending <> [] then begin
+        Thread.delay (!backoff *. (0.5 +. Xsact_util.Prng.float prng 1.0));
+        backoff := Float.min 2.0 (!backoff *. 2.)
+      end
+    done
+  in
+  if targets <> [] then ignore (Thread.create chase ())
+
+(* A freshly-demoted node needs a client hunting for the winner; a node
+   that already has one keeps it (its discovery re-points it). *)
+and ensure_client t =
+  match !(t.durability) with
+  | Some d when (cluster t).Cluster.role <> Cluster.Primary ->
+    locked t (fun () ->
+        if !(t.repl_client) = None then
+          t.repl_client := Some (start_repl_client t d))
+  | _ -> ()
+
+(* The follower-side replication client, wired to this server: epochs and
+   re-points become transitions, state arrives through the install path,
+   and a primary silent past [takeover_after] runs the election. *)
+and start_repl_client t d =
+  Replication.start_client ?primary:(cluster t).Cluster.primary ~durability:d
+    ~my_epoch:(fun () -> fence_epoch t)
+    ~on_epoch:(fun hp e ->
+      (* below our epoch: a stale primary, abandoned; otherwise adopt the
+         epoch (durably when higher) and follow. An equal epoch writes
+         nothing, so a fenced ex-primary keeps its winner record. *)
+      let before, _ =
+        transition t (Cluster.Observe { epoch = e; winner = None })
+      in
+      e >= before.Cluster.epoch
+      && (ignore (transition t (Cluster.Follow hp)); true))
+    ~probe:(fun () -> discover_primary t)
+    ~on_repoint:(fun hp -> ignore (transition t (Cluster.Follow hp)))
+    ~apply:(repl_apply t d) ~reset:(repl_reset t d)
+    ?takeover_after:t.takeover_after
+    ~on_lost:(fun () -> auto_takeover t)
+    ()
+
+(* The takeover election, run on the replication thread once the primary
+   has been silent past [takeover_after]. Exactly-one promotion without a
+   consensus log: every contender probes the same cluster and applies the
+   same [Cluster.elect], so at most one node finds itself unbeaten and
+   promotes; the rest defer briefly, then find the winner and re-point to
+   it. The deferral is bounded: a wedged better-ranked rival that never
+   promotes costs ~15 rounds, after which we promote anyway rather than
+   leave the cluster headless. Returns the primary the client should
+   re-point to, or [None] once there is nothing left to follow. *)
+and auto_takeover t =
+  let prng =
+    Xsact_util.Prng.of_int (Hashtbl.hash (Unix.getpid (), "takeover"))
+  in
+  let rec round deferrals =
+    if (cluster t).Cluster.role = Cluster.Primary || Atomic.get t.closing then
+      None
+    else
+      let peers = probe_cluster t in
+      match Cluster.elect ~self:t.advertise ~epoch:(fence_epoch t) peers with
+      | Some (Cluster.Follow hp) -> Some hp
+      | None when deferrals < 15 ->
+        Thread.delay (0.25 +. Xsact_util.Prng.float prng 0.2);
+        round (deferrals + 1)
+      | _ ->
+        ignore (promote t ~join:false None);
+        None
+  in
+  round 0
+
+(* Promotion drains the replication client before the role can flip, so
+   everything the old primary shipped lands before the first local write
+   and the session-id sequence continues past it. The drain runs outside
+   [cluster_lock] (the replication thread takes that lock), so a dry
+   [Cluster.step] decides whether this request promotes at all.
+   [join:false] is the election's path, on the replication thread
+   itself. *)
+and promote t ~join expected =
+  let ev = Cluster.Promote expected in
+  if List.mem Cluster.Stop_client (snd (Cluster.step (cluster t) ev)) then begin
+    stop_client t ~join;
+    Option.iter
+      (fun d -> Session_store.ensure_next t.sessions (Durability.next_id d))
+      !(t.durability)
+  end;
+  transition t ev
+
+(* POST /v1/promote. An optional body [{"epoch":E}] is a compare-and-set
+   guard for scripted runbooks: the promotion happens only if this node's
+   fencing epoch still equals [E] — otherwise 409 [stale_epoch] naming
+   the current epoch and winner, and the script knows the topology moved
+   under it. Idempotent: a primary answers [promoted:false]. *)
+let handle_promote t req _params =
+  let expected =
+    match Json.of_string req.Http.body with
+    | Ok j -> Option.bind (Json.member "epoch" j) Json.to_int
+    | Error _ -> None
+  in
+  let before, after = promote t ~join:true expected in
+  match expected with
+  | Some e when e <> before.Cluster.epoch ->
+    fencing_error ~status:409 ~code:"stale_epoch" t
+      (Printf.sprintf "promote expected epoch %d but the current epoch is %d"
+         e before.Cluster.epoch)
+  | _ ->
+    json_response ~status:200
+      (Json.Obj
+         [
+           ("role", Json.String (Cluster.role_name after.Cluster.role));
+           ("promoted", Json.Bool (before.Cluster.role <> Cluster.Primary));
+           ("epoch", Json.Int after.Cluster.epoch);
+         ])
+
+(* GET /v1/epoch: the discovery/election probe. [primary] is where this
+   node believes mutations go — itself when primary, its current target
+   when following (the hint that lets discovery take one indirection hop
+   through an already-re-pointed follower). *)
+let handle_epoch t _req _params =
+  json_response ~status:200 (Json.Obj (cluster_fields ?self:t.advertise t))
+
+(* POST /v1/demote. Two distinct requests share the endpoint:
+
+   - [{"epoch":E,"primary":"H:P"}] — a fencing probe from the epoch-E
+     winner. [E] above our epoch fences us (durably, with the winner
+     recorded); [E] at or below it is a stale prober and gets the 409
+     that tells {e it} to stand down (a follower just acks).
+   - empty body — an operator's planned step-down: stop accepting
+     mutations and wait to follow whoever is promoted next. *)
+let handle_demote t req _params =
+  let ack c =
+    json_response ~status:200
+      (Json.Obj
+         [
+           ("role", Json.String (Cluster.role_name c.Cluster.role));
+           ("epoch", Json.Int c.Cluster.epoch);
+         ])
+  in
+  if String.trim req.Http.body = "" then
+    ack (snd (transition t Cluster.Step_down))
+  else
+    match Json.of_string req.Http.body with
+    | Error e ->
+      error_response ~status:400 ~code:"bad_request" ("invalid JSON: " ^ e)
+    | Ok j -> (
+      match Option.bind (Json.member "epoch" j) Json.to_int with
+      | None ->
+        error_response ~status:400 ~code:"bad_request"
+          "demote body must carry an integer \"epoch\""
+      | Some e -> (
+        let winner = Option.bind (Json.member "primary" j) Json.to_str in
+        match transition t (Cluster.Observe { epoch = e; winner }) with
+        | before, after
+          when e > before.Cluster.epoch
+               || before.Cluster.role <> Cluster.Primary ->
+          ack after
+        | before, _ ->
+          fencing_error ~status:409 ~code:"stale_epoch" t
+            (Printf.sprintf
+               "demote carries epoch %d but this primary holds epoch %d" e
+               before.Cluster.epoch)))
+
+(* The plain-router stand-in for GET /v1/replicate: the real stream takes
+   over the raw socket in [serve_connection] before dispatch ever runs,
+   so reaching this handler means the request came through [handle]
+   directly (unit tests) — where no streaming is possible. *)
+let handle_replicate_plain _t _req _params =
+  error_response ~status:501 ~code:"not_streamable"
+    "replication requires a streaming connection"
+
+(* ---- Construction and dispatch ----------------------------------------- *)
+
+let routes_of t =
+  let r meth pattern handler =
+    Router.route ~meth ~pattern (fun req params -> handler t req params)
+  in
+  [
+    r "GET" "" handle_root;
+    r "GET" "health" handle_health;
+    r "GET" "ready" handle_ready;
+    r "GET" "datasets" handle_datasets;
+    r "GET" "search" handle_search;
+    r "POST" "compare" handle_compare;
+    r "GET" "metrics" handle_metrics;
+    r "POST" "session" handle_session_create;
+    r "GET" "session" handle_session_list;
+    r "GET" "session/:id" handle_session_get;
+    r "POST" "session/:id/add" handle_session_add;
+    r "POST" "session/:id/remove" handle_session_remove;
+    r "POST" "session/:id/size" handle_session_size;
+    r "POST" "session/:id/apply" handle_session_apply;
+    r "PATCH" "session/:id/params" handle_session_params;
+    r "DELETE" "session/:id" handle_session_delete;
+    r "GET" "v1/replicate" handle_replicate_plain;
+    r "POST" "v1/promote" handle_promote;
+    r "GET" "v1/epoch" handle_epoch;
+    r "POST" "v1/demote" handle_demote;
+  ]
 
 let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
     ?(incremental = true) ?max_context_bytes ?domains ?deadline_ms
@@ -1710,8 +1852,8 @@ let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
         Option.map (fun dir -> (dir, fsync, snapshot_every)) state_dir;
       durability;
       ready = Atomic.make (state_dir = None);
-      role =
-        Atomic.make (if replica_of = None then Primary else Follower);
+      cluster = Atomic.make (Cluster.init ?primary:replica_of ());
+      cluster_lock = Mutex.create ();
       replica_of;
       takeover_after;
       context_snapshots;
@@ -1719,11 +1861,6 @@ let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
       streams = Atomic.make 0;
       peers;
       advertise = None;
-      current_primary = ref replica_of;
-      fenced = Atomic.make false;
-      mem_epoch = Atomic.make 0;
-      mem_winner = ref None;
-      ensure_client = (fun () -> ());
       closing = Atomic.make false;
       routes = [];
       queue_depth = (fun () -> 0);
@@ -1735,459 +1872,45 @@ let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
 
 (* ---- Recovery ----------------------------------------------------------- *)
 
-(* Decode a journal entry into the cold recipe. Pure parsing — no search,
-   no extraction, no context build: recovery restores every session cold
-   and the first touch rewarms it through [build_session_entry], so boot
-   time is O(journal) instead of O(sessions × n²) and the durability
-   contract (a recovered session serves exactly what was acknowledged) is
-   discharged lazily by the same deterministic build path. *)
-let cold_of_journal entry_json =
-  match Json.member "request" entry_json with
-  | None -> Error "missing \"request\""
-  | Some rj -> (
-    match Api.decode_compare rj with
-    | Error e -> Error e
-    | Ok creq -> (
-      let ranks =
-        match Option.bind (Json.member "ranks" entry_json) Json.to_list with
-        | None -> None
-        | Some items ->
-          let ints = List.filter_map Json.to_int items in
-          if List.length ints = List.length items then Some ints else None
-      in
-      let size_bound =
-        Option.bind (Json.member "size_bound" entry_json) Json.to_int
-      in
-      match (ranks, size_bound) with
-      | Some ranks, Some size_bound ->
-        Ok { c_request = creq; c_ranks = ranks; c_size_bound = size_bound }
-      | _ -> Error "malformed entry (ranks/size_bound)"))
-
-(* Warm-boot: turn recovered cold cells back into warm sessions from the
-   [contexts] snapshot, paying bounded verification instead of per-session
-   O(n²) rebuilds. Per session: the snapshot record must name the same
-   context key and bound as the journal-recovered recipe (the journal is
-   truth — a session mutated after the snapshot was written simply misses
-   and stays cold); the context arrives via the intern table when another
-   session already loaded it (k sessions over one corpus = one
-   deserialization) or by deserializing the blob — itself fully
-   cross-checked by [Dod.deserialize_context] — and publishing it; the
-   DFS q-vectors and the final assembly are re-validated by
-   [Dfs.of_q_array] and [Session.restore]. Any defect anywhere demotes to
-   a miss, never to wrong state. *)
-(* Install a batch of warm-boot records over the current (cold) session
-   population. Shared by warm boot from the [contexts] file and by the
-   warm section of a replication resync — the records are identical;
-   only the transport differs. *)
-let install_warm_records t records =
-  if records <> [] then begin
-      let blobs = Hashtbl.create 8 in
-      (* one search per distinct (dataset, keywords) across the whole
-         load — restored sessions over the same query share the result
-         list just as they share the interned context *)
-      let searches = Hashtbl.create 8 in
-      let sess = ref [] in
-      List.iter
-        (fun r ->
-          match Warmboot.decode r with
-          | Ok (Warmboot.Ctx c) ->
-            Hashtbl.replace blobs c.Warmboot.x_key
-              (c.Warmboot.x_profiles, c.Warmboot.x_blob)
-          | Ok (Warmboot.Sess s) -> sess := s :: !sess
-          | Error _ ->
-            Metrics.incr_counter t.metrics "context_snapshot_misses")
-        records;
-      let miss () =
-        Metrics.incr_counter t.metrics "context_snapshot_misses"
-      in
-      with_session_update t (fun () ->
-          List.iter
-            (fun (s : Warmboot.sess) ->
-              match Session_store.find t.sessions s.Warmboot.z_id with
-              | Some ({ state = Cold c; _ } as st)
-                when stored_ctx_key st = s.Warmboot.z_ctx
-                     && c.c_size_bound = s.Warmboot.z_bound -> (
-                let key = s.Warmboot.z_ctx in
-                let creq = c.c_request in
-                match find_entry t creq.Api.dataset with
-                | None -> miss () (* dataset gone; stays cold *)
-                | Some entry -> (
-                  let interned =
-                    match Intern.acquire t.intern key with
-                    | Some pair -> Some pair
-                    | None -> (
-                      match Hashtbl.find_opt blobs key with
-                      | None -> None
-                      | Some (profiles, blob) -> (
-                        let weight =
-                          (request_config t creq).Config.weight
-                        in
-                        match
-                          Dod.deserialize_context ~weight profiles blob
-                        with
-                        | Error _ -> None
-                        | Ok context ->
-                          Some (Intern.publish t.intern key ~profiles ~context)
-                        ))
-                  in
-                  match interned with
-                  | None -> miss ()
-                  | Some (profiles, context) -> (
-                    let release () = Intern.release t.intern key in
-                    match
-                      let results =
-                        let skey =
-                          creq.Api.dataset ^ "\x00" ^ creq.Api.keywords
-                        in
-                        match Hashtbl.find_opt searches skey with
-                        | Some r -> r
-                        | None ->
-                          let r =
-                            Pipeline.search entry.pipeline creq.Api.keywords
-                          in
-                          Hashtbl.add searches skey r;
-                          r
-                      in
-                      let dfss =
-                        Array.mapi
-                          (fun i q -> Dfs.of_q_array profiles.(i) q)
-                          s.Warmboot.z_dfss
-                      in
-                      Result.map
-                        (fun session -> (results, session))
-                        (Session.restore ~runs:s.Warmboot.z_runs
-                           ~config:(request_config t creq)
-                           ~size_bound:s.Warmboot.z_bound ~profiles ~context
-                           ~dfss ())
-                    with
-                    | exception Invalid_argument _ ->
-                      release ();
-                      miss ()
-                    | Error _ ->
-                      release ();
-                      miss ()
-                    | Ok (results, session) ->
-                      st.state <-
-                        Warm
-                          {
-                            s_dataset = creq.Api.dataset;
-                            s_request = creq;
-                            s_results = results;
-                            s_ranks = c.c_ranks;
-                            s_session = session;
-                          };
-                      Atomic.set st.owns true;
-                      Metrics.incr_counter t.metrics "context_snapshot_loads")))
-              | Some _ | None -> miss ())
-            (List.rev !sess);
-          enforce_context_budget t ~keep:"")
-    end
-
-let load_context_snapshot t =
-  match t.persist with
-  | Some (dir, _, _) when t.context_snapshots && t.incremental ->
-    let { Xsact_persist.Snapshot.records; valid } =
-      Xsact_persist.Snapshot.read (contexts_path dir)
-    in
-    if valid then install_warm_records t records
-  | _ -> ()
-
-(* ---- Follower state mirroring -------------------------------------------
-   The replication client calls these from its own thread. They journal
-   through [Durability.append_replicated]/[install_resync] — never through
-   the store's event hook, which is why every store touch below is
-   event-free ([drop]/[restore]): a replicated record must land in the
-   follower's journal exactly once, as itself. *)
-
-let repl_drop t id =
-  match Session_store.drop t.sessions id with
-  | Some old -> release_stored t.intern old
-  | None -> ()
-
-let repl_install t d ~prewarm payload =
-  match Durability.parse_payload payload with
-  | Durability.P_upsert { id; at; entry } -> (
-    repl_drop t id;
-    match cold_of_journal entry with
-    | Error _ -> Durability.mark_dropped d
-    | Ok cold ->
-      let st = { state = Cold cold; owns = Atomic.make false } in
-      Session_store.restore t.sessions ~id ~last_used:at st;
-      (* Pre-warm so promotion serves warm sessions instantly; a rebuild
-         failure (dataset missing here) leaves the cell cold, exactly
-         like lazy recovery. *)
-      if prewarm then
-        match warm_session t id st with Ok _ | Error _ -> ())
-  | Durability.P_delete id -> repl_drop t id
-  | Durability.P_meta next -> Session_store.ensure_next t.sessions next
-  | Durability.P_unknown -> Durability.mark_dropped d
-
-let repl_apply t d payload =
-  Durability.append_replicated d payload;
-  with_session_update t (fun () -> repl_install t d ~prewarm:true payload)
-
-(* Full-state handover. Sessions land cold first; then any warm records
-   the primary shipped rebuild their contexts by deserialization (the
-   warm resync — k sessions over one corpus decode one context blob,
-   no O(n²) extraction); whatever they did not cover (disabled snapshots,
-   a session mutated mid-capture, a defective record) is eager-warmed
-   through the ordinary rebuild path, preserving the invariant that a
-   follower serves — and, promoted, keeps serving — warm sessions. *)
-let repl_reset t d ~payloads ~warm =
-  Durability.install_resync d payloads;
-  with_session_update t (fun () ->
-      List.iter (repl_drop t) (Session_store.ids t.sessions);
-      List.iter (repl_install t d ~prewarm:false) payloads);
-  (if warm <> [] && t.context_snapshots && t.incremental then
-     let records =
-       List.filter_map
-         (fun w ->
-           match B64.decode w with
-           | Some r -> Some r
-           | None ->
-             Metrics.incr_counter t.metrics "context_snapshot_misses";
-             None)
-         warm
-     in
-     install_warm_records t records);
-  with_session_update t (fun () ->
-      List.iter
-        (fun id ->
-          match Session_store.find t.sessions id with
-          | Some ({ state = Cold _; _ } as st) -> (
-            match warm_session t id st with Ok _ | Error _ -> ())
-          | Some { state = Warm _; _ } | None -> ())
-        (Session_store.ids t.sessions))
-
-(* The follower-side replication client, wired to this server: epoch
-   adoption and staleness through the durable fence, discovery through
-   the peer list, state through the repl_* mirrors, takeover through the
-   election below. *)
-let rec start_repl_client t d ?primary () =
-  Replication.start_client ?primary ~durability:d
-    ~my_epoch:(fun () -> fence_epoch t)
-    ~on_epoch:(fun hp e ->
-      let mine = fence_epoch t in
-      if e < mine then false
-      else begin
-        (* adopt a higher epoch durably; an equal one writes nothing, so
-           a fenced ex-primary's winner record survives while it follows
-           that winner *)
-        if e > mine then set_fence t ~epoch:e ();
-        t.current_primary := Some hp;
-        true
-      end)
-    ~probe:(fun () -> discover_primary t)
-    ~on_repoint:(fun hp -> t.current_primary := Some hp)
-    ~apply:(fun p -> repl_apply t d p)
-    ~reset:(fun ~payloads ~warm -> repl_reset t d ~payloads ~warm)
-    ?takeover_after:t.takeover_after
-    ~on_lost:(fun () -> auto_takeover t)
-    ()
-
-(* A freshly-demoted node needs a client hunting for the winner; a node
-   that already has one keeps it (its discovery re-points it). *)
-and ensure_follower_client t =
-  match !(t.durability) with
-  | Some d when Atomic.get t.role = Follower ->
-    let fresh = ref None in
-    locked t (fun () ->
-        if !(t.repl_client) = None then begin
-          let c = start_repl_client t d ?primary:!(t.current_primary) () in
-          t.repl_client := Some c;
-          fresh := Some c
-        end);
-    ignore !fresh
-  | _ -> ()
-
-(* The takeover election, run on the (exiting) replication thread once
-   the primary has been silent past [takeover_after]. Exactly-one
-   promotion without a consensus log: every contender probes the same
-   cluster and applies the same deterministic rank — highest fencing
-   epoch first, then lowest HOST:PORT string — so at most one node finds
-   itself unbeaten and promotes; the rest defer briefly and then find
-   the winner (now a live higher-epoch primary) and re-point to it. The
-   deferral is bounded: a wedged better-ranked rival that never promotes
-   costs ~15 rounds, after which we promote anyway rather than leave the
-   cluster headless. *)
-and auto_takeover t =
-  let prng =
-    Xsact_util.Prng.of_int (Hashtbl.hash (Unix.getpid (), "takeover"))
-  in
-  let deferrals = ref 0 in
-  let decided = ref false in
-  while
-    (not !decided)
-    && Atomic.get t.role = Follower
-    && not (Atomic.get t.closing)
-  do
-    let states = probe_cluster t in
-    let mine = fence_epoch t in
-    let best_primary =
-      List.fold_left
-        (fun best s ->
-          if s.p_role <> "primary" || s.p_epoch < mine then best
-          else
-            match best with
-            | Some b when b.p_epoch >= s.p_epoch -> best
-            | _ -> Some s)
-        None states
-    in
-    match best_primary with
-    | Some s ->
-      (* someone else already won (or the old primary came back): follow
-         them — swap in a fresh client pointed there; the old one is this
-         very thread, so no join *)
-      t.current_primary := Some s.p_addr;
-      (match !(t.durability) with
-      | Some d ->
-        let fresh = start_repl_client t d ~primary:s.p_addr () in
-        let old =
-          locked t (fun () ->
-              let c = !(t.repl_client) in
-              t.repl_client := Some fresh;
-              c)
-        in
-        (match old with
-        | Some c -> Replication.stop_client ~join:false c
-        | None -> ())
-      | None -> ());
-      decided := true
-    | None ->
-      let my_addr = Option.map addr_string t.advertise in
-      let outranked =
-        match my_addr with
-        | None -> false
-        | Some me ->
-          List.exists
-            (fun s ->
-              s.p_role = "follower"
-              && (s.p_epoch > mine
-                 || (s.p_epoch = mine && addr_string s.p_addr < me)))
-            states
-      in
-      if (not outranked) || !deferrals >= 15 then begin
-        ignore (promote t ~join:false);
-        decided := true
-      end
-      else begin
-        incr deferrals;
-        Thread.delay (0.25 +. Xsact_util.Prng.float prng 0.2)
-      end
-  done
-
 let recover t =
   match (t.persist, !(t.durability)) with
   | None, _ -> Atomic.set t.ready true
   | Some _, Some _ -> ()  (* already recovered *)
   | Some (dir, fsync, snapshot_every), None ->
     let d, recovered = Durability.recover ~dir ~fsync ~snapshot_every in
-    List.iter
-      (fun (id, at, entry_json) ->
-        match cold_of_journal entry_json with
-        | Ok cold ->
-          Session_store.restore t.sessions ~id ~last_used:at
-            { state = Cold cold; owns = Atomic.make false }
-        | Error msg ->
-          (* A journal this build cannot even parse: keep serving, count
-             the loss. (A parseable entry whose dataset is missing stays
-             cold and surfaces its error on first touch instead.) *)
-          Durability.mark_dropped d;
-          Printf.eprintf "xsact-serve: dropped unrecoverable session %s: %s\n%!"
-            id msg)
-      recovered.Durability.entries;
+    let records =
+      if not (warm_snapshots t) then []
+      else
+        match Xsact_persist.Snapshot.read (contexts_path dir) with
+        | { Xsact_persist.Snapshot.records; valid = true } -> records
+        | _ -> []
+    in
+    install_sessions t d ~records ~eager:false recovered.Durability.entries;
     Session_store.ensure_next t.sessions recovered.Durability.next_id;
     t.durability := Some d;
-    load_context_snapshot t;
-    t.ensure_client <- (fun () -> ensure_follower_client t);
-    (* Fenced recovery: a winner on record means this directory was a
-       primary when a higher epoch fenced it — it must come back as that
-       winner's read-only follower (still answering 409 to mutations),
-       never as a primary, no matter what flags it was restarted with. *)
-    (match (t.replica_of, Durability.fence_winner d) with
-    | None, Some w -> (
-      match parse_hostport w with
-      | Some hp ->
-        t.current_primary := Some hp;
-        Atomic.set t.fenced true;
-        Atomic.set t.role Follower
-      | None -> ())
-    | _ -> ());
+    ignore
+      (transition t
+         (Cluster.Recovered
+            {
+              epoch = Durability.fence_epoch d;
+              winner = Durability.fence_winner d;
+            }));
     (* Boot-time fencing probe: a would-be primary with a peer list asks
        who else is alive before serving its first mutation — a live
        primary at or above our epoch is the cluster's truth, so we join
        it as a follower instead of forking history. *)
-    (if Atomic.get t.role = Primary && t.peers <> [] then
-       match discover_primary t with
-       | Some hp ->
-         t.current_primary := Some hp;
-         Atomic.set t.role Follower;
-         Metrics.incr_counter t.metrics "demotions"
-       | None -> ());
+    if (cluster t).Cluster.role = Cluster.Primary && t.peers <> [] then
+      Option.iter
+        (fun hp -> ignore (transition t (Cluster.Follow hp)))
+        (discover_primary t);
     (* A follower is ready on local recovery — it serves reads
        immediately and reports its lag/liveness on /ready while the
        replication client catches up (or elects a replacement for a
        dead primary). *)
-    (if Atomic.get t.role = Follower then
-       t.repl_client :=
-         Some (start_repl_client t d ?primary:!(t.current_primary) ()));
+    ensure_client t;
     Atomic.set t.ready true
 
-let handle t req =
-  Atomic.incr t.inflight_now;
-  Fun.protect ~finally:(fun () -> Atomic.decr t.inflight_now) @@ fun () ->
-  (* Readiness gate: until recovery completes, only the probes answer —
-     serving (or worse, mutating) session state mid-replay would race the
-     restore. One atomic load when ready; no cost without a state dir. *)
-  if
-    (not (Atomic.get t.ready))
-    && (match req.Http.path with
-       | [ "health" ] | [ "ready" ] -> false
-       | _ -> true)
-  then begin
-    Metrics.record t.metrics ~route:"unready" ~status:503 ~elapsed_s:0.;
-    Http.response
-      ~headers:[ ("Retry-After", "1") ]
-      ~status:503
-      (Api.error_body ~code:"unavailable"
-         "unavailable: state recovery in progress")
-  end
-  else if
-    (* Follower write gate: reads (every GET), POST /compare (a pure
-       computation over read state) and the topology verbs (promote,
-       demote) pass; anything that would mutate session state is refused
-       — a follower's journal holds only what the primary shipped. A
-       {e fenced} ex-primary answers 409 naming the winner's epoch and
-       address (a client still pointed here must re-point, not retry);
-       an ordinary follower answers 503 hinting at the primary it
-       currently follows — the hint tracks re-pointing, not the static
-       flag it was started with. *)
-    Atomic.get t.role = Follower
-    && (match (req.Http.meth, req.Http.path) with
-       | "GET", _ -> false
-       | "POST", [ "compare" ] -> false
-       | "POST", [ "v1"; "promote" ] -> false
-       | "POST", [ "v1"; "demote" ] -> false
-       | _ -> true)
-  then
-    if Atomic.get t.fenced then begin
-      Metrics.record t.metrics ~route:"fenced" ~status:409 ~elapsed_s:0.;
-      fencing_error ~status:409 ~code:"fenced" t
-        (Printf.sprintf
-           "fenced: a newer primary holds epoch %d; mutations go there"
-           (fence_epoch t))
-    end
-    else begin
-      Metrics.record t.metrics ~route:"follower" ~status:503 ~elapsed_s:0.;
-      let hint =
-        match !(t.current_primary) with
-        | Some hp -> Printf.sprintf "; primary at %s" (addr_string hp)
-        | None -> ""
-      in
-      error_response ~status:503 ~code:"follower"
-        ("read-only follower: mutations go to the primary" ^ hint)
-    end
-  else
+let dispatch t req =
   let started = Unix.gettimeofday () in
   let route, resp =
     match Router.dispatch t.routes req with
@@ -2211,6 +1934,59 @@ let handle t req =
   Metrics.record t.metrics ~route ~status:resp.Http.status
     ~elapsed_s:(Unix.gettimeofday () -. started);
   resp
+
+let handle t req =
+  Atomic.incr t.inflight_now;
+  Fun.protect ~finally:(fun () -> Atomic.decr t.inflight_now) @@ fun () ->
+  (* Readiness gate: until recovery completes, only the probes answer —
+     serving (or worse, mutating) session state mid-replay would race the
+     restore. One atomic load when ready; no cost without a state dir. *)
+  if
+    (not (Atomic.get t.ready))
+    && (match req.Http.path with
+       | [ "health" ] | [ "ready" ] -> false
+       | _ -> true)
+  then begin
+    Metrics.record t.metrics ~route:"unready" ~status:503 ~elapsed_s:0.;
+    Http.response
+      ~headers:[ ("Retry-After", "1") ]
+      ~status:503
+      (Api.error_body ~code:"unavailable"
+         "unavailable: state recovery in progress")
+  end
+  else
+    (* Follower write gate: reads (every GET), POST /compare (a pure
+       computation over read state) and the topology verbs pass; anything
+       that would mutate session state is refused — a follower's journal
+       holds only what the primary shipped. A {e fenced} ex-primary
+       answers 409 naming the winner's epoch and address (a client still
+       pointed here must re-point, not retry); an ordinary follower
+       answers 503 hinting at the primary it currently follows. *)
+    let access =
+      match (req.Http.meth, req.Http.path) with
+      | "GET", _ | "POST", ([ "compare" ] | [ "v1"; ("promote" | "demote") ])
+        ->
+        Cluster.Read
+      | _ -> Cluster.Write
+    in
+    let c = cluster t in
+    match Cluster.gate c access with
+    | Cluster.Refuse_fenced ->
+      Metrics.record t.metrics ~route:"fenced" ~status:409 ~elapsed_s:0.;
+      fencing_error ~status:409 ~code:"fenced" t
+        (Printf.sprintf
+           "fenced: a newer primary holds epoch %d; mutations go there"
+           c.Cluster.epoch)
+    | Cluster.Refuse_follower ->
+      Metrics.record t.metrics ~route:"follower" ~status:503 ~elapsed_s:0.;
+      let hint =
+        match c.Cluster.primary with
+        | Some hp -> Printf.sprintf "; primary at %s" (addr_string hp)
+        | None -> ""
+      in
+      error_response ~status:503 ~code:"follower"
+        ("read-only follower: mutations go to the primary" ^ hint)
+    | Cluster.Allow | Cluster.Superseded -> dispatch t req
 
 (* ---- Serving ----------------------------------------------------------- *)
 
@@ -2292,58 +2068,58 @@ let serve_connection r fd =
         Option.bind (query_param req name) int_of_string_opt
       in
       let sub_epoch = Option.value ~default:0 (int_param "epoch") in
-      match (Atomic.get t.ready, !(t.durability), Atomic.get t.role) with
-      | true, Some _, Primary when sub_epoch > fence_epoch t ->
-        (* A subscriber ahead of us proves we were superseded while we
-           were not looking (it adopted its epoch from the real winner):
-           self-demote before streaming a single stale record. *)
-        demote t ~epoch:sub_epoch ();
-        Metrics.record t.metrics ~route:"v1/replicate" ~status:409
-          ~elapsed_s:0.;
-        Http.write_response oc ~keep_alive:false
-          (fencing_error ~status:409 ~code:"fenced" t
-             (Printf.sprintf
-                "fenced: subscriber holds epoch %d above this node's"
-                sub_epoch))
-      | true, Some d, Primary ->
-        Metrics.record t.metrics ~route:"v1/replicate" ~status:200
-          ~elapsed_s:0.;
-        Atomic.incr t.streams;
-        Fun.protect
-          ~finally:(fun () -> Atomic.decr t.streams)
-          (fun () ->
-            Replication.serve_stream ~durability:d ~fd
-              ?boot:(query_param req "boot") ?gen:(int_param "gen")
-              ?from:(int_param "from")
-              ~warm:(fun () -> warm_wire_records t)
-              ~stopping:(fun () ->
-                Atomic.get r.accept_stop || Atomic.get t.role <> Primary)
-              ())
-        (* the stream ends the connection — no keep-alive *)
-      | true, Some _, Follower ->
-        (* only a primary has a journal worth shipping; a follower
-           relaying its own mirror would hide divergence *)
-        Metrics.record t.metrics ~route:"v1/replicate" ~status:503
-          ~elapsed_s:0.;
-        Http.write_response oc ~keep_alive:false
-          (Http.response
-             ~headers:[ ("Retry-After", "1") ]
-             ~status:503
-             (Api.error_body ~code:"not_primary"
-                ("not primary: replication streams come from the primary"
-                ^
-                match !(t.current_primary) with
-                | Some hp -> " at " ^ addr_string hp
-                | None -> "")))
+      let reply ~status resp =
+        Metrics.record t.metrics ~route:"v1/replicate" ~status ~elapsed_s:0.;
+        Http.write_response oc ~keep_alive:false resp
+      in
+      let unavailable ~code msg =
+        Http.response
+          ~headers:[ ("Retry-After", "1") ]
+          ~status:503 (Api.error_body ~code msg)
+      in
+      match (Atomic.get t.ready, !(t.durability)) with
+      | true, Some d -> (
+        match Cluster.gate (cluster t) (Cluster.Subscribe sub_epoch) with
+        | Cluster.Superseded ->
+          (* A subscriber ahead of us proves we were superseded while we
+             were not looking (it adopted its epoch from the real winner):
+             self-demote before streaming a single stale record. *)
+          ignore
+            (transition t (Cluster.Observe { epoch = sub_epoch; winner = None }));
+          reply ~status:409
+            (fencing_error ~status:409 ~code:"fenced" t
+               (Printf.sprintf
+                  "fenced: subscriber holds epoch %d above this node's"
+                  sub_epoch))
+        | Cluster.Allow ->
+          Metrics.record t.metrics ~route:"v1/replicate" ~status:200
+            ~elapsed_s:0.;
+          Atomic.incr t.streams;
+          Fun.protect
+            ~finally:(fun () -> Atomic.decr t.streams)
+            (fun () ->
+              Replication.serve_stream ~durability:d ~fd
+                ?boot:(query_param req "boot") ?gen:(int_param "gen")
+                ?from:(int_param "from")
+                ~warm:(fun () -> warm_wire_records t)
+                ~stopping:(fun () ->
+                  Atomic.get r.accept_stop
+                  || (cluster t).Cluster.role <> Cluster.Primary)
+                ())
+          (* the stream ends the connection — no keep-alive *)
+        | Cluster.Refuse_follower | Cluster.Refuse_fenced ->
+          (* only a primary has a journal worth shipping; a follower
+             relaying its own mirror would hide divergence *)
+          reply ~status:503
+            (unavailable ~code:"not_primary"
+               ("not primary: replication streams come from the primary"
+               ^
+               match (cluster t).Cluster.primary with
+               | Some hp -> " at " ^ addr_string hp
+               | None -> "")))
       | _ ->
-        Metrics.record t.metrics ~route:"v1/replicate" ~status:503
-          ~elapsed_s:0.;
-        Http.write_response oc ~keep_alive:false
-          (Http.response
-             ~headers:[ ("Retry-After", "1") ]
-             ~status:503
-             (Api.error_body ~code:"unavailable"
-                "replication source not ready")))
+        reply ~status:503
+          (unavailable ~code:"unavailable" "replication source not ready"))
     | Ok req ->
       let resp = handle t req in
       let keep_alive = not (Http.wants_close req) in

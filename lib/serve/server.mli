@@ -52,21 +52,15 @@
     replication resync ships the same records inline (base64-armored),
     so a fresh or diverged follower boots warm too.
 
-    Coordinated fencing (DESIGN.md §14): promotion durably mints the
-    next {e fencing epoch} ([<state-dir>/epoch]) before the first
-    mutation is served, then chases every configured peer with
-    [POST /v1/demote] until each acknowledges it. A primary observing a
-    higher epoch — via that probe, via a subscriber's [epoch] query
-    parameter on [/v1/replicate], or via an explicit demote — atomically
-    self-demotes to a read-only follower of the winner and answers
-    mutations with [409 {"code":"fenced"}] plus top-level [epoch] and
-    [winner] fields; the fencing (winner included) is durable, so a
-    restart cannot resurrect it as a primary. Followers that lose their
-    primary walk the [peers] list ([GET /v1/epoch]) with jittered
-    backoff: if a live higher-or-equal-epoch primary exists they
-    re-point to it without losing their applied tail, and otherwise —
-    after [takeover_after] — they run a deterministic election (highest
-    epoch, then lowest address) so exactly one of them promotes. *)
+    Coordinated fencing (DESIGN.md §14): role and fencing epoch are one
+    {!Cluster.t}, changed only through {!Cluster.step} with the epoch
+    written to [<state-dir>/epoch] before the change is visible.
+    Promotion mints the next epoch and chases every peer with
+    [POST /v1/demote]; a primary observing a higher epoch becomes a
+    fenced read-only follower of the winner (mutations answer
+    [409 {"code":"fenced"}] with [epoch] and [winner]), durably. Followers
+    that lose their primary re-point or elect a successor with
+    {!Cluster.elect}. *)
 
 type t
 
