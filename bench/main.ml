@@ -658,140 +658,18 @@ let micro () =
       Printf.printf "%-40s | %16s\n" name pretty)
     (List.sort compare !rows)
 
-(* ---- E11: the HTTP comparison service -------------------------------------- *)
-
-module Server = Xsact_server.Server
-module Http = Xsact_server.Http
-
-(* Starts an in-process server on an ephemeral loopback port and drives it
-   over real sockets: cold (cache-miss) vs warm (LRU-hit) /compare latency
-   per demo query, then sustained throughput with concurrent keep-alive
-   clients on the warmed cache. Writes BENCH_serve.json. *)
-let serve_bench () =
-  section
-    (Printf.sprintf "SERVE -- HTTP service: cold vs warm /compare, req/s%s"
-       (if !quick then " (quick)" else ""));
-  let threads = 8 in
-  let clients = 8 in
-  let per_client = if !quick then 50 else 300 in
-  let t = Server.create ~datasets:[ "product-reviews" ] ~cache_capacity:64 () in
-  let running = Server.start ~threads ~port:0 t in
-  let host = "127.0.0.1" in
-  let port = Server.port running in
-  Printf.printf "server on %s:%d (%d workers, %d clients x %d requests)\n\n"
-    host port threads clients per_client;
-  let queries =
-    if !quick then [ "gps"; "tomtom gps" ]
-    else [ "gps"; "tomtom gps"; "garmin gps"; "nokia phone"; "digital camera" ]
-  in
-  let body_of q =
-    Printf.sprintf
-      {|{"dataset":"product-reviews","q":%S,"top":4,"size_bound":8}|} q
-  in
-  let time_one body =
-    let t0 = Unix.gettimeofday () in
-    let status, _, _ = Http.request ~host ~port ~body "/compare" in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if status <> 200 then failwith (Printf.sprintf "compare -> %d" status);
-    elapsed
-  in
-  (* cold = first request (computes + fills the cache); warm = median of
-     repeats served from the LRU *)
-  let cold_warm =
-    List.map
-      (fun q ->
-        let body = body_of q in
-        let cold = time_one body in
-        let warm_runs = List.init 9 (fun _ -> time_one body) in
-        let sorted = List.sort compare warm_runs in
-        let warm = List.nth sorted (List.length sorted / 2) in
-        Printf.printf "%-16s cold %8.3f ms   warm %8.3f ms   (%.0fx)\n" q
-          (1000. *. cold) (1000. *. warm)
-          (cold /. Float.max warm 1e-9);
-        (q, cold, warm))
-      queries
-  in
-  (* sustained throughput: each client loops over the warmed query mix on
-     one keep-alive connection, recording per-request latency *)
-  let latencies = Array.make clients [] in
-  let wall0 = Unix.gettimeofday () in
-  let spawn i =
-    Thread.create
-      (fun () ->
-        Http.with_connection ~host ~port (fun call ->
-            let acc = ref [] in
-            for k = 0 to per_client - 1 do
-              let q = List.nth queries ((i + k) mod List.length queries) in
-              let t0 = Unix.gettimeofday () in
-              let status, _, _ = call ~body:(body_of q) "/compare" in
-              let elapsed = Unix.gettimeofday () -. t0 in
-              if status <> 200 then
-                failwith (Printf.sprintf "compare -> %d" status);
-              acc := elapsed :: !acc
-            done;
-            latencies.(i) <- !acc))
-      ()
-  in
-  let workers = List.init clients spawn in
-  List.iter Thread.join workers;
-  let wall = Unix.gettimeofday () -. wall0 in
-  let all =
-    Array.of_list (List.concat (Array.to_list latencies)) |> fun a ->
-    Array.sort compare a;
-    a
-  in
-  let total = Array.length all in
-  let pct p = all.(min (total - 1) (int_of_float (p *. float_of_int total))) in
-  let p50 = pct 0.50 and p99 = pct 0.99 in
-  let rps = float_of_int total /. wall in
-  Printf.printf
-    "\nthroughput: %d requests in %.2fs = %.0f req/s   p50 %.3f ms   p99 \
-     %.3f ms\n"
-    total wall rps (1000. *. p50) (1000. *. p99);
-  let _, _, metrics_body = Http.request ~host ~port "/metrics" in
-  Server.stop running;
-  (* machine-readable output *)
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"bench\": \"serve\",\n  \"quick\": %b,\n" !quick);
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"threads\": %d,\n  \"clients\": %d,\n  \"per_client\": %d,\n"
-       threads clients per_client);
-  Buffer.add_string json "  \"cold_warm\": [\n";
-  List.iteri
-    (fun k (q, cold, warm) ->
-      Buffer.add_string json
-        (Printf.sprintf
-           "    {\"q\": %S, \"cold_s\": %.6f, \"warm_s\": %.6f}%s\n" q cold
-           warm
-           (if k = List.length cold_warm - 1 then "" else ",")))
-    cold_warm;
-  Buffer.add_string json "  ],\n";
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"throughput\": {\"requests\": %d, \"wall_s\": %.3f, \"rps\": \
-        %.1f, \"p50_s\": %.6f, \"p99_s\": %.6f},\n"
-       total wall rps p50 p99);
-  Buffer.add_string json
-    (Printf.sprintf "  \"metrics\": %s\n" (String.trim metrics_body));
-  Buffer.add_string json "}\n";
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
 (* ---- E13: durable sessions ------------------------------------------------- *)
 
 module Journal = Xsact_persist.Journal
+module Server = Xsact_server.Server
+module Http = Xsact_server.Http
 
 (* Quantifies what durability costs: raw journal append rates per fsync
    policy, session-mutation throughput with and without a state dir, warm
-   /compare throughput with journaling enabled (must stay within 10% of
-   the BENCH_serve.json baseline — the hot read path never touches the
-   journal), and recovery time. Writes BENCH_persist.json. *)
+   /compare throughput with journaling enabled (the hot read path never
+   touches the journal; e2ebench/README.md has the end-to-end /compare
+   numbers to hold it against), and recovery time. Writes
+   BENCH_persist.json. *)
 let persist_bench () =
   section
     (Printf.sprintf "PERSIST -- journal cost, mutation overhead, recovery%s"
@@ -1603,7 +1481,6 @@ let targets =
     ("ext_spread", ext_spread);
     ("scale", scale);
     ("incremental", incremental_bench);
-    ("serve", serve_bench);
     ("persist", persist_bench);
     ("micro", micro);
   ]

@@ -103,15 +103,6 @@ let select_arg =
   let doc = "Comma-separated 1-based ranks of the results to compare." in
   Arg.(value & opt (some (list int)) None & info [ "select" ] ~docv:"RANKS" ~doc)
 
-let domains_arg =
-  let doc =
-    "Domain-pool parallelism for context construction and DFS generation \
-     (default: the hardware's recommended domain count, capped). The \
-     comparison is identical for every value; $(b,--domains 1) forces the \
-     sequential engine."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
 let top_arg =
   let doc = "Number of top results to use when $(b,--select) is absent." in
   Arg.(value & opt int 4 & info [ "top" ] ~docv:"N" ~doc)
@@ -171,14 +162,11 @@ let or_die_compare = function
     exit 1
 
 (* Fold the CLI's flags into the unified comparison configuration. *)
-let config_of ?weight ?domains ~params ~algorithm () =
+let config_of ?weight ~params ~algorithm () =
   Config.default
   |> Config.with_params params
   |> Config.with_algorithm algorithm
-  |> (fun c ->
-       match weight with Some w -> Config.with_weight w c | None -> c)
-  |> fun c ->
-  match domains with Some d -> Config.with_domains d c | None -> c
+  |> fun c -> match weight with Some w -> Config.with_weight w c | None -> c
 
 (* ---- generate ----------------------------------------------------------- *)
 
@@ -363,12 +351,12 @@ let compare_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
   let run dataset file lists keywords size_bound algorithm threshold measure
-      weight prune select top lift_to domains html markdown explain stats =
+      weight prune select top lift_to html markdown explain stats =
     let doc = or_die (load_corpus ?lists ~dataset ~file ()) in
     let pipeline = Pipeline.create doc in
     let params = { Dod.threshold_pct = threshold; measure } in
     let config =
-      config_of ?weight:(weight_fn weight) ?domains ~params ~algorithm ()
+      config_of ?weight:(weight_fn weight) ~params ~algorithm ()
     in
     let comparison =
       or_die_compare
@@ -386,7 +374,7 @@ let compare_cmd =
     else print_string (Render_text.table comparison.Pipeline.table);
     if explain then begin
       let context =
-        Dod.make_context ~params ~weight:config.Config.weight ?domains
+        Dod.make_context ~params ~weight:config.Config.weight
           comparison.Pipeline.profiles
       in
       print_newline ();
@@ -407,8 +395,8 @@ let compare_cmd =
     Term.(
       const run $ dataset_arg $ file_arg $ lists_arg $ keywords_arg
       $ size_bound_arg $ algorithm_arg $ threshold_arg $ measure_arg
-      $ weight_arg $ prune_arg $ select_arg $ top_arg $ lift_arg
-      $ domains_arg $ html_arg $ markdown_flag $ explain_flag $ stats_flag)
+      $ weight_arg $ prune_arg $ select_arg $ top_arg $ lift_arg $ html_arg
+      $ markdown_flag $ explain_flag $ stats_flag)
   in
   Cmd.v
     (Cmd.info "compare"
@@ -447,7 +435,6 @@ let repl_cmd =
     let selection = ref [] in
     let size_bound = ref 8 in
     let algorithm = ref Algorithm.Multi_swap in
-    let domains = ref None in
     let weight = ref None in
     let prune = ref Result_builder.Full in
     let lift = ref None in
@@ -470,7 +457,6 @@ let repl_cmd =
   select <ranks...>      tick result checkboxes (1-based)
   size <L>               set the table size bound (default 8)
   algorithm <name>       topk|greedy|single-swap|multi-swap|annealing|restarts
-  domains <n>|auto       domain-pool parallelism (auto = hardware default)
   weight <pat=w,...>|off interestingness weights on attribute patterns
   prune full|matched|attributes   result subtree policy
   stats <rank>           Figure-1 style statistics of one result
@@ -484,8 +470,8 @@ let repl_cmd =
         print_endline "  select at least two results first"
       else
         let config =
-          config_of ?weight:!weight ?domains:!domains
-            ~params:Dod.default_params ~algorithm:!algorithm ()
+          config_of ?weight:!weight ~params:Dod.default_params
+            ~algorithm:!algorithm ()
         in
         match
           Pipeline.compare ~config ?lift_to:!lift ~prune:!prune
@@ -536,11 +522,6 @@ let repl_cmd =
            match Algorithm.of_string name with
            | Some a -> algorithm := a
            | None -> print_endline "  unknown algorithm")
-         | "domains", "auto" -> domains := None
-         | "domains", n -> (
-           match int_of_string_opt n with
-           | Some n when n >= 1 -> domains := Some n
-           | _ -> print_endline "  usage: domains <positive int>|auto")
          | "weight", "off" -> weight := None
          | "weight", rules ->
            let parsed =

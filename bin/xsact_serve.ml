@@ -22,7 +22,7 @@ let parse_hostport ~flag spec =
       (Printf.sprintf "xsact-serve: %s: expected HOST:PORT, got %s" flag spec);
     exit 1
 
-let serve port threads cache domains datasets deadline_ms max_pending
+let serve port threads cache datasets deadline_ms max_pending
     session_ttl max_sessions state_dir fsync snapshot_every no_incremental
     context_cache max_context_mb replica_of peers takeover_after
     no_context_snapshots =
@@ -54,8 +54,8 @@ let serve port threads cache domains datasets deadline_ms max_pending
       Ok
         (Server.create ?datasets ~cache_capacity:cache
            ~context_cache_capacity:context_cache
-           ~incremental:(not no_incremental) ?max_context_bytes ?domains
-           ?deadline_ms ?session_ttl_s:session_ttl ?max_sessions ?state_dir
+           ~incremental:(not no_incremental) ?max_context_bytes ?deadline_ms
+           ?session_ttl_s:session_ttl ?max_sessions ?state_dir
            ~fsync ~snapshot_every ?replica_of ~peers ?takeover_after
            ~context_snapshots:(not no_context_snapshots) ())
     with Invalid_argument msg -> Error msg
@@ -132,14 +132,6 @@ let cache_arg =
   Arg.(
     value & opt int 128
     & info [ "cache" ] ~docv:"N" ~doc:"Comparison LRU cache capacity.")
-
-let domains_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Domain-pool parallelism for requests that don't pin their own \
-           (default: hardware parallelism).")
 
 let datasets_arg =
   Arg.(
@@ -299,10 +291,10 @@ let cmd =
   Cmd.v
     (Cmd.info "xsact-serve" ~version:"1.0.0" ~doc)
     Term.(
-      const serve $ port_arg $ threads_arg $ cache_arg $ domains_arg
-      $ datasets_arg $ deadline_arg $ max_pending_arg $ session_ttl_arg
-      $ max_sessions_arg $ state_dir_arg $ fsync_arg $ snapshot_every_arg
-      $ no_incremental_arg $ context_cache_arg $ max_context_mb_arg
+      const serve $ port_arg $ threads_arg $ cache_arg $ datasets_arg
+      $ deadline_arg $ max_pending_arg $ session_ttl_arg $ max_sessions_arg
+      $ state_dir_arg $ fsync_arg $ snapshot_every_arg $ no_incremental_arg
+      $ context_cache_arg $ max_context_mb_arg
       $ replica_of_arg $ peers_arg $ takeover_after_arg
       $ no_context_snapshots_arg)
 

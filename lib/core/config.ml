@@ -24,5 +24,4 @@ let with_domains domains t =
     invalid_arg "Config.with_domains: domain count must be positive";
   { t with domains = Some domains }
 
-let with_default_domains t = { t with domains = None }
 let with_incremental incremental t = { t with incremental }

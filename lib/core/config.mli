@@ -10,7 +10,7 @@
       let config =
         Config.default
         |> Config.with_algorithm Algorithm.Single_swap
-        |> Config.with_domains 4
+        |> Config.with_weight (Weighting.by_attribute [ ("price", 3) ])
     ]} *)
 
 type t = {
@@ -19,7 +19,9 @@ type t = {
   algorithm : Algorithm.t;  (** DFS generation method *)
   domains : int option;
       (** domain-pool parallelism; [None] defers to
-          {!Xsact_util.Domain_pool.default_domains} *)
+          {!Xsact_util.Domain_pool.default_domains}. Output is identical
+          for every value, so no user-facing surface sets it; tests pin
+          it to prove that. *)
   incremental : bool;
       (** maintain session contexts by delta ({!Dod.apply} — surgical
           add/remove, coalesced op batches, and in-place reparams)
@@ -38,9 +40,6 @@ val with_algorithm : Algorithm.t -> t -> t
 
 val with_domains : int -> t -> t
 (** Pin the domain count. @raise Invalid_argument if not positive. *)
-
-val with_default_domains : t -> t
-(** Back to the hardware-default parallelism ([domains = None]). *)
 
 val with_incremental : bool -> t -> t
 (** Toggle delta maintenance of session contexts (default [true]). *)

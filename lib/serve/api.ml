@@ -8,7 +8,6 @@ type compare_request = {
   threshold_pct : float;
   measure : Dod.measure;
   weights : (string * int) list;
-  domains : int option;
 }
 
 let normalize_keywords s = String.concat " " (Token.normalize_query s)
@@ -71,13 +70,6 @@ let decode_compare json =
         | _ -> None)
   in
   let* weights = optional json "weights" ~default:[] weight_rules in
-  let* domains = optional json "domains" ~default:None (fun j ->
-      Option.map Option.some (Json.to_int j)) in
-  let* () =
-    if match domains with Some d -> d < 1 | None -> false then
-      Error "field \"domains\" must be positive"
-    else Ok ()
-  in
   Ok
     {
       dataset;
@@ -89,7 +81,6 @@ let decode_compare json =
       threshold_pct;
       measure;
       weights;
-      domains;
     }
 
 (* The durable inverse of [decode_compare]: a request round-trips through
@@ -117,10 +108,7 @@ let json_of_compare r =
             (match r.measure with Dod.Raw -> "raw" | Dod.Rate -> "rate") );
         ( "weights",
           Json.Obj (List.map (fun (pat, w) -> (pat, Json.Int w)) r.weights) );
-      ]
-    @ match r.domains with
-      | None -> []
-      | Some d -> [ ("domains", Json.Int d) ])
+      ])
 
 (* ---- Session mutations: op batches and params patches ------------------ *)
 
@@ -305,12 +293,12 @@ type key_scope = Full | Context
 (* One normalization routine for every key the serve layer derives from a
    request. Field order is fixed and pinned by a golden test:
 
-     ds, q, sel, [k, alg,] thr, measure, w [, &domains]
+     ds, q, sel, [k, alg,] thr, measure, w
 
    [Context] scope emits exactly the fields the Dod.context is a function
    of — dataset, keywords, selection, threshold, measure, weights — and
-   omits size_bound, algorithm and domains, none of which the pair tables
-   depend on (the parallel build is bit-identical across domain counts).
+   omits size_bound and algorithm, neither of which the pair tables
+   depend on.
    Requests sharing a context key can share one physical context across
    resizes and algorithm switches; [Full] scope adds the response-shaping
    fields and keys the body cache. [sel] is the explicit rank list when
@@ -334,11 +322,6 @@ let canonical_key ~scope r =
     (match r.measure with Dod.Raw -> "raw" | Dod.Rate -> "rate")
     (String.concat ","
        (List.map (fun (pat, w) -> Printf.sprintf "%s:%d" pat w) r.weights));
-  (match scope with
-  | Full ->
-    add "&domains=%s"
-      (match r.domains with Some d -> string_of_int d | None -> "default")
-  | Context -> ());
   Buffer.contents buf
 
 let to_config r =
@@ -347,16 +330,11 @@ let to_config r =
     | [] -> Weighting.uniform
     | rules -> Weighting.by_attribute rules
   in
-  let config =
-    Config.default
-    |> Config.with_params
-         { Dod.threshold_pct = r.threshold_pct; measure = r.measure }
-    |> Config.with_weight weight
-    |> Config.with_algorithm r.algorithm
-  in
-  match r.domains with
-  | Some d -> Config.with_domains d config
-  | None -> config
+  Config.default
+  |> Config.with_params
+       { Dod.threshold_pct = r.threshold_pct; measure = r.measure }
+  |> Config.with_weight weight
+  |> Config.with_algorithm r.algorithm
 
 let status_of_error = function
   | Error.No_results _ -> 404

@@ -16,16 +16,17 @@ type compare_request = {
   measure : Dod.measure;
   weights : (string * int) list;
       (** attribute-substring interestingness rules, sorted by pattern *)
-  domains : int option;
 }
 
 val decode_compare : Json.t -> (compare_request, string) result
 (** Decode a request body. Required: ["dataset"], ["q"]. Optional with
     defaults: ["select"], ["top"] (4), ["size_bound"] (8), ["algorithm"]
     (["multi-swap"]), ["threshold_pct"] (10.0), ["measure"] (["raw"]),
-    ["weights"] (object of attribute-pattern → weight), ["domains"].
-    Keywords are normalized via {!Xsact_search.Token.normalize_query}, so
-    requests differing only in case/whitespace decode identically. *)
+    ["weights"] (object of attribute-pattern → weight). Unknown fields
+    are ignored, so journal records carrying the retired ["domains"]
+    field still decode. Keywords are normalized via
+    {!Xsact_search.Token.normalize_query}, so requests differing only in
+    case/whitespace decode identically. *)
 
 val normalize_keywords : string -> string
 (** The keyword normalization used by {!decode_compare} — exposed so
@@ -40,14 +41,14 @@ val json_of_compare : compare_request -> Json.t
     shapes the response body (the comparison cache); [Context] covers
     exactly the fields the {!Dod.context} is a function of — dataset,
     keywords, selection, threshold, measure, weights — and {e not}
-    [size_bound], [algorithm] or [domains], none of which the pair tables
-    depend on (the parallel build is bit-identical across domain counts). *)
+    [size_bound] or [algorithm], neither of which the pair tables
+    depend on. *)
 type key_scope = Full | Context
 
 val canonical_key : scope:key_scope -> compare_request -> string
 (** The one canonical request-normalization routine. Field order is fixed
     and pinned by a golden test:
-    [ds, q, sel, [k, alg,] thr, measure, w [, domains]] — the bracketed
+    [ds, q, sel, [k, alg,] thr, measure, w] — the bracketed
     fields appear only at [Full] scope. [sel] is the explicit rank list
     ("1,3,4") or ["top<k>"] when the request selects by prefix. Equal
     requests (after keyword normalization and weight-rule sorting) have

@@ -61,7 +61,6 @@ type t = {
   sessions : stored_session Session_store.t;
   incremental : bool;  (* delta context maintenance (false = ablation) *)
   max_context_bytes : int option;  (* unified live-context memory budget *)
-  default_domains : int option;
   default_deadline_ms : int option;  (* per-request compare budget *)
   max_deadline_ms : int;  (* cap on the X-Deadline-Ms override *)
   inflight_now : int Atomic.t;  (* requests currently inside [handle] *)
@@ -455,12 +454,7 @@ let decode_compare_body req =
 
 let request_config t (creq : Api.compare_request) =
   let config = Api.to_config creq in
-  let config =
-    if t.incremental then config else Config.with_incremental false config
-  in
-  match (creq.Api.domains, t.default_domains) with
-  | None, Some d -> Config.with_domains d config
-  | _ -> config
+  if t.incremental then config else Config.with_incremental false config
 
 (* The request's cooperative deadline: the server default, overridable per
    request with an [X-Deadline-Ms] header, clamped to the configured
@@ -1777,7 +1771,7 @@ let routes_of t =
   ]
 
 let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
-    ?(incremental = true) ?max_context_bytes ?domains ?deadline_ms
+    ?(incremental = true) ?max_context_bytes ?deadline_ms
     ?(max_deadline_ms = 60_000) ?session_ttl_s ?max_sessions ?state_dir
     ?(fsync = Xsact_persist.Journal.Interval 0.1) ?(snapshot_every = 256)
     ?replica_of ?(peers = []) ?takeover_after ?(context_snapshots = true) ()
@@ -1843,7 +1837,6 @@ let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
                    ?capacity:max_sessions ~on_event ();
       incremental;
       max_context_bytes;
-      default_domains = domains;
       default_deadline_ms = deadline_ms;
       max_deadline_ms;
       inflight_now = Atomic.make 0;

@@ -67,7 +67,7 @@ type t
 val create :
   ?datasets:string list -> ?cache_capacity:int ->
   ?context_cache_capacity:int -> ?incremental:bool ->
-  ?max_context_bytes:int -> ?domains:int ->
+  ?max_context_bytes:int ->
   ?deadline_ms:int -> ?max_deadline_ms:int -> ?session_ttl_s:float ->
   ?max_sessions:int -> ?state_dir:string ->
   ?fsync:Xsact_persist.Journal.policy -> ?snapshot_every:int ->
@@ -75,8 +75,8 @@ val create :
   ?takeover_after:float -> ?context_snapshots:bool -> unit -> t
 (** Load and index [datasets] (default: the whole {!Xsact_dataset.Dataset}
     registry). [cache_capacity] sizes the comparison LRU (default 128).
-    [domains] sets the domain-pool parallelism used for requests that
-    don't pin their own.
+    The engine picks its own domain-pool parallelism (DESIGN.md §7); no
+    request or server option sets it.
 
     Incremental-engine knobs (DESIGN.md §11, §13):
     - [context_cache_capacity] (default 32): maximum {e unpinned} entries

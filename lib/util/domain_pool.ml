@@ -171,16 +171,7 @@ let map_reduce ?deadline t ~n ~map ~reduce ~init =
 let max_default_domains = 8
 
 let default_domains () =
-  let env =
-    match Sys.getenv_opt "XSACT_DOMAINS" with
-    | Some s -> (match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> Some d
-      | _ -> None)
-    | None -> None
-  in
-  match env with
-  | Some d -> d
-  | None -> min (Domain.recommended_domain_count ()) max_default_domains
+  min (Domain.recommended_domain_count ()) max_default_domains
 
 let pools : (int, t) Hashtbl.t = Hashtbl.create 4
 let pools_lock = Mutex.create ()

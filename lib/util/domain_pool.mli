@@ -37,8 +37,7 @@ val domains : t -> int
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] capped at {!max_default_domains} —
-    the library-wide default for every [?domains] argument. Respects the
-    [XSACT_DOMAINS] environment variable when set to a positive integer. *)
+    the library-wide default for every [?domains] argument. *)
 
 val max_default_domains : int
 (** Cap on {!default_domains} (8): beyond this the pair-partitioned

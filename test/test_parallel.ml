@@ -1,28 +1,15 @@
 (* The multicore DoD engine: Domain_pool behavior, and determinism of
    context construction and the algorithms across domain counts — the
    parallel and sequential paths must produce bit-identical links tables,
-   DoD totals, and DFSs.
-
-   The CI multicore job re-runs this suite with XSACT_TEST_DOMAINS=2, which
-   adds that count to the compared set and to the end-to-end pipeline
-   check. *)
+   DoD totals, and DFSs. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 open Xsact_util
 
-let env_domains =
-  match Sys.getenv_opt "XSACT_TEST_DOMAINS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d when d >= 1 -> d
-    | _ -> 1)
-  | None -> 1
-
-(* Domain counts whose engines must agree, always including the
-   environment-requested one. *)
-let domain_counts = List.sort_uniq Int.compare [ 1; 2; 4; env_domains ]
+(* Domain counts whose engines must agree. *)
+let domain_counts = [ 1; 2; 4 ]
 
 (* ---- Domain_pool ------------------------------------------------------- *)
 

@@ -298,6 +298,29 @@ let test_server_roundtrip () =
   let resp = Server.handle t3 (request "/session/s2") in
   check Alcotest.int "s2 survives" 200 resp.Http.status
 
+(* Requests once carried a client-chosen "domains" count, and the journal
+   stored it with the rest of the request body. Such a record must still
+   recover, and serve exactly what a session created today from the same
+   request serves. The payload is verbatim what the server wrote then. *)
+let test_server_recovers_domains_field () =
+  let fresh = Server.create ~datasets:[ "product-reviews" ] () in
+  let resp =
+    Server.handle fresh (request ~meth:"POST" ~body:create_body "/session")
+  in
+  check Alcotest.int "fresh s1 created" 201 resp.Http.status;
+  let expected = (Server.handle fresh (request "/session/s1")).Http.resp_body in
+  let dir = fresh_dir () in
+  let store, _ = Store.open_dir ~fsync:Journal.Never dir in
+  Store.append store
+    {|{"op":"create","id":"s1","t":1792140119.57,"entry":{"v":1,"dataset":"product-reviews","request":{"dataset":"product-reviews","q":"gps","top":3,"size_bound":8,"algorithm":"multi-swap","threshold_pct":10.0,"measure":"raw","weights":{},"domains":3},"ranks":[1,2,3],"size_bound":8}}|};
+  Store.close store;
+  let t = Server.create ~datasets:[ "product-reviews" ] ~state_dir:dir () in
+  Server.recover t;
+  let resp = Server.handle t (request "/session/s1") in
+  check Alcotest.int "old record recovered" 200 resp.Http.status;
+  check Alcotest.string "same body as a fresh session" expected
+    resp.Http.resp_body
+
 (* ---- The kill -9 harness -------------------------------------------------- *)
 
 let serve_exe =
@@ -632,6 +655,8 @@ let () =
         [
           Alcotest.test_case "readiness gate" `Quick test_server_readiness;
           Alcotest.test_case "recovery roundtrip" `Quick test_server_roundtrip;
+          Alcotest.test_case "recovers a journaled domains field" `Quick
+            test_server_recovers_domains_field;
         ] );
       ( "kill9",
         [ Alcotest.test_case "crash-restart cycles" `Quick test_kill9_harness ]

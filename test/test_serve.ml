@@ -217,7 +217,7 @@ let test_canonical_key_normalization () =
          "weights":{"battery":2,"price":3}}|}
   in
   check Alcotest.string "golden full-scope key"
-    "ds=product-reviews&q=gps&sel=top4&k=8&alg=multi-swap&thr=10&measure=raw&w=battery:2,price:3&domains=default"
+    "ds=product-reviews&q=gps&sel=top4&k=8&alg=multi-swap&thr=10&measure=raw&w=battery:2,price:3"
     (Api.canonical_key ~scope:Api.Full a);
   check Alcotest.string "golden context-scope key"
     "ds=product-reviews&q=gps&sel=top4&thr=10&measure=raw&w=battery:2,price:3"
@@ -268,7 +268,13 @@ let test_decode_errors () =
   bad {|{"dataset":"product-reviews"}|};
   bad {|{"dataset":"product-reviews","q":"gps","algorithm":"quantum"}|};
   bad {|{"dataset":"product-reviews","q":"gps","select":"1"}|};
-  bad {|{"dataset":"product-reviews","q":"gps","domains":0}|}
+  (* the engine picks its own domain count: a client-sent "domains" is an
+     unknown field like any other, ignored rather than rejected *)
+  check Alcotest.string "domains field ignored"
+    (Api.canonical_key ~scope:Api.Full
+       (decode_exn {|{"dataset":"product-reviews","q":"gps"}|}))
+    (Api.canonical_key ~scope:Api.Full
+       (decode_exn {|{"dataset":"product-reviews","q":"gps","domains":0}|}))
 
 (* ---- Server.handle (no sockets) --------------------------------------------- *)
 
@@ -417,6 +423,23 @@ let test_handle_sessions () =
   check Alcotest.int "gone" 404 (handle ("/session/" ^ id)).Http.status;
   check Alcotest.int "unknown session" 404
     (handle ~meth:"POST" ~body:{|{"rank":1}|} "/session/sX/add").Http.status
+
+(* A client-chosen domain count used to reach Domain.spawn: "domains":200
+   failed to allocate the pool and left the process unable to spawn even
+   the default one, so every later compare and session create answered
+   500. The field is now ignored, on a fresh server as on any other. *)
+let test_handle_domains_ignored () =
+  let t = Server.create ~datasets:[ "product-reviews" ] () in
+  let post body target =
+    (Server.handle t (request ~meth:"POST" ~body target)).Http.status
+  in
+  check Alcotest.int "compare with domains:200" 200
+    (post {|{"dataset":"product-reviews","q":"gps","domains":200}|}
+       "/compare");
+  check Alcotest.int "ordinary compare after it" 200
+    (post compare_body "/compare");
+  check Alcotest.int "session create after it" 201
+    (post compare_body "/session")
 
 let test_handle_metrics () =
   let resp = handle "/metrics" in
@@ -687,6 +710,8 @@ let () =
           Alcotest.test_case "compare errors" `Quick test_handle_compare_errors;
           Alcotest.test_case "compare cache" `Quick test_handle_compare_cache;
           Alcotest.test_case "sessions" `Quick test_handle_sessions;
+          Alcotest.test_case "domains field ignored" `Quick
+            test_handle_domains_ignored;
           Alcotest.test_case "metrics" `Quick test_handle_metrics;
         ] );
       ( "e2e",
