@@ -470,110 +470,69 @@ let ext_spread () =
      the poor equilibria of the all-tied movie corpus (DESIGN.md, \
      tie-breaking note)"
 
-(* ---- SCALE: multicore DoD engine sweep -------------------------------------------------- *)
+(* ---- SCALE: DoD engine n sweep --------------------------------------------------------- *)
 
 (* Set by the `--quick` CLI flag: a small sweep for CI smoke runs. *)
 let quick = ref false
 
-(* n results x domain counts, timing the two engine phases: pair-table
-   construction (Dod.make_context) and multi-swap generation. Also times
-   the threshold-cache ablation at domains = 1 (the sequential-only
-   speedup recorded in EXPERIMENTS.md). Emits machine-readable
-   BENCH_dod.json so future PRs can track the perf trajectory. *)
+(* Core count of the recording machine, stamped into BENCH_dod.json and
+   BENCH_incremental.json. *)
+let cores () = Domain.recommended_domain_count ()
+
+(* n results, timing the two engine phases: pair-table construction
+   (Dod.make_context) and multi-swap generation, plus the threshold-cache
+   ablation (multi-swap with ~cache:false). Emits machine-readable
+   BENCH_dod.json so later changes can track the perf trajectory; its
+   n = 256 row is the large-n baseline. *)
 let scale () =
   section
     (Printf.sprintf
-       "SCALE -- parallel DoD engine: n x domains sweep%s (synthetic \
-        results, L = 8)"
+       "SCALE -- DoD engine: n sweep%s (synthetic results, L = 8)"
        (if !quick then " (quick)" else ""));
-  let ns = if !quick then [ 10; 25 ] else [ 10; 25; 50; 100 ] in
-  let domain_counts = if !quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
+  let ns = if !quick then [ 10; 25 ] else [ 10; 25; 50; 100; 256 ] in
   let runs = if !quick then 3 else 5 in
   let limit = 8 in
-  (* (n, domains, phase, median_s) in sweep order *)
+  (* (n, phase, median_s) in sweep order *)
   let entries = ref [] in
-  let record n domains phase median_s =
-    entries := (n, domains, phase, median_s) :: !entries
-  in
-  Printf.printf "%6s %8s | %14s %14s %20s\n" "n" "domains" "make_context"
-    "multi_swap" "multi_swap(nocache)";
+  let record n phase median_s = entries := (n, phase, median_s) :: !entries in
+  Printf.printf "%6s | %14s %14s %20s %8s\n" "n" "make_context" "multi_swap"
+    "multi_swap(nocache)" "cache x";
   List.iter
     (fun n ->
       let profiles =
         Workload.synthetic_profiles ~seed:42 ~results:n ~entities:3
           ~types_per_entity:8 ~values_per_type:6 ~max_count:12
       in
-      List.iter
-        (fun domains ->
-          let context, ctx_stats =
-            Timing.time ~warmup:1 ~runs (fun () ->
-                Dod.make_context ~domains profiles)
-          in
-          let _, swap_stats =
-            Timing.time ~warmup:1 ~runs (fun () ->
-                Multi_swap.generate ~domains context ~limit)
-          in
-          record n domains "make_context" ctx_stats.Timing.median_s;
-          record n domains "multi_swap" swap_stats.Timing.median_s;
-          let nocache =
-            if domains = 1 then begin
-              let _, stats =
-                Timing.time ~warmup:1 ~runs (fun () ->
-                    Multi_swap.generate ~cache:false ~domains:1 context ~limit)
-              in
-              record n 1 "multi_swap_nocache" stats.Timing.median_s;
-              Printf.sprintf "%18.6fs" stats.Timing.median_s
-            end
-            else ""
-          in
-          Printf.printf "%6d %8d | %13.6fs %13.6fs %20s\n" n domains
-            ctx_stats.Timing.median_s swap_stats.Timing.median_s nocache)
-        domain_counts)
+      let timed f =
+        let v, stats = Timing.time ~warmup:1 ~runs f in
+        (v, stats.Timing.median_s)
+      in
+      let context, ctx_s = timed (fun () -> Dod.make_context profiles) in
+      let _, swap_s = timed (fun () -> Multi_swap.generate context ~limit) in
+      let _, nocache_s =
+        timed (fun () -> Multi_swap.generate ~cache:false context ~limit)
+      in
+      record n "make_context" ctx_s;
+      record n "multi_swap" swap_s;
+      record n "multi_swap_nocache" nocache_s;
+      Printf.printf "%6d | %13.6fs %13.6fs %19.6fs %7.2fx\n" n ctx_s swap_s
+        nocache_s (nocache_s /. swap_s))
     ns;
-  (* Headline ratios at the largest n. *)
-  let median ~n ~domains phase =
-    List.find_map
-      (fun (n', d', p', m) ->
-        if n' = n && d' = domains && p' = phase then Some m else None)
-      !entries
-  in
-  let n_max = List.fold_left max 0 ns in
-  let par = if List.mem 4 domain_counts then 4 else List.fold_left max 1 domain_counts in
-  (match (median ~n:n_max ~domains:1 "make_context",
-          median ~n:n_max ~domains:par "make_context") with
-  | Some seq, Some parallel when parallel > 0.0 ->
-    Printf.printf
-      "\nmake_context speedup at n = %d, %d domains vs 1: %.2fx (of %d \
-       available cores)\n"
-      n_max par (seq /. parallel)
-      (Domain.recommended_domain_count ())
-  | _ -> ());
-  (match (median ~n:n_max ~domains:1 "multi_swap_nocache",
-          median ~n:n_max ~domains:1 "multi_swap") with
-  | Some nocache, Some cached when cached > 0.0 ->
-    Printf.printf
-      "multi_swap threshold-cache speedup at n = %d (sequential): %.2fx\n"
-      n_max (nocache /. cached)
-  | _ -> ());
-  (* Machine-readable output, one object per (n, domains, phase) median. *)
+  (* Machine-readable output, one object per (n, phase) median. *)
   let json = Buffer.create 1024 in
   Buffer.add_string json "{\n";
   Buffer.add_string json
     (Printf.sprintf "  \"bench\": \"scale\",\n  \"quick\": %b,\n" !quick);
-  Buffer.add_string json
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
+  Buffer.add_string json (Printf.sprintf "  \"cores\": %d,\n" (cores ()));
   Buffer.add_string json
     (Printf.sprintf "  \"limit\": %d,\n  \"runs\": %d,\n" limit runs);
   Buffer.add_string json "  \"entries\": [\n";
   let sorted = List.rev !entries in
   List.iteri
-    (fun k (n, domains, phase, median_s) ->
+    (fun k (n, phase, median_s) ->
       Buffer.add_string json
-        (Printf.sprintf
-           "    {\"n\": %d, \"domains\": %d, \"phase\": %S, \"median_s\": \
-            %.6f}%s\n"
-           n domains phase median_s
+        (Printf.sprintf "    {\"n\": %d, \"phase\": %S, \"median_s\": %.6f}%s\n"
+           n phase median_s
            (if k = List.length sorted - 1 then "" else ",")))
     sorted;
   Buffer.add_string json "  ]\n}\n";
@@ -1145,6 +1104,15 @@ let persist_bench () =
    a session-level batch of k ops vs k sequential single-op applies.
    Writes BENCH_incremental.json; EXPERIMENTS.md E14/E15 record the
    crossover and the asymptotics. *)
+(* What each sweep size's context (n + 1 results of the seed-7 corpus
+   below) cost under the boxed layout the flat one replaced: one 4-field
+   record plus a cons cell per oriented link, 64-bit words. The boxed
+   layout is gone, so these are frozen constants; they keep the
+   bytes-per-context ratio and the CI memory smoke's baseline. *)
+let boxed_context_bytes =
+  [ (8, 97264); (16, 301024); (32, 1032240); (64, 3947568);
+    (128, 15440624); (256, 59799840) ]
+
 let incremental_bench () =
   section
     (Printf.sprintf "incremental -- context delta ops vs full rebuild%s"
@@ -1169,36 +1137,36 @@ let incremental_bench () =
       in
       let params' = { Dod.default_params with Dod.threshold_pct = 25.0 } in
       let reweight gt = if String.length gt.Feature.attribute land 1 = 0 then 2 else 1 in
-      let ctx_base = Dod.make_context ~domains:1 base in
-      let ctx_full = Dod.make_context ~domains:1 profiles in
+      let ctx_base = Dod.make_context base in
+      let ctx_full = Dod.make_context profiles in
       (* sanity: the timed deltas really are the batch results *)
-      if not (Dod.equal_context ctx_full (Dod.add_result ~domains:1 ctx_base profiles.(n)))
+      if not (Dod.equal_context ctx_full (Dod.add_result ctx_base profiles.(n)))
       then failwith "incremental bench: add delta diverged";
       if not (Dod.equal_context ctx_base (Dod.remove_result ctx_full n)) then
         failwith "incremental bench: remove-last delta diverged";
       if
         not
           (Dod.equal_context
-             (Dod.make_context ~domains:1 sans_mid)
+             (Dod.make_context sans_mid)
              (Dod.remove_result ctx_full mid))
       then failwith "incremental bench: general remove delta diverged";
       if
         not
           (Dod.equal_context
-             (Dod.make_context ~params:params' ~domains:1 profiles)
-             (Dod.reparams ~params:params' ~domains:1 ctx_full))
+             (Dod.make_context ~params:params' profiles)
+             (Dod.reparams ~params:params' ctx_full))
       then failwith "incremental bench: reparams delta diverged";
       if
         not
           (Dod.equal_context
-             (Dod.make_context ~weight:reweight ~domains:1 profiles)
-             (Dod.reparams ~weight:reweight ~domains:1 ctx_full))
+             (Dod.make_context ~weight:reweight profiles)
+             (Dod.reparams ~weight:reweight ctx_full))
       then failwith "incremental bench: reweight delta diverged";
       let time f = snd (Timing.time ~warmup:1 ~runs f) in
       let add_delta =
-        time (fun () -> Dod.add_result ~domains:1 ctx_base profiles.(n))
+        time (fun () -> Dod.add_result ctx_base profiles.(n))
       in
-      let add_full = time (fun () -> Dod.make_context ~domains:1 profiles) in
+      let add_full = time (fun () -> Dod.make_context profiles) in
       (* the remove-last delta is microseconds — take many more runs so
          its median (the denominator of the monotonicity check) is not
          clock jitter *)
@@ -1207,20 +1175,20 @@ let incremental_bench () =
           (Timing.time ~warmup:2 ~runs:(runs * 10) (fun () ->
                Dod.remove_result ctx_full n))
       in
-      let rml_full = time (fun () -> Dod.make_context ~domains:1 base) in
+      let rml_full = time (fun () -> Dod.make_context base) in
       let rmg_delta = time (fun () -> Dod.remove_result ctx_full mid) in
-      let rmg_full = time (fun () -> Dod.make_context ~domains:1 sans_mid) in
+      let rmg_full = time (fun () -> Dod.make_context sans_mid) in
       let rp_delta =
-        time (fun () -> Dod.reparams ~params:params' ~domains:1 ctx_full)
+        time (fun () -> Dod.reparams ~params:params' ctx_full)
       in
       let rp_full =
-        time (fun () -> Dod.make_context ~params:params' ~domains:1 profiles)
+        time (fun () -> Dod.make_context ~params:params' profiles)
       in
       let rw_delta =
-        time (fun () -> Dod.reparams ~weight:reweight ~domains:1 ctx_full)
+        time (fun () -> Dod.reparams ~weight:reweight ctx_full)
       in
       let rw_full =
-        time (fun () -> Dod.make_context ~weight:reweight ~domains:1 profiles)
+        time (fun () -> Dod.make_context ~weight:reweight profiles)
       in
       let speedup full delta =
         if delta.Timing.median_s > 0. then
@@ -1244,7 +1212,7 @@ let incremental_bench () =
       (* bytes per context: the flat packed-segment representation vs
          what the same pair tables would cost as boxed entry lists *)
       let bytes_flat = Dod.approx_bytes ctx_full in
-      let bytes_boxed = Dod.approx_bytes_boxed ctx_full in
+      let bytes_boxed = List.assoc n boxed_context_bytes in
       let bytes_ratio = float_of_int bytes_boxed /. float_of_int bytes_flat in
       Printf.printf
         "%5d | %7.1fx | %7.1fx %7.1fx | %7.1fx %7.1fx | %9d %9d %5.2fx\n" n
@@ -1290,7 +1258,7 @@ let incremental_bench () =
     bytes_halved;
   (* Batch of k session ops vs the same ops applied one at a time: the
      batch pays one context pass and one DFS regeneration, the sequential
-     replay pays k of each. Session-level (Single_swap, one domain) so
+     replay pays k of each. Session-level (Single_swap) so
      the comparison covers the whole mutation path, not just the pair
      tables. *)
   let batch_n = 32 and batch_k = 16 in
@@ -1299,9 +1267,7 @@ let incremental_bench () =
       ~types_per_entity:8 ~values_per_type:6 ~max_count:12
   in
   let config =
-    Config.default
-    |> Config.with_algorithm Algorithm.Single_swap
-    |> Config.with_domains 1
+    Config.default |> Config.with_algorithm Algorithm.Single_swap
   in
   let s0 =
     match
@@ -1411,7 +1377,9 @@ let incremental_bench () =
   let json = Buffer.create 1024 in
   Buffer.add_string json "{\n";
   Buffer.add_string json
-    (Printf.sprintf "  \"bench\": \"incremental\",\n  \"quick\": %b,\n" !quick);
+    (Printf.sprintf
+       "  \"bench\": \"incremental\",\n  \"quick\": %b,\n  \"cores\": %d,\n"
+       !quick (cores ()));
   Buffer.add_string json "  \"sweep\": [\n";
   List.iteri
     (fun k

@@ -32,7 +32,8 @@ let of_string = function
   | "exhaustive" -> Some Exhaustive
   | _ -> None
 
-let generate_within ?domains ?deadline t context ~limit =
+(* [domains] is ignored; it stays only for e2ebench/replay.ml. *)
+let generate_within ?domains:_ ?deadline t context ~limit =
   match t with
   | Topk -> (Topk.generate context ~limit, `Complete)
   | Greedy -> Greedy.generate_within ?deadline context ~limit
@@ -43,12 +44,11 @@ let generate_within ?domains ?deadline t context ~limit =
     (dfss, if stats.Single_swap.converged then `Complete else `Degraded)
   | Multi_swap ->
     let dfss, stats =
-      Multi_swap.generate_with_stats ?domains ?deadline context ~limit
+      Multi_swap.generate_with_stats ?deadline context ~limit
     in
     (dfss, if stats.Multi_swap.converged then `Complete else `Degraded)
   | Annealing -> Stochastic.anneal_within ?deadline context ~limit
   | Restarts -> Stochastic.restarts_within ?deadline context ~limit
   | Exhaustive -> (Exhaustive.generate context ~limit, `Complete)
 
-let generate ?domains t context ~limit =
-  fst (generate_within ?domains t context ~limit)
+let generate t context ~limit = fst (generate_within t context ~limit)

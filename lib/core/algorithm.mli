@@ -24,12 +24,8 @@ val to_string : t -> string
 
 val of_string : string -> t option
 
-val generate : ?domains:int -> t -> Dod.context -> limit:int -> Dfs.t array
-(** Run the method. [Exhaustive] may raise {!Exhaustive.Too_large}.
-    [domains] sets the domain-pool parallelism of the methods that use it
-    (currently [Multi_swap] threshold construction); the others ignore
-    it. Every method is deterministic in it — outputs are identical for
-    every domain count. *)
+val generate : t -> Dod.context -> limit:int -> Dfs.t array
+(** Run the method. [Exhaustive] may raise {!Exhaustive.Too_large}. *)
 
 val generate_within :
   ?domains:int -> ?deadline:Xsact_util.Deadline.t ->
@@ -39,4 +35,5 @@ val generate_within :
     (always valid, budget-filling) best-so-far tagged [`Degraded].
     [Topk] and [Exhaustive] are not anytime — they run to completion and
     always report [`Complete]. A run whose deadline never trips is
-    bit-identical to {!generate}. *)
+    bit-identical to {!generate}. [domains] is ignored; it is kept only
+    because e2ebench/replay.ml passes it. *)

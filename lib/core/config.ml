@@ -2,7 +2,7 @@ type t = {
   params : Dod.params;
   weight : Feature.ftype -> int;
   algorithm : Algorithm.t;
-  domains : int option;
+  domains : int option;  (* ignored; kept only for e2ebench/replay.ml *)
   incremental : bool;
 }
 
@@ -18,10 +18,5 @@ let default =
 let with_params params t = { t with params }
 let with_weight weight t = { t with weight }
 let with_algorithm algorithm t = { t with algorithm }
-
-let with_domains domains t =
-  if domains < 1 then
-    invalid_arg "Config.with_domains: domain count must be positive";
-  { t with domains = Some domains }
 
 let with_incremental incremental t = { t with incremental }

@@ -144,14 +144,6 @@ let ftype_map (profile : Result_profile.t) =
     Feature.Ftype_map.empty
     (Result_profile.types_seq profile)
 
-(* Below this many pairs per domain the fork/join round-trip costs more
-   than the first_gap work it distributes. *)
-let min_pairs_per_domain = 8
-
-let resolve_domains = function
-  | Some d -> max 1 d
-  | None -> Domain_pool.default_domains ()
-
 let weights_row weight profile =
   let nt = Result_profile.num_types profile in
   if nt > gi_mask then
@@ -163,7 +155,7 @@ let weights_row weight profile =
 
 (* Shared types of pair (i, j) packed as entry words, in the iteration
    order of result i's type map. Reads only immutable data, so pairs are
-   computed independently (and in parallel) in any order. *)
+   computed independently, in any order. *)
 let compute_pair params results counts fmaps i j =
   let shared = ref 0 in
   Feature.Ftype_map.iter
@@ -443,29 +435,14 @@ let remove_last_links_table c ~index ~removed =
         done;
         row)
 
-(* Compute the entry tables for an explicit worklist of pairs, sequentially
-   or on the domain pool. A context is all-or-nothing — a partially linked
-   table would silently change the objective — so a tripped deadline raises
-   Deadline.Expired (between pairs, or inside parallel_for between chunks)
+(* Compute the entry tables for an explicit worklist of pairs. A context
+   is all-or-nothing — a partially linked table would silently change the
+   objective — so a tripped deadline raises Deadline.Expired between pairs
    instead of returning something degraded. *)
-let compute_pairs ~domains ?deadline params results counts fmaps pair_i pair_j =
-  let npairs = Array.length pair_i in
-  let buffers = Array.make npairs [||] in
-  if domains = 1 || npairs < min_pairs_per_domain * domains then
-    for p = 0 to npairs - 1 do
+let compute_pairs ?deadline params results counts fmaps pair_i pair_j =
+  Array.init (Array.length pair_i) (fun p ->
       Deadline.check deadline;
-      buffers.(p) <-
-        compute_pair params results counts fmaps pair_i.(p) pair_j.(p)
-    done
-  else begin
-    let pool = Domain_pool.get ~domains in
-    Domain_pool.parallel_for ?deadline pool ~n:npairs ~chunk:(fun lo hi ->
-        for p = lo to hi - 1 do
-          buffers.(p) <-
-            compute_pair params results counts fmaps pair_i.(p) pair_j.(p)
-        done)
-  end;
-  buffers
+      compute_pair params results counts fmaps pair_i.(p) pair_j.(p))
 
 (* All unordered pairs (i, j), i < j, flattened in row-major order. *)
 let all_pairs n =
@@ -481,19 +458,19 @@ let all_pairs n =
   done;
   (pair_i, pair_j)
 
-let make_context ?(params = default_params) ?(weight = fun _ -> 1) ?domains
-    ?deadline results =
+(* [domains] is ignored; it stays only for e2ebench/replay.ml. *)
+let make_context ?(params = default_params) ?(weight = fun _ -> 1)
+    ?domains:_ ?deadline results =
   if Array.length results < 2 then
     invalid_arg "Dod.make_context: need at least two results";
   Deadline.check deadline;
-  let domains = resolve_domains domains in
   let weights = Array.map (weights_row weight) results in
   let n = Array.length results in
   let counts = Array.map counts_map results in
   let fmaps = Array.map ftype_map results in
   let pair_i, pair_j = all_pairs n in
   let buffers =
-    compute_pairs ~domains ?deadline params results counts fmaps pair_i pair_j
+    compute_pairs ?deadline params results counts fmaps pair_i pair_j
   in
   let ids = Array.init n (fun i -> i) in
   let pairs = ref Pair_map.empty in
@@ -526,9 +503,8 @@ let make_context ?(params = default_params) ?(weight = fun _ -> 1) ?domains
    batch merge order, every delta result is bit-identical to
    [make_context] over the same result array. *)
 
-let add_result ?domains ?deadline c profile =
+let add_result ?deadline c profile =
   Deadline.check deadline;
-  let domains = resolve_domains domains in
   let n = Array.length c.results in
   let results = Array.append c.results [| profile |] in
   let weights = Array.append c.weights [| weights_row c.weight_fn profile |] in
@@ -539,8 +515,7 @@ let add_result ?domains ?deadline c profile =
   let pair_i = Array.init n (fun i -> i) in
   let pair_j = Array.make n n in
   let buffers =
-    compute_pairs ~domains ?deadline c.params results counts fmaps pair_i
-      pair_j
+    compute_pairs ?deadline c.params results counts fmaps pair_i pair_j
   in
   let pairs = ref c.pairs in
   Array.iteri
@@ -605,7 +580,7 @@ type slot = Old of int | New of int * Result_profile.t
    order and adds append with fresh (larger) ids, so ids stay strictly
    increasing with position and every cached entry table keeps its
    orientation. *)
-let apply_batch ~domains ?deadline c ops =
+let apply_batch ?deadline c ops =
   let slots =
     ref (List.init (Array.length c.results) (fun i -> Old i))
   in
@@ -659,8 +634,7 @@ let apply_batch ~domains ?deadline c ops =
   in
   let n = Array.length results in
   (* One worklist of every pair not served by the cache, in row-major
-     order (the order is irrelevant to the result — entries are keyed —
-     but keeps chunking deterministic). *)
+     order (the order is irrelevant to the result — entries are keyed). *)
   let pairs = ref Pair_map.empty in
   let missing = ref [] in
   for i = 0 to n - 1 do
@@ -676,7 +650,7 @@ let apply_batch ~domains ?deadline c ops =
   let missing = Array.of_list (List.rev !missing) in
   let pair_i = Array.map fst missing and pair_j = Array.map snd missing in
   let buffers =
-    compute_pairs ~domains ?deadline params results counts fmaps pair_i pair_j
+    compute_pairs ?deadline params results counts fmaps pair_i pair_j
   in
   Array.iteri
     (fun p entries ->
@@ -699,12 +673,11 @@ let apply_batch ~domains ?deadline c ops =
 (* Only a weight-only change has a fast path: the pair tables do not
    depend on weights. Threshold/measure feed the first-gap scans, so a
    params change recomputes every pair — exactly what a one-op batch does. *)
-let reparams ?params ?weight ?domains ?deadline c =
+let reparams ?params ?weight ?deadline c =
   Deadline.check deadline;
   match params with
   | Some p when p <> c.params ->
-    apply_batch ~domains:(resolve_domains domains) ?deadline c
-      [ Reparams { params; weight } ]
+    apply_batch ?deadline c [ Reparams { params; weight } ]
   | _ ->
     let weights =
       match weight with
@@ -713,7 +686,7 @@ let reparams ?params ?weight ?domains ?deadline c =
     in
     { c with weight_fn = Option.value weight ~default:c.weight_fn; weights }
 
-let apply ?domains ?deadline c ops =
+let apply ?deadline c ops =
   Deadline.check deadline;
   match ops with
   | [] -> c
@@ -721,11 +694,10 @@ let apply ?domains ?deadline c ops =
      splices links instead of replaying the table, a removed one shares
      every untouched tail — so routing session history through [apply]
      costs nothing over calling the specific operation. *)
-  | [ Add p ] -> add_result ?domains ?deadline c p
+  | [ Add p ] -> add_result ?deadline c p
   | [ Remove i ] -> remove_result c i
-  | [ Reparams { params; weight } ] ->
-    reparams ?params ?weight ?domains ?deadline c
-  | ops -> apply_batch ~domains:(resolve_domains domains) ?deadline c ops
+  | [ Reparams { params; weight } ] -> reparams ?params ?weight ?deadline c
+  | ops -> apply_batch ?deadline c ops
 
 (* {2 Observation helpers for the serve layer and tests} *)
 
@@ -789,26 +761,6 @@ let approx_bytes c =
   Pair_map.iter
     (fun _ e -> words := !words + 8 + Array.length e + 1)
     c.pairs;
-  Array.iter (fun m -> words := !words + (6 * Feature.Map.cardinal m)) c.counts;
-  Array.iter
-    (fun m -> words := !words + (6 * Feature.Ftype_map.cardinal m))
-    c.fmaps;
-  Array.iter (fun w -> words := !words + Array.length w + 2) c.weights;
-  !words * (Sys.word_size / 8)
-
-let approx_bytes_boxed c =
-  (* what the same logical content cost under the boxed representation
-     (one 4-field record + cons cell = 8 words per oriented link; pair
-     tuples not billed — they were merged into the links at derivation;
-     ~8 words of map spine per pair node): the baseline the flat layout
-     is measured against in BENCH_incremental and the CI memory smoke. *)
-  let words = ref 64 in
-  Array.iter
-    (fun row ->
-      words := !words + Array.length row + 2;
-      Array.iter (fun s -> words := !words + (8 * chain_len s 0)) row)
-    c.links_table;
-  Pair_map.iter (fun _ _ -> words := !words + 8) c.pairs;
   Array.iter (fun m -> words := !words + (6 * Feature.Map.cardinal m)) c.counts;
   Array.iter
     (fun m -> words := !words + (6 * Feature.Ftype_map.cardinal m))

@@ -37,17 +37,13 @@ val make_context :
 (** Precompute pair tables for a set of results (O(pairs × shared types ×
     features)). @raise Invalid_argument on fewer than 2 results.
 
-    [deadline] bounds the build cooperatively: the token is polled between
-    result pairs (and between pool chunks on the parallel path), and a
-    tripped token raises {!Xsact_util.Deadline.Expired} — a context is
-    all-or-nothing, so there is no degraded partial form.
+    [deadline] bounds the build cooperatively: the token is checked on
+    entry and polled before every result pair, and a tripped token raises
+    {!Xsact_util.Deadline.Expired} — a context is all-or-nothing, so there
+    is no degraded partial form.
 
-    [domains] (default {!Xsact_util.Domain_pool.default_domains}) sets the
-    parallelism of the pair-table build: the unordered result pairs are
-    partitioned across a reusable domain pool and each pair's links are
-    merged back deterministically, so the context is {e bit-identical} to
-    the sequential one ([domains = 1]) for every domain count. Small
-    inputs fall back to the sequential path automatically.
+    [domains] is ignored; it is kept only because e2ebench/replay.ml
+    passes it.
 
     [weight] (default [fun _ -> 1]) realizes the paper's "interestingness"
     future-work direction: each feature type contributes its weight, rather
@@ -70,19 +66,17 @@ val weight_of : context -> i:int -> gi:int -> int
     context — the input stays fully usable, which is what lets sessions
     keep history and lets a deadline tripping mid-delta leave the live
     context intact — and the result is {e bit-identical} to a fresh
-    {!make_context} over the same result array (same params, weighting and
-    domain-count independence as the batch build). *)
+    {!make_context} over the same result array (same params and
+    weighting). *)
 
 val add_result :
-  ?domains:int ->
   ?deadline:Xsact_util.Deadline.t ->
   context ->
   Result_profile.t ->
   context
 (** Append one result: computes only the [n] new pairs against the
-    existing results (on the domain pool when the worklist is large
-    enough) and splices their links onto the live table — the untouched
-    lists are shared, not replayed. O(n × shared types × features)
+    existing results and splices their links onto the live table — the
+    untouched lists are shared, not replayed. O(n × shared types × features)
     instead of the batch O(n² × …).
     @raise Xsact_util.Deadline.Expired on a tripped deadline (the input
     context is untouched).
@@ -106,7 +100,6 @@ val remove_result : context -> int -> context
 val reparams :
   ?params:params ->
   ?weight:(Feature.ftype -> int) ->
-  ?domains:int ->
   ?deadline:Xsact_util.Deadline.t ->
   context ->
   context
@@ -130,7 +123,6 @@ type op =
     }
 
 val apply :
-  ?domains:int ->
   ?deadline:Xsact_util.Deadline.t ->
   context ->
   op list ->
@@ -171,13 +163,6 @@ val approx_bytes : context -> int
     {e logical} content only: a delta-built context reports the same
     footprint as a fresh build of the same results, regardless of how
     its link storage happens to be segmented by the mutation history. *)
-
-val approx_bytes_boxed : context -> int
-(** What the same logical content would cost under the pre-flat boxed
-    representation (a 4-field record plus a cons cell per oriented
-    link). The baseline the flat layout is measured against in
-    BENCH_incremental's bytes-per-context column and the CI memory
-    smoke; not used for budgeting. *)
 
 val fresh_link_words : parent:context -> context -> int
 (** Diagnostic for the sharing tests: heap words of link-buffer storage

@@ -44,25 +44,10 @@ let gain_at thresholds q =
   count 0
 
 (* All threshold arrays of result [i] at once — the unit the per-round
-   cache stores and the pool parallelizes. Each type's array lands in a
-   private slot from reads of immutable data ([dfss] is not mutated while
-   a response is being computed), so the result is identical for every
-   domain count. *)
-let min_types_per_domain = 4
-
-let compute_thresholds ?pool context dfss i =
+   cache stores. *)
+let compute_thresholds context dfss i =
   let nt = Result_profile.num_types (Dod.results context).(i) in
-  match pool with
-  | Some pool
-    when Domain_pool.domains pool > 1
-         && nt >= min_types_per_domain * Domain_pool.domains pool ->
-    let arrays = Array.make nt [||] in
-    Domain_pool.parallel_for pool ~n:nt ~chunk:(fun lo hi ->
-        for gi = lo to hi - 1 do
-          arrays.(gi) <- thresholds_for context dfss i gi
-        done);
-    arrays
-  | _ -> Array.init nt (fun gi -> thresholds_for context dfss i gi)
+  Array.init nt (fun gi -> thresholds_for context dfss i gi)
 
 (* ---- Knapsack over the types of one significance class ---------------- *)
 
@@ -321,18 +306,10 @@ let prepare ?init context ~limit =
     Array.copy dfss
   | None -> Topk.generate context ~limit
 
-let generate_with_stats ?init ?spread ?(cache = true) ?domains ?deadline
-    context ~limit =
+let generate_with_stats ?init ?spread ?(cache = true) ?deadline context
+    ~limit =
   let dfss = prepare ?init context ~limit in
   let n = Array.length dfss in
-  let pool =
-    let d =
-      match domains with
-      | Some d -> max 1 d
-      | None -> Domain_pool.default_domains ()
-    in
-    if d > 1 then Some (Domain_pool.get ~domains:d) else None
-  in
   (* Threshold cache. Result [i]'s threshold arrays depend only on the
      OTHER results' current selections, so an entry stays exact until some
      j <> i adopts a new response: each adoption bumps [version] and stamps
@@ -358,7 +335,7 @@ let generate_with_stats ?init ?spread ?(cache = true) ?domains ?deadline
       !ok
     in
     if not valid then begin
-      cached.(i) <- compute_thresholds ?pool context dfss i;
+      cached.(i) <- compute_thresholds context dfss i;
       cached_at.(i) <- !version
     end;
     cached.(i)
@@ -407,6 +384,5 @@ let generate_with_stats ?init ?spread ?(cache = true) ?domains ?deadline
   (dfss, { iterations = !iterations; rounds = !rounds;
            converged = not !stopped })
 
-let generate ?init ?spread ?cache ?domains ?deadline context ~limit =
-  fst (generate_with_stats ?init ?spread ?cache ?domains ?deadline context
-         ~limit)
+let generate ?init ?spread ?cache ?deadline context ~limit =
+  fst (generate_with_stats ?init ?spread ?cache ?deadline context ~limit)

@@ -32,16 +32,13 @@ type stats = {
           tripped first and the output is the (valid) best-so-far *)
 }
 
-val compute_thresholds :
-  ?pool:Xsact_util.Domain_pool.t -> Dod.context -> Dfs.t array -> int ->
-  int array array
+val compute_thresholds : Dod.context -> Dfs.t array -> int -> int array array
 (** [compute_thresholds context dfss i] is, per type of result [i], the
     sorted array of minimal prefix lengths at which each linked pair
     becomes differentiable given the other results' current selections
     ({!Dod.threshold_q} with infinite entries dropped) — the per-type gain
     curves the DP maximizes over. Depends only on the {e other} results'
-    DFSs. With [pool], the per-type arrays are built in parallel across the
-    pool's domains; the result is identical for every pool size. *)
+    DFSs. *)
 
 val best_response :
   ?spread:bool -> ?thresholds:int array array -> Dod.context -> limit:int ->
@@ -61,7 +58,7 @@ val best_response :
     recomputed, which is exact but wasteful inside the iteration. *)
 
 val generate :
-  ?init:Dfs.t array -> ?spread:bool -> ?cache:bool -> ?domains:int ->
+  ?init:Dfs.t array -> ?spread:bool -> ?cache:bool ->
   ?deadline:Xsact_util.Deadline.t ->
   Dod.context -> limit:int -> Dfs.t array
 (** Iterate best responses from {!Topk.generate} (or [init]) to a multi-swap
@@ -81,12 +78,9 @@ val generate :
     across rounds until another result adopts a new DFS — every use is
     provably identical to a fresh computation, so the output never changes;
     [~cache:false] is the recompute-everything baseline kept for the
-    micro-bench (see EXPERIMENTS.md). [domains] (default
-    {!Xsact_util.Domain_pool.default_domains}) additionally builds the
-    arrays in parallel on the shared domain pool when profiles are wide
-    enough. *)
+    micro-bench and the exactness property (see EXPERIMENTS.md). *)
 
 val generate_with_stats :
-  ?init:Dfs.t array -> ?spread:bool -> ?cache:bool -> ?domains:int ->
+  ?init:Dfs.t array -> ?spread:bool -> ?cache:bool ->
   ?deadline:Xsact_util.Deadline.t ->
   Dod.context -> limit:int -> Dfs.t array * stats

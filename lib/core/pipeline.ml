@@ -41,9 +41,7 @@ type comparison = {
 
 let compare_profiles ?(config = Config.default) ?deadline ?context ~keywords
     ~size_bound profiles =
-  let { Config.params; weight; algorithm; domains; incremental = _ } =
-    config
-  in
+  let { Config.params; weight; algorithm; _ } = config in
   if Array.length profiles < 2 then
     Error (Error.Too_few_selected (Array.length profiles))
   else if size_bound < 1 then Error (Error.Bound_too_small size_bound)
@@ -62,14 +60,14 @@ let compare_profiles ?(config = Config.default) ?deadline ?context ~keywords
     match
       match context with
       | Some c -> c
-      | None -> Dod.make_context ~params ~weight ?domains ?deadline profiles
+      | None -> Dod.make_context ~params ~weight ?deadline profiles
     with
     | exception Xsact_util.Deadline.Expired -> Error Error.Timeout
     | context ->
       let (dfss, outcome, elapsed_s) =
         let t0 = Unix.gettimeofday () in
         let dfss, outcome =
-          Algorithm.generate_within ?domains ?deadline algorithm context
+          Algorithm.generate_within ?deadline algorithm context
             ~limit:size_bound
         in
         (dfss, outcome, Unix.gettimeofday () -. t0)

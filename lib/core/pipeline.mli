@@ -52,8 +52,8 @@ val compare :
 (** Search, pick results, and build the comparison.
 
     - [config] (default {!Config.default}) carries the differentiation
-      parameters, interestingness weighting, generation algorithm and
-      domain-pool parallelism — see {!Config}.
+      parameters, interestingness weighting and generation algorithm —
+      see {!Config}.
     - [deadline]: a cooperative time/cancellation budget over context
       construction and DFS generation. If it trips during generation the
       comparison still succeeds with [degraded = true] (anytime

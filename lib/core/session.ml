@@ -9,19 +9,16 @@ type t = {
 
 let generate ?init session context =
   incr session.runs;
-  let domains = session.config.Config.domains in
   match (session.config.Config.algorithm, init) with
   | Algorithm.Single_swap, Some init ->
     Single_swap.generate ~init context ~limit:session.size_bound
   | Algorithm.Multi_swap, Some init ->
-    Multi_swap.generate ~init ?domains context ~limit:session.size_bound
-  | alg, _ ->
-    Algorithm.generate ?domains alg context ~limit:session.size_bound
+    Multi_swap.generate ~init context ~limit:session.size_bound
+  | alg, _ -> Algorithm.generate alg context ~limit:session.size_bound
 
 let make_context ?deadline config profiles =
   Dod.make_context ~params:config.Config.params
-    ~weight:config.Config.weight ?domains:config.Config.domains ?deadline
-    profiles
+    ~weight:config.Config.weight ?deadline profiles
 
 (* Adopt an already-maintained context (delta-updated or rebuilt) and
    regenerate the DFSs from it, warm-started when [init] is given. *)
@@ -220,7 +217,7 @@ let apply ?deadline s ops =
                   Some (Dod.Reparams { params; weight }))
               ops
           in
-          Dod.apply ?domains:config.Config.domains ?deadline s.context dod_ops
+          Dod.apply ?deadline s.context dod_ops
         else make_context ?deadline config profiles
       in
       Ok

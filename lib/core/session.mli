@@ -32,9 +32,8 @@ val create :
   (t, Error.t) result
 (** Start a session over at least two results. The session keeps [config]
     (default {!Config.default}) for its whole lifetime: every rebuild —
-    including warm-started ones — honors its parameters, weighting,
-    algorithm {e and domain-pool parallelism}. [Exhaustive] is rejected
-    with [Unsupported_algorithm].
+    including warm-started ones — honors its parameters, weighting and
+    algorithm. [Exhaustive] is rejected with [Unsupported_algorithm].
 
     [context], when given, is adopted instead of building one — the
     caller (the serve layer's intern table) guarantees it is the context

@@ -23,8 +23,8 @@ val decode_compare : Json.t -> (compare_request, string) result
     defaults: ["select"], ["top"] (4), ["size_bound"] (8), ["algorithm"]
     (["multi-swap"]), ["threshold_pct"] (10.0), ["measure"] (["raw"]),
     ["weights"] (object of attribute-pattern → weight). Unknown fields
-    are ignored, so journal records carrying the retired ["domains"]
-    field still decode. Keywords are normalized via
+    are ignored, so journal records carrying retired fields still
+    decode. Keywords are normalized via
     {!Xsact_search.Token.normalize_query}, so requests differing only in
     case/whitespace decode identically. *)
 

@@ -475,6 +475,21 @@ let degraded_response t ~cache ~reasons body =
       [ ("X-Cache", cache); ("X-Degraded", String.concat ", " reasons) ]
     ~status:200 body
 
+(* A selection names each result at most once — the invariant the add op
+   enforces. /compare, POST /session and a rewarm from a journaled
+   selection all answer this one 422. *)
+let distinct_ranks ranks =
+  let rec first_dup seen = function
+    | [] -> Ok ()
+    | r :: rest ->
+      if List.mem r seen then
+        Error
+          (error_response ~status:422 ~code:"unprocessable"
+             (Printf.sprintf "duplicate rank %d in \"select\"" r))
+      else first_dup (r :: seen) rest
+  in
+  first_dup [] ranks
+
 (* Per-key single-flight: the first thread to miss on [key] claims it and
    computes with [t.lock] released, so cache hits, other keys, and /metrics
    never wait behind an in-flight comparison. Duplicate requests block on
@@ -486,11 +501,15 @@ let handle_compare t req _params =
   match decode_compare_body req with
   | Error resp -> resp
   | Ok creq -> (
-    match find_entry t creq.Api.dataset with
-    | None ->
+    match
+      ( find_entry t creq.Api.dataset,
+        distinct_ranks (Option.value ~default:[] creq.Api.select) )
+    with
+    | None, _ ->
       error_response ~status:404 ~code:"unknown_dataset"
         ("unknown dataset " ^ creq.Api.dataset)
-    | Some entry -> (
+    | Some _, Error resp -> resp
+    | Some entry, Ok () -> (
       let deadline = deadline_of_req t req in
       (* Overload degradation ladder (DESIGN.md §9): under queue pressure a
          multi-swap request is downgraded to single-swap {e before}
@@ -660,18 +679,9 @@ let build_session_entry t creq ~ranks ~size_bound =
         | Some ranks -> ranks
         | None -> List.init (min creq.Api.top available) (fun i -> i + 1)
       in
-      let rec first_dup seen = function
-        | [] -> None
-        | r :: rest ->
-          if List.mem r seen then Some r else first_dup (r :: seen) rest
-      in
-      match first_dup [] ranks with
-      | Some dup ->
-        (* same invariant the add op enforces *)
-        Error
-          (error_response ~status:422 ~code:"unprocessable"
-             (Printf.sprintf "duplicate rank %d in \"select\"" dup))
-      | None -> (
+      match distinct_ranks ranks with
+      | Error resp -> Error resp
+      | Ok () -> (
         match
           List.find_opt (fun r -> result_with_rank results r = None) ranks
         with

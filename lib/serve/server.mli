@@ -10,9 +10,10 @@
     first thread to miss on a cache key computes it with the cache mutex
     {e released}, duplicate requests for the same key wait on a condition
     variable and replay the cached body, and cache hits, other keys, and
-    [/metrics] never block behind an in-flight computation. Concurrent
-    computations are safe: the {!Xsact_util.Domain_pool} serializes whole
-    fan-out jobs behind a per-pool submit mutex. SIGPIPE is ignored at
+    [/metrics] never block behind an in-flight computation. The daemon
+    runs in one OCaml domain: a comparison runs sequentially on its
+    worker thread, and threads interleave under the runtime lock, which
+    blocking I/O releases. SIGPIPE is ignored at
     {!start} so a client that disconnects mid-response surfaces as EPIPE
     (absorbed per-connection), and every accepted socket carries an idle
     read timeout so stalled keep-alive connections release their worker.
@@ -75,8 +76,6 @@ val create :
   ?takeover_after:float -> ?context_snapshots:bool -> unit -> t
 (** Load and index [datasets] (default: the whole {!Xsact_dataset.Dataset}
     registry). [cache_capacity] sizes the comparison LRU (default 128).
-    The engine picks its own domain-pool parallelism (DESIGN.md §7); no
-    request or server option sets it.
 
     Incremental-engine knobs (DESIGN.md §11, §13):
     - [context_cache_capacity] (default 32): maximum {e unpinned} entries

@@ -16,8 +16,7 @@
 type t
 
 exception Expired
-(** Raised by {!check} (and by {!Domain_pool.parallel_for} jobs carrying a
-    tripped deadline) when no partial answer is possible. *)
+(** Raised by {!check} when no partial answer is possible. *)
 
 val create : ?budget_s:float -> unit -> t
 (** A fresh token. With [budget_s], the token trips [budget_s] seconds of

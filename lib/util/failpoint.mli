@@ -10,8 +10,6 @@
     - ["compare.round"] — start of every optimization round in
       single-swap, multi-swap and greedy generation (slow computations,
       deadline expiry mid-compare);
-    - ["pool.submit"] — {!Domain_pool.parallel_for} job submission
-      (failures while fanning out across domains);
     - ["socket.write"] — before each HTTP response write in the server
       (client gone mid-response);
     - ["persist.append"] — before a journal record is written;

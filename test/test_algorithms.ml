@@ -137,6 +137,39 @@ let prop_best_response_exact =
       in
       packed response = best_enum)
 
+(* ---- Multi-swap threshold cache --------------------------------------------- *)
+
+(* The threshold cache never changes an answer: gain curves read from it
+   equal a fresh computation, and a whole generation with it equals the
+   ~cache:false baseline. *)
+let wide ~seed ~results =
+  Xsact_workload.Workload.synthetic_profiles ~seed ~results ~entities:2
+    ~types_per_entity:4 ~values_per_type:3 ~max_count:5
+
+let prop_best_response_cache_exact =
+  QCheck.Test.make
+    ~name:"precomputed thresholds = per-call recomputation in best_response"
+    ~count:60
+    QCheck.(make Gen.(int_range 0 1000000))
+    (fun seed ->
+      let c = Dod.make_context (wide ~seed ~results:3) in
+      let dfss = Topk.generate c ~limit:5 in
+      List.for_all
+        (fun i ->
+          let thresholds = Multi_swap.compute_thresholds c dfss i in
+          Dfs.to_q_array (Multi_swap.best_response ~thresholds c ~limit:5 dfss i)
+          = Dfs.to_q_array (Multi_swap.best_response c ~limit:5 dfss i))
+        [ 0; 1; 2 ])
+
+let prop_cache_matches_nocache =
+  QCheck.Test.make ~name:"multi-swap cache on = cache off" ~count:40
+    QCheck.(make Gen.(pair (int_range 0 1000000) (int_range 2 5)))
+    (fun (seed, results) ->
+      let c = Dod.make_context (wide ~seed ~results) in
+      let qs dfss = Array.map Dfs.to_q_array dfss in
+      qs (Multi_swap.generate c ~limit:6)
+      = qs (Multi_swap.generate ~cache:false c ~limit:6))
+
 (* ---- Deterministic fixed cases ----------------------------------------------- *)
 
 (* Tie-rich instances (counts in {1,2}, many types and values) are where the
@@ -278,6 +311,8 @@ let () =
           qtest prop_swaps_dominate_topk;
           qtest prop_bounded_by_optimum;
           qtest prop_best_response_exact;
+          qtest prop_best_response_cache_exact;
+          qtest prop_cache_matches_nocache;
           Alcotest.test_case "pinned seeds: multi beats single" `Quick
             test_multi_beats_single_on_pinned_instance;
           Alcotest.test_case "fixed instance optimum" `Quick

@@ -1,12 +1,11 @@
 (* Overload and failure-path tests: deadline/cancellation tokens, the
-   failpoint harness, pool cancellation, deadline determinism of the
-   anytime algorithms, session TTL/LRU hygiene, and end-to-end daemon
-   survival under slow computations, shed bursts and mid-response
-   disconnects. *)
+   failpoint harness, a deadline tripping mid context build, deadline
+   determinism of the anytime algorithms, session TTL/LRU hygiene, and
+   end-to-end daemon survival under slow computations, shed bursts and
+   mid-response disconnects. *)
 
 module Deadline = Xsact_util.Deadline
 module Failpoint = Xsact_util.Failpoint
-module Domain_pool = Xsact_util.Domain_pool
 module Http = Xsact_server.Http
 module Json = Xsact_server.Json
 module Server = Xsact_server.Server
@@ -119,80 +118,46 @@ let test_failpoint_configure () =
   bad "=fail";
   Failpoint.reset ()
 
-(* ---- Domain pool cancellation ---------------------------------------------- *)
-
-let test_pool_cancellation () =
-  let pool = Domain_pool.get ~domains:2 in
-  let tripped =
-    [ Deadline.of_ms 0.;
-      (let d = Deadline.create () in Deadline.cancel d; d) ]
-  in
-  List.iter
-    (fun d ->
-      match
-        Domain_pool.parallel_for ~deadline:d pool ~n:64 ~chunk:(fun _ _ -> ())
-      with
-      | () -> Alcotest.fail "tripped deadline must raise Expired"
-      | exception Deadline.Expired -> ())
-    tripped;
-  (* the pool survives cancellation: a normal job still runs every chunk *)
-  let seen = Array.make 100 false in
-  Domain_pool.parallel_for pool ~n:100 ~chunk:(fun lo hi ->
-      for i = lo to hi - 1 do
-        seen.(i) <- true
-      done);
-  check Alcotest.bool "pool reusable after cancellation" true
-    (Array.for_all Fun.id seen);
-  (* a failing submission (pool.submit failpoint) leaves it reusable too *)
-  Failpoint.reset ();
-  Failpoint.enable "pool.submit" Failpoint.Fail;
-  (match
-     Domain_pool.parallel_for pool ~n:64 ~chunk:(fun _ _ -> ())
-   with
-  | () -> Alcotest.fail "armed pool.submit did not raise"
-  | exception Failpoint.Injected _ -> ());
-  Failpoint.reset ();
-  Array.fill seen 0 100 false;
-  Domain_pool.parallel_for pool ~n:100 ~chunk:(fun lo hi ->
-      for i = lo to hi - 1 do
-        seen.(i) <- true
-      done);
-  check Alcotest.bool "pool reusable after injected submit failure" true
-    (Array.for_all Fun.id seen)
-
-(* ---- Deadline determinism of the algorithms --------------------------------- *)
+(* ---- Deadlines in the engine: mid-build, and determinism ------------------- *)
 
 let profiles_under_test =
   lazy
     (Xsact_workload.Workload.synthetic_profiles ~seed:11 ~results:4
        ~entities:2 ~types_per_entity:4 ~values_per_type:3 ~max_count:5)
 
+(* Every other context-build deadline test hands in a pre-tripped token,
+   which make_context's entry check catches. Here the token is live on
+   entry: the weight callback runs after that check and before the first
+   pair, so cancelling from inside it trips the poll in the pair loop. *)
+let test_context_deadline_mid_build () =
+  let profiles = Lazy.force profiles_under_test in
+  let d = Deadline.create () in
+  let weight _ =
+    Deadline.cancel d;
+    1
+  in
+  Alcotest.check_raises "cancelled mid-build raises Expired" Deadline.Expired
+    (fun () -> ignore (Dod.make_context ~weight ~deadline:d profiles));
+  check Alcotest.bool "the callback did cancel" true (Deadline.cancelled d)
+
 let test_generous_deadline_bit_identical () =
   let profiles = Lazy.force profiles_under_test in
+  let c = Dod.make_context profiles in
   List.iter
-    (fun domains ->
-      let c = Dod.make_context ~domains profiles in
-      List.iter
-        (fun alg ->
-          let base = Algorithm.generate ~domains alg c ~limit:6 in
-          let generous = Deadline.of_ms 3_600_000. in
-          let dfss, outcome =
-            Algorithm.generate_within ~domains ~deadline:generous alg c
-              ~limit:6
-          in
-          let name d =
-            Printf.sprintf "%s (domains=%d)" (Algorithm.to_string alg) d
-          in
-          check Alcotest.bool (name domains ^ " complete") true
-            (outcome = `Complete);
-          check Alcotest.bool (name domains ^ " bit-identical") true
-            (dfss = base))
-        Algorithm.practical)
-    [ 1; 2 ]
+    (fun alg ->
+      let base = Algorithm.generate alg c ~limit:6 in
+      let generous = Deadline.of_ms 3_600_000. in
+      let dfss, outcome =
+        Algorithm.generate_within ~deadline:generous alg c ~limit:6
+      in
+      let name = Algorithm.to_string alg in
+      check Alcotest.bool (name ^ " complete") true (outcome = `Complete);
+      check Alcotest.bool (name ^ " bit-identical") true (dfss = base))
+    Algorithm.practical
 
 let test_tripped_deadline_still_valid () =
   let profiles = Lazy.force profiles_under_test in
-  let c = Dod.make_context ~domains:1 profiles in
+  let c = Dod.make_context profiles in
   List.iter
     (fun alg ->
       let d = Deadline.of_ms 0. in
@@ -528,8 +493,11 @@ let () =
           Alcotest.test_case "actions" `Quick test_failpoint_actions;
           Alcotest.test_case "configure" `Quick test_failpoint_configure;
         ] );
-      ( "pool",
-        [ Alcotest.test_case "cancellation" `Quick test_pool_cancellation ] );
+      ( "context",
+        [
+          Alcotest.test_case "deadline trips mid-build" `Quick
+            test_context_deadline_mid_build;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "generous deadline is bit-identical" `Quick

@@ -62,16 +62,6 @@ let test_add_remove_roundtrip () =
   let roundtrip = Dod.remove_result (Dod.add_result c extra) 5 in
   check ctx "add then remove = original" c roundtrip
 
-let test_parallel_delta_identical () =
-  let profiles = synthetic 23 8 in
-  let base = Array.sub profiles 0 7 in
-  let seq = Dod.add_result ~domains:1 (Dod.make_context ~domains:1 base)
-      profiles.(7) in
-  let par = Dod.add_result ~domains:2 (Dod.make_context ~domains:2 base)
-      profiles.(7) in
-  check ctx "parallel add = sequential add" seq par;
-  check ctx "parallel add = fresh" (Dod.make_context profiles) par
-
 let test_reparams_equals_fresh () =
   let profiles = synthetic 9 5 in
   let c = Dod.make_context profiles in
@@ -102,14 +92,14 @@ let test_delta_errors () =
 let test_deadline_mid_delta () =
   let profiles = synthetic 7 6 in
   let base = Array.sub profiles 0 5 in
-  let c = Dod.make_context ~domains:1 base in
+  let c = Dod.make_context base in
   Alcotest.check_raises "expired add raises" Deadline.Expired (fun () ->
       ignore
-        (Dod.add_result ~domains:1 ~deadline:(Deadline.of_ms 0.) c
+        (Dod.add_result ~deadline:(Deadline.of_ms 0.) c
            profiles.(5)));
   Alcotest.check_raises "expired reparams raises" Deadline.Expired (fun () ->
       ignore
-        (Dod.reparams ~domains:1 ~deadline:(Deadline.of_ms 0.)
+        (Dod.reparams ~deadline:(Deadline.of_ms 0.)
            ~params:{ Dod.threshold_pct = 50.0; measure = Dod.Raw }
            c));
   (* the failed deltas left the input context fully intact *)
@@ -238,7 +228,7 @@ let test_apply_errors () =
       ignore (Dod.apply c [ Dod.Remove 9 ]));
   Alcotest.check_raises "expired batch raises" Deadline.Expired (fun () ->
       ignore
-        (Dod.apply ~domains:1 ~deadline:(Deadline.of_ms 0.) c
+        (Dod.apply ~deadline:(Deadline.of_ms 0.) c
            [ Dod.Add profiles.(0); Dod.Remove 0 ]));
   check ctx "context intact after failures" (Dod.make_context profiles) c
 
@@ -249,20 +239,14 @@ let test_approx_bytes_sane () =
   if Dod.approx_bytes large <= Dod.approx_bytes small then
     Alcotest.fail "footprint does not grow with the result set"
 
-(* Pin the accounting. The golden values are over a deterministic
+(* Pin the accounting. The golden value is over a deterministic
    synthetic context; a change here means the accounting changed and
-   --max-context-mb moved — review it, then update the value. The boxed
-   baseline must keep reporting what the pre-flat representation
-   actually cost (27584 on this corpus, the old representation's pinned
-   golden), or the bytes-per-context comparison in BENCH_incremental
-   and the CI memory smoke silently lose their meaning. *)
+   --max-context-mb moved — review it, then update the value. *)
 let test_approx_bytes_accounting () =
   if Sys.word_size = 64 then begin
     let c = Dod.make_context (synthetic 4 6) in
     check Alcotest.int "64-bit golden footprint (flat)" 21624
       (Dod.approx_bytes c);
-    check Alcotest.int "64-bit golden footprint (boxed baseline)" 27584
-      (Dod.approx_bytes_boxed c);
     (* delta maintenance must account like a fresh build: bit-identical
        contexts have identical footprints, whatever their physical
        segmentation *)
@@ -325,8 +309,7 @@ let test_shrink_deterministic () =
 let test_session_deadline_intact () =
   let profiles = Array.to_list (synthetic 13 4) in
   let extra = (synthetic 14 3).(1) in
-  let s = session_of (Config.with_domains 1 Config.default) profiles
-      ~size_bound:6 in
+  let s = session_of Config.default profiles ~size_bound:6 in
   let expired = Deadline.of_ms 0. in
   Alcotest.check_raises "expired add raises" Deadline.Expired (fun () ->
       ignore (Session.add ~deadline:expired s extra));
@@ -339,7 +322,7 @@ let test_session_deadline_intact () =
   let cfg = Session.config s in
   check ctx "context intact"
     (Dod.make_context ~params:cfg.Config.params ~weight:cfg.Config.weight
-       ?domains:cfg.Config.domains (Session.profiles s))
+       (Session.profiles s))
     (Session.context s);
   let s' = Session.add s extra in
   check Alcotest.int "undeadlined add lands" 5
@@ -363,8 +346,8 @@ let show_op = function
   | Remove i -> Printf.sprintf "remove %d" i
   | Resize k -> Printf.sprintf "resize %d" k
 
-let show_case (seed, alg, domains, ops) =
-  Printf.sprintf "seed=%d alg=%d domains=%d [%s]" seed alg domains
+let show_case (seed, alg, ops) =
+  Printf.sprintf "seed=%d alg=%d [%s]" seed alg
     (String.concat "; " (List.map show_op ops))
 
 let algorithms = [| Algorithm.Single_swap; Algorithm.Multi_swap;
@@ -384,19 +367,14 @@ let prop_mutations_bit_identical =
       make
         ~print:show_case
         Gen.(
-          quad (int_range 0 1_000_000)
+          triple (int_range 0 1_000_000)
             (int_range 0 (Array.length algorithms - 1))
-            (int_range 1 2)
             (list_size (int_range 1 10) op_gen)))
-    (fun (seed, alg_i, domains, ops) ->
+    (fun (seed, alg_i, ops) ->
       let pool = synthetic seed 16 in
       let initial = Array.to_list (Array.sub pool 0 4) in
       let next = ref 4 in
-      let config =
-        Config.default
-        |> Config.with_algorithm algorithms.(alg_i)
-        |> Config.with_domains domains
-      in
+      let config = Config.with_algorithm algorithms.(alg_i) Config.default in
       let s = ref (session_of config initial ~size_bound:6) in
       let m =
         ref
@@ -408,8 +386,7 @@ let prop_mutations_bit_identical =
         let cfg = Session.config s in
         let fresh =
           Dod.make_context ~params:cfg.Config.params
-            ~weight:cfg.Config.weight ?domains:cfg.Config.domains
-            (Session.profiles s)
+            ~weight:cfg.Config.weight (Session.profiles s)
         in
         if not (Dod.equal_context fresh (Session.context s)) then
           QCheck.Test.fail_reportf "step %d: context <> fresh rebuild" step;
@@ -514,11 +491,7 @@ let prop_batches_bit_identical =
       let pool = synthetic seed 24 in
       let next = ref 4 in
       let thresholds = [| 10.0; 25.0; 40.0 |] in
-      let config =
-        Config.default
-        |> Config.with_algorithm algorithms.(alg_i)
-        |> Config.with_domains 1
-      in
+      let config = Config.with_algorithm algorithms.(alg_i) Config.default in
       let initial = Array.to_list (Array.sub pool 0 4) in
       let s = ref (session_of config initial ~size_bound:6) in
       let m =
@@ -531,8 +504,7 @@ let prop_batches_bit_identical =
         let cfg = Session.config s in
         let fresh =
           Dod.make_context ~params:cfg.Config.params
-            ~weight:cfg.Config.weight ?domains:cfg.Config.domains
-            (Session.profiles s)
+            ~weight:cfg.Config.weight (Session.profiles s)
         in
         if not (Dod.equal_context fresh (Session.context s)) then
           QCheck.Test.fail_reportf "batch %d: context <> fresh rebuild" step;
@@ -1136,8 +1108,6 @@ let () =
           Alcotest.test_case "remove = fresh" `Quick test_remove_equals_fresh;
           Alcotest.test_case "add/remove roundtrip" `Quick
             test_add_remove_roundtrip;
-          Alcotest.test_case "parallel delta identical" `Quick
-            test_parallel_delta_identical;
           Alcotest.test_case "reparams = fresh" `Quick
             test_reparams_equals_fresh;
           Alcotest.test_case "delta errors" `Quick test_delta_errors;

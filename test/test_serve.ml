@@ -424,10 +424,10 @@ let test_handle_sessions () =
   check Alcotest.int "unknown session" 404
     (handle ~meth:"POST" ~body:{|{"rank":1}|} "/session/sX/add").Http.status
 
-(* A client-chosen domain count used to reach Domain.spawn: "domains":200
-   failed to allocate the pool and left the process unable to spawn even
-   the default one, so every later compare and session create answered
-   500. The field is now ignored, on a fresh server as on any other. *)
+(* Requests once carried a client-chosen domain count, and "domains":200
+   left the process unable to serve. The field is ignored now, and the
+   engine runs in one domain, so such a request is an ordinary compare on
+   a fresh server as on any other. *)
 let test_handle_domains_ignored () =
   let t = Server.create ~datasets:[ "product-reviews" ] () in
   let post body target =
@@ -440,6 +440,21 @@ let test_handle_domains_ignored () =
     (post compare_body "/compare");
   check Alcotest.int "session create after it" 201
     (post compare_body "/session")
+
+(* One duplicate-rank check serves /compare and POST /session: a
+   selection naming a result twice answers the same 422 on both routes
+   (/compare used to compare the result against itself). *)
+let test_handle_duplicate_ranks () =
+  let body = {|{"dataset":"product-reviews","q":"gps","select":[1,1,2]}|} in
+  let compared = handle ~meth:"POST" ~body "/compare" in
+  let created = handle ~meth:"POST" ~body "/session" in
+  check Alcotest.int "compare rejects" 422 compared.Http.status;
+  check Alcotest.int "session rejects" 422 created.Http.status;
+  check Alcotest.string "the session's body"
+    {|{"error":{"code":"unprocessable","message":"duplicate rank 1 in \"select\""}}|}
+    created.Http.resp_body;
+  check Alcotest.string "same body on both routes" created.Http.resp_body
+    compared.Http.resp_body
 
 let test_handle_metrics () =
   let resp = handle "/metrics" in
@@ -712,6 +727,8 @@ let () =
           Alcotest.test_case "sessions" `Quick test_handle_sessions;
           Alcotest.test_case "domains field ignored" `Quick
             test_handle_domains_ignored;
+          Alcotest.test_case "duplicate ranks rejected" `Quick
+            test_handle_duplicate_ranks;
           Alcotest.test_case "metrics" `Quick test_handle_metrics;
         ] );
       ( "e2e",
