@@ -8,7 +8,12 @@ type node = {
   depth : int;
 }
 
-type t = { table : node array; ends : int array }
+type t = {
+  table : node array;
+  ends : int array;
+  parents : int array;
+  max_depth : int;
+}
 
 let of_element root_elem =
   let acc = ref [] in
@@ -42,11 +47,17 @@ let of_element root_elem =
   let n = Array.length table in
   (* A pre-order subtree is a contiguous id interval, so its end is the next
      id whose depth is <= the node's own depth. One left-to-right pass with a
-     stack of still-open subtrees computes all ends. *)
+     stack of still-open subtrees computes all ends, and copies out the
+     parent ids and the greatest depth on the way. *)
   let ends = Array.make n n in
+  let parents = Array.make n (-1) in
+  let max_depth = ref 0 in
   let stack = ref [] in
   for id = 0 to n - 1 do
-    let d = table.(id).depth in
+    let node = table.(id) in
+    let d = node.depth in
+    parents.(id) <- node.parent;
+    if d > !max_depth then max_depth := d;
     let rec pop () =
       match !stack with
       | (sid, sd) :: rest when sd >= d ->
@@ -59,7 +70,7 @@ let of_element root_elem =
     stack := (id, d) :: !stack
   done;
   List.iter (fun (sid, _) -> ends.(sid) <- n) !stack;
-  { table; ends }
+  { table; ends; parents; max_depth = !max_depth }
 
 let of_document (doc : Xml.document) = of_element doc.root
 
@@ -72,6 +83,8 @@ let node t id =
 
 let root t = t.table.(0)
 let nodes t = t.table
+let parent_ids t = t.parents
+let max_depth t = t.max_depth
 
 let parent t id =
   let p = (node t id).parent in

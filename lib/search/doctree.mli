@@ -37,6 +37,14 @@ val root : t -> node
 val nodes : t -> node array
 (** The underlying table (do not mutate). *)
 
+val parent_ids : t -> int array
+(** [(parent_ids t).(id) = (node t id).parent], as one flat array for passes
+    that climb many parent links (do not mutate). *)
+
+val max_depth : t -> int
+(** The greatest node depth (root = 1): the length of the longest root
+    path. *)
+
 val parent : t -> int -> node option
 
 val subtree_end : t -> int -> int

@@ -42,12 +42,3 @@ let postings t tok =
 let doc_frequency t tok = Array.length (postings t tok)
 let vocabulary_size t = Hashtbl.length t.table
 let total_postings t = t.total
-
-let mark_matches t keywords n =
-  List.map
-    (fun kw ->
-      let bitmap = Array.make n false in
-      Array.iter (fun id -> bitmap.(id) <- true) (postings t kw);
-      bitmap)
-    keywords
-  |> Array.of_list

@@ -23,7 +23,3 @@ val vocabulary_size : t -> int
 
 val total_postings : t -> int
 (** Sum of posting-list lengths (index size measure for benches). *)
-
-val mark_matches : t -> string list -> int -> bool array array
-(** [mark_matches t keywords n] gives, per keyword, a direct-match bitmap
-    over node ids [0..n-1] — the input of the SLCA algorithms. *)

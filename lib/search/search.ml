@@ -118,18 +118,20 @@ let query ?limit ?lift_to ?(semantics = Slca) ?(scoring = Occurrence) engine
       slcas;
     let candidates = List.rev !order in
     (* Drop candidates nested inside other candidates: lifting can make one
-       result subtree contain another, and the outer one subsumes it. *)
-    let minimal =
-      List.filter
-        (fun id ->
-          not
-            (List.exists
-               (fun other ->
-                 other <> id
-                 && Doctree.is_descendant_or_self engine.tree ~ancestor:other id)
-               candidates))
-        candidates
-    in
+       result subtree contain another, and the outer one subsumes it. In id
+       order an outermost candidate comes before everything nested in it,
+       so one sweep over subtree intervals finds the nested ones. *)
+    ignore
+      (List.fold_left
+         (fun outer_end id ->
+           if id < outer_end then begin
+             Hashtbl.remove table id;
+             outer_end
+           end
+           else Doctree.subtree_end engine.tree id)
+         0
+         (List.sort Int.compare candidates));
+    let minimal = List.filter (Hashtbl.mem table) candidates in
     let scored =
       List.map
         (fun id ->

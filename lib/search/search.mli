@@ -51,6 +51,15 @@ val query :
     broken by document order; [limit] truncates the list (default: all). An
     unmatched keyword yields [] (conjunctive semantics).
 
+    Cost: the SLCA pass follows the keywords' posting lists, not the corpus
+    (see {!Slca.by_aggregation}); lifting, deduplication and ranking then
+    cost O(c × (d + log c)) for [c] SLCAs in a tree of depth [d], plus the
+    binary searches of scoring.
+
+    @raise Invalid_argument when the normalized query holds more than
+    {!Slca.max_keywords} distinct keywords (one mask bit each). Callers
+    that take queries from outside check the bound first.
+
     [lift_to] overrides the entity-lifting step: each SLCA is lifted to its
     nearest ancestor-or-self with that tag instead (falling back to entity
     lifting when no such ancestor exists). This models the demo's coarser

@@ -1,104 +1,122 @@
-let full_mask k = (1 lsl k) - 1
+let max_keywords = Sys.int_size
 
-(* Bottom-up keyword-mask aggregation: masks.(id) accumulates the set of
-   keywords matched in the subtree of [id]. Pre-order ids guarantee
-   parent < child, so one descending scan pushes every mask to the parent. *)
-let subtree_masks index keywords =
-  let tree = Index.doctree index in
-  let n = Doctree.size tree in
-  let masks = Array.make n 0 in
-  List.iteri
-    (fun ki kw ->
-      let bit = 1 lsl ki in
-      Array.iter
-        (fun id -> masks.(id) <- masks.(id) lor bit)
-        (Index.postings index kw))
-    keywords;
-  let nodes = Doctree.nodes tree in
-  for id = n - 1 downto 1 do
-    let p = nodes.(id).parent in
-    masks.(p) <- masks.(p) lor masks.(id)
-  done;
-  masks
+(* All [k] low bits set, for 1 <= k <= Sys.int_size ([1 lsl k] is
+   unspecified at k = Sys.int_size). *)
+let full_mask k = -1 lsr (Sys.int_size - k)
 
-let lca_candidates index keywords =
-  match keywords with
-  | [] -> []
-  | _ ->
-    let k = List.length keywords in
-    let full = full_mask k in
-    let masks = subtree_masks index keywords in
-    let acc = ref [] in
-    for id = Array.length masks - 1 downto 0 do
-      if masks.(id) = full then acc := id :: !acc
-    done;
-    !acc
+type select = Smallest | Exclusive | Candidates
 
-let by_aggregation index keywords =
-  match keywords with
-  | [] -> []
-  | _ ->
-    let k = List.length keywords in
+(* One pass over the keyword matches in ascending id (document) order: a
+   k-way merge of the posting lists, keyword [i] contributing bit [i].
+
+   The stack holds the root path of the latest match, one frame per node
+   with the keywords matched so far in its subtree ([masks]), whether a
+   proper descendant already covers every keyword ([covered]), and the
+   keywords witnessed outside every full descendant ([contribs], the ELCA
+   test). A match first pops the frames whose subtree interval it has left,
+   then pushes itself and the ancestors it does not share with the stack
+   top. Pre-order ids mean a popped subtree sees no later match, so a frame
+   is final when popped: its mask, coverage and contribution then flow into
+   the frame below. Only ancestors-or-self of matches ever get a non-empty
+   mask, and each is pushed and popped once, so the pass costs
+   O(sum of posting lengths * (k + depth)) and nothing sized by the corpus. *)
+let pass select index keywords =
+  let lists = Array.of_list (List.map (Index.postings index) keywords) in
+  let k = Array.length lists in
+  if k > max_keywords then
+    invalid_arg
+      (Printf.sprintf "Slca: %d keywords, at most %d are supported" k
+         max_keywords);
+  if k = 0 || Array.exists (fun l -> Array.length l = 0) lists then []
+  else begin
     let full = full_mask k in
     let tree = Index.doctree index in
-    let masks = subtree_masks index keywords in
-    let n = Array.length masks in
-    (* A candidate is smallest iff no child subtree is also a candidate.
-       covered.(id) = some proper descendant of id is a candidate. *)
-    let covered = Array.make n false in
-    let nodes = Doctree.nodes tree in
-    for id = n - 1 downto 1 do
-      if masks.(id) = full then begin
-        let p = nodes.(id).parent in
-        covered.(p) <- true
+    let parents = Doctree.parent_ids tree in
+    let cap = Doctree.max_depth tree in
+    let ids = Array.make cap 0
+    and masks = Array.make cap 0
+    and contribs = Array.make cap 0
+    and covered = Array.make cap false in
+    let sp = ref 0 in
+    let acc = ref [] in
+    let pop () =
+      decr sp;
+      let i = !sp in
+      let mask = masks.(i) and contrib = contribs.(i) in
+      let keep =
+        match select with
+        | Smallest -> mask = full && not covered.(i)
+        | Exclusive -> contrib = full
+        | Candidates -> mask = full
+      in
+      if keep then acc := ids.(i) :: !acc;
+      if i > 0 then begin
+        masks.(i - 1) <- masks.(i - 1) lor mask;
+        if mask = full then covered.(i - 1) <- true
+        else contribs.(i - 1) <- contribs.(i - 1) lor contrib
+      end
+    in
+    let heads = Array.make k 0 in
+    let next = ref 0 in
+    while !next < max_int do
+      (* the smallest unconsumed match, and the keywords it matches *)
+      next := max_int;
+      for j = 0 to k - 1 do
+        let l = lists.(j) in
+        if heads.(j) < Array.length l && l.(heads.(j)) < !next then
+          next := l.(heads.(j))
+      done;
+      let v = !next in
+      if v < max_int then begin
+        let bits = ref 0 in
+        for j = 0 to k - 1 do
+          let l = lists.(j) in
+          if heads.(j) < Array.length l && l.(heads.(j)) = v then begin
+            bits := !bits lor (1 lsl j);
+            heads.(j) <- heads.(j) + 1
+          end
+        done;
+        while !sp > 0 && v >= Doctree.subtree_end tree ids.(!sp - 1) do
+          pop ()
+        done;
+        (* push v's missing ancestors, then v: climb to the stack top
+           writing upward, then reverse the new segment into root order *)
+        let stop = if !sp = 0 then -1 else ids.(!sp - 1) in
+        let base = !sp in
+        let x = ref v in
+        while !x <> stop do
+          ids.(!sp) <- !x;
+          masks.(!sp) <- 0;
+          contribs.(!sp) <- 0;
+          covered.(!sp) <- false;
+          incr sp;
+          x := parents.(!x)
+        done;
+        let lo = ref base and hi = ref (!sp - 1) in
+        while !lo < !hi do
+          let t = ids.(!lo) in
+          ids.(!lo) <- ids.(!hi);
+          ids.(!hi) <- t;
+          incr lo;
+          decr hi
+        done;
+        masks.(!sp - 1) <- !bits;
+        contribs.(!sp - 1) <- !bits
       end
     done;
-    (* Propagate coverage upward: a node whose child is covered is covered
-       too (the candidate sits deeper). *)
-    for id = n - 1 downto 1 do
-      if covered.(id) then covered.(nodes.(id).parent) <- true
+    while !sp > 0 do
+      pop ()
     done;
-    let acc = ref [] in
-    for id = n - 1 downto 0 do
-      if masks.(id) = full && not covered.(id) then acc := id :: !acc
-    done;
-    !acc
+    (* frames pop in post-order; SLCAs never nest, so for them that is
+       already document order *)
+    match select with
+    | Smallest -> List.rev !acc
+    | Exclusive | Candidates -> List.sort Int.compare !acc
+  end
 
-let elca index keywords =
-  match keywords with
-  | [] -> []
-  | _ ->
-    let k = List.length keywords in
-    let full = full_mask k in
-    let tree = Index.doctree index in
-    let n = Doctree.size tree in
-    let masks = subtree_masks index keywords in
-    (* Direct-match bits per node. *)
-    let direct = Array.make n 0 in
-    List.iteri
-      (fun ki kw ->
-        let bit = 1 lsl ki in
-        Array.iter
-          (fun id -> direct.(id) <- direct.(id) lor bit)
-          (Index.postings index kw))
-      keywords;
-    (* contribution.(v) = keywords witnessed in v's subtree outside every
-       descendant LCA candidate. Children have larger pre-order ids, so a
-       descending pass sees each child's final contribution before its
-       parent accumulates it; full-mask children contribute nothing (their
-       witnesses belong to the nested result). *)
-    let contribution = Array.copy direct in
-    let nodes = Doctree.nodes tree in
-    for id = n - 1 downto 1 do
-      let p = nodes.(id).parent in
-      if masks.(id) <> full then
-        contribution.(p) <- contribution.(p) lor contribution.(id)
-    done;
-    let acc = ref [] in
-    for id = n - 1 downto 0 do
-      if contribution.(id) = full then acc := id :: !acc
-    done;
-    !acc
+let by_aggregation index keywords = pass Smallest index keywords
+let elca index keywords = pass Exclusive index keywords
+let lca_candidates index keywords = pass Candidates index keywords
 
 (* Dewey-merge implementation, used as a testing oracle.
 

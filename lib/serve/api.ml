@@ -10,7 +10,16 @@ type compare_request = {
   weights : (string * int) list;
 }
 
-let normalize_keywords s = String.concat " " (Token.normalize_query s)
+(* The SLCA pass gives each keyword one bit of an [int] mask, so a query
+   with more distinct keywords cannot be searched: it is a bad request. *)
+let decode_keywords raw =
+  let keywords = Token.normalize_query raw in
+  let n = List.length keywords in
+  if n > Slca.max_keywords then
+    Error
+      (Printf.sprintf "\"q\" has %d distinct keywords, at most %d" n
+         Slca.max_keywords)
+  else Ok (String.concat " " keywords)
 
 (* ---- Decoding ---------------------------------------------------------- *)
 
@@ -50,7 +59,7 @@ let weight_rules j =
 
 let decode_compare json =
   let* dataset = required json "dataset" Json.to_str in
-  let* raw_keywords = required json "q" Json.to_str in
+  let* keywords = Result.bind (required json "q" Json.to_str) decode_keywords in
   let* select = optional json "select" ~default:None (fun j ->
       Option.map Option.some (int_list j)) in
   let* top = optional json "top" ~default:4 Json.to_int in
@@ -73,7 +82,7 @@ let decode_compare json =
   Ok
     {
       dataset;
-      keywords = normalize_keywords raw_keywords;
+      keywords;
       select;
       top;
       size_bound;

@@ -26,11 +26,14 @@ val decode_compare : Json.t -> (compare_request, string) result
     are ignored, so journal records carrying retired fields still
     decode. Keywords are normalized via
     {!Xsact_search.Token.normalize_query}, so requests differing only in
-    case/whitespace decode identically. *)
+    case/whitespace decode identically; more than
+    {!Xsact_search.Slca.max_keywords} distinct keywords is an error. *)
 
-val normalize_keywords : string -> string
-(** The keyword normalization used by {!decode_compare} — exposed so
-    [GET /search] agrees with the cache key. *)
+val decode_keywords : string -> (string, string) result
+(** The keyword normalization used by {!decode_compare}, exposed so
+    [GET /search] agrees with the cache key: the normalized keywords joined
+    by single spaces, or an error when they number more than
+    {!Xsact_search.Slca.max_keywords}. *)
 
 val json_of_compare : compare_request -> Json.t
 (** Inverse of {!decode_compare}: [decode_compare (json_of_compare r) =

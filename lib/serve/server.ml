@@ -410,11 +410,12 @@ let handle_search t req _params =
     error_response ~status:400 ~code:"bad_request"
       "missing query parameter \"q\""
   | Some dataset, Some q -> (
-    match find_entry t dataset with
-    | None ->
+    match (find_entry t dataset, Api.decode_keywords q) with
+    | _, Error e -> error_response ~status:400 ~code:"bad_request" e
+    | None, Ok _ ->
       error_response ~status:404 ~code:"unknown_dataset"
         ("unknown dataset " ^ dataset)
-    | Some entry ->
+    | Some entry, Ok normalized ->
       let limit =
         Option.bind (query_param req "limit") int_of_string_opt
         |> Option.value ~default:10
@@ -428,7 +429,7 @@ let handle_search t req _params =
       json_response ~status:200
         (Json.Obj
            [
-             ("q", Json.String (Api.normalize_keywords q));
+             ("q", Json.String normalized);
              ("count", Json.Int (List.length titled));
              ("results", Api.json_of_results titled);
            ]))

@@ -1,6 +1,7 @@
 (* Tests for the search substrate: doctree, tokenizer, inverted index, the
-   two SLCA implementations (and their agreement on random corpora), node
-   categorization and the end-to-end query pipeline. *)
+   two SLCA implementations (their agreement on random corpora, and the
+   posting-list pass against the whole-document aggregation it replaced),
+   node categorization and the end-to-end query pipeline. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -303,6 +304,176 @@ let prop_slca_subset_elca =
       List.for_all (fun s -> List.mem s elcas) slcas
       && List.for_all (fun e -> List.mem e candidates) elcas)
 
+(* The whole-document aggregation the posting-list pass replaced, kept as a
+   reference: masks over every node id, pushed to the parent by one
+   descending scan (pre-order ids put every parent before its children). *)
+module Reference = struct
+  let full_mask k = (1 lsl k) - 1
+
+  let subtree_masks index keywords =
+    let tree = Index.doctree index in
+    let n = Doctree.size tree in
+    let masks = Array.make n 0 in
+    List.iteri
+      (fun ki kw ->
+        let bit = 1 lsl ki in
+        Array.iter
+          (fun id -> masks.(id) <- masks.(id) lor bit)
+          (Index.postings index kw))
+      keywords;
+    let nodes = Doctree.nodes tree in
+    for id = n - 1 downto 1 do
+      let p = nodes.(id).Doctree.parent in
+      masks.(p) <- masks.(p) lor masks.(id)
+    done;
+    masks
+
+  let lca_candidates index keywords =
+    match keywords with
+    | [] -> []
+    | _ ->
+      let full = full_mask (List.length keywords) in
+      let masks = subtree_masks index keywords in
+      let acc = ref [] in
+      for id = Array.length masks - 1 downto 0 do
+        if masks.(id) = full then acc := id :: !acc
+      done;
+      !acc
+
+  let by_aggregation index keywords =
+    match keywords with
+    | [] -> []
+    | _ ->
+      let full = full_mask (List.length keywords) in
+      let nodes = Doctree.nodes (Index.doctree index) in
+      let masks = subtree_masks index keywords in
+      let n = Array.length masks in
+      (* covered.(id): some proper descendant of id is a candidate *)
+      let covered = Array.make n false in
+      for id = n - 1 downto 1 do
+        if masks.(id) = full then covered.(nodes.(id).Doctree.parent) <- true
+      done;
+      for id = n - 1 downto 1 do
+        if covered.(id) then covered.(nodes.(id).Doctree.parent) <- true
+      done;
+      let acc = ref [] in
+      for id = n - 1 downto 0 do
+        if masks.(id) = full && not covered.(id) then acc := id :: !acc
+      done;
+      !acc
+
+  let elca index keywords =
+    match keywords with
+    | [] -> []
+    | _ ->
+      let full = full_mask (List.length keywords) in
+      let nodes = Doctree.nodes (Index.doctree index) in
+      let n = Array.length nodes in
+      let masks = subtree_masks index keywords in
+      let direct = Array.make n 0 in
+      List.iteri
+        (fun ki kw ->
+          let bit = 1 lsl ki in
+          Array.iter
+            (fun id -> direct.(id) <- direct.(id) lor bit)
+            (Index.postings index kw))
+        keywords;
+      (* contribution.(v): keywords witnessed in v's subtree outside every
+         descendant candidate; full children contribute nothing *)
+      let contribution = Array.copy direct in
+      for id = n - 1 downto 1 do
+        let p = nodes.(id).Doctree.parent in
+        if masks.(id) <> full then
+          contribution.(p) <- contribution.(p) lor contribution.(id)
+      done;
+      let acc = ref [] in
+      for id = n - 1 downto 0 do
+        if contribution.(id) = full then acc := id :: !acc
+      done;
+      !acc
+end
+
+let prop_pass_matches_reference =
+  QCheck.Test.make
+    ~name:"posting-list pass = whole-document reference (slca, elca, candidates)"
+    ~count:500 (QCheck.make gen_corpus)
+    (fun (root, keywords) ->
+      let index = Index.build (Doctree.of_element root) in
+      Slca.by_aggregation index keywords
+      = Reference.by_aggregation index keywords
+      && Slca.elca index keywords = Reference.elca index keywords
+      && Slca.lca_candidates index keywords
+         = Reference.lca_candidates index keywords)
+
+(* A 2,000-deep chain, past the XML parser's depth cap, with keywords at
+   several depths: the pass sizes its stack from the tree's real depth. *)
+let test_deep_chain () =
+  let depth = 2000 in
+  let words =
+    [ (3, "alpha"); (700, "beta"); (1200, "alpha"); (1500, "beta");
+      (1999, "alpha"); (2000, "gamma") ]
+  in
+  let rec chain d =
+    let own =
+      List.filter_map
+        (fun (at, w) -> if at = d then Some (Xml.leaf "w" w) else None)
+        words
+    in
+    Xml.elem "n" (if d = depth then own else own @ [ chain (d + 1) ])
+  in
+  let root =
+    match chain 1 with Xml.Element e -> e | _ -> assert false
+  in
+  let tree = Doctree.of_element root in
+  check Alcotest.int "depth past the parser cap" (depth + 1)
+    (Doctree.max_depth tree);
+  let index = Index.build tree in
+  let engine = Search.of_element root in
+  List.iter
+    (fun keywords ->
+      let name = String.concat "+" keywords in
+      let slcas = Slca.by_aggregation index keywords in
+      check Alcotest.bool (name ^ " has SLCAs") true (slcas <> []);
+      check Alcotest.(list int) (name ^ ": aggregation = merge")
+        (Slca.by_merge index keywords) slcas;
+      check Alcotest.(list int) (name ^ ": elca = reference")
+        (Reference.elca index keywords) (Slca.elca index keywords);
+      check Alcotest.bool (name ^ ": query answers") true
+        (Search.query engine (String.concat " " keywords) <> []))
+    [ [ "alpha" ]; [ "alpha"; "beta" ]; [ "beta"; "gamma" ];
+      [ "alpha"; "beta"; "gamma" ]; [ "gamma"; "w" ] ]
+
+(* Each keyword takes one bit of an int: 63 keywords still form a full
+   conjunction, and a 64th is refused instead of silently dropped. *)
+let test_keyword_bound () =
+  let words n = List.init n (Printf.sprintf "w%d") in
+  let root =
+    match
+      Xml.elem "r"
+        [ Xml.elem "item" [ Xml.leaf "t" (String.concat " " (words 64)) ];
+          Xml.elem "item" [ Xml.leaf "t" (String.concat " " (words 62)) ] ]
+    with
+    | Xml.Element e -> e
+    | _ -> assert false
+  in
+  let engine = Search.of_element root in
+  check Alcotest.int "the bound is the int width" Sys.int_size
+    Slca.max_keywords;
+  check Alcotest.int "63 keywords: only the item holding all of them" 1
+    (List.length (Search.query engine (String.concat " " (words 63))));
+  check Alcotest.(list int) "63 keywords: SLCA = merge"
+    (Slca.by_merge (Search.index engine) (words 63))
+    (Slca.by_aggregation (Search.index engine) (words 63));
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  raises "Search.query, 64 keywords" (fun () ->
+      ignore (Search.query engine (String.concat " " (words 64))));
+  raises "Slca.by_aggregation, 64 keywords" (fun () ->
+      ignore (Slca.by_aggregation (Search.index engine) (words 64)))
+
 (* ---- Node_category --------------------------------------------------------- *)
 
 let test_categories () =
@@ -421,6 +592,59 @@ let test_nested_results_deduped () =
   check Alcotest.int "one product" 1 (List.length results);
   check Alcotest.string "product" "product" (List.hd results).Search.element.Xml.tag
 
+(* Lifting to a tag can nest one candidate inside another. Reference: the
+   Dewey-merge SLCAs, the same lifting, and the quadratic nested-candidate
+   filter the interval sweep replaced. *)
+let prop_query_lift_to =
+  QCheck.Test.make ~name:"query with lift_to = merge SLCAs + quadratic filter"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair gen_corpus (oneofl [ "a"; "b"; "c"; "d" ])))
+    (fun ((root, keywords), tag) ->
+      let engine = Search.of_element root in
+      let tree = Search.doctree engine in
+      let q = String.concat " " keywords in
+      let lift id =
+        let rec up id =
+          let node = Doctree.node tree id in
+          if node.Doctree.tag = tag then Some id
+          else if node.Doctree.parent < 0 then None
+          else up node.Doctree.parent
+        in
+        match up id with
+        | Some id -> id
+        | None -> Node_category.entity_of (Search.categories engine) tree id
+      in
+      let order = ref [] and witnesses = Hashtbl.create 8 in
+      List.iter
+        (fun s ->
+          let e = lift s in
+          match Hashtbl.find_opt witnesses e with
+          | Some l -> Hashtbl.replace witnesses e (s :: l)
+          | None ->
+            Hashtbl.add witnesses e [ s ];
+            order := e :: !order)
+        (Slca.by_merge (Search.index engine) (Token.normalize_query q));
+      let candidates = List.rev !order in
+      let expected =
+        List.filter
+          (fun id ->
+            not
+              (List.exists
+                 (fun other ->
+                   other <> id
+                   && Doctree.is_descendant_or_self tree ~ancestor:other id)
+                 candidates))
+          candidates
+        |> List.map (fun id -> (id, List.rev (Hashtbl.find witnesses id)))
+      in
+      let got =
+        List.map
+          (fun r -> (r.Search.node_id, r.Search.slca_ids))
+          (Search.query ~lift_to:tag engine q)
+      in
+      List.sort compare got = List.sort compare expected)
+
 let () =
   Alcotest.run "xsact_search"
     [
@@ -448,9 +672,12 @@ let () =
           Alcotest.test_case "elca basics" `Quick test_elca_basic;
           Alcotest.test_case "elca ancestor witness" `Quick
             test_elca_owns_witness;
+          Alcotest.test_case "2,000-deep chain" `Quick test_deep_chain;
+          Alcotest.test_case "keyword bound" `Quick test_keyword_bound;
           qtest prop_slca_agreement;
           qtest prop_slca_minimality;
           qtest prop_slca_subset_elca;
+          qtest prop_pass_matches_reference;
         ] );
       ( "categories",
         [
@@ -467,5 +694,6 @@ let () =
           Alcotest.test_case "lift_to" `Quick test_query_lift_to;
           Alcotest.test_case "tf-idf scoring" `Quick test_tfidf_scoring;
           Alcotest.test_case "nested dedup" `Quick test_nested_results_deduped;
+          qtest prop_query_lift_to;
         ] );
     ]

@@ -350,6 +350,41 @@ let test_handle_compare_errors () =
        "/compare")
       .Http.status
 
+(* The SLCA pass gives each keyword one bit of an int: 64 distinct words
+   that occur nowhere must be refused, not folded into a mask that matches
+   everything. 63 such words are a valid query with no results. *)
+let test_handle_keyword_bound () =
+  let words n =
+    String.concat " " (List.init n (Printf.sprintf "zzq%d"))
+  in
+  let body n =
+    Printf.sprintf {|{"dataset":"product-reviews","q":"%s","top":3}|}
+      (words n)
+  in
+  let code resp =
+    match Json.member "code" (member_exn "error" resp.Http.resp_body) with
+    | Some (Json.String c) -> c
+    | _ -> Alcotest.failf "no error code in %s" resp.Http.resp_body
+  in
+  let resp = handle ~meth:"POST" ~body:(body 64) "/compare" in
+  check Alcotest.int "compare, 64 keywords" 400 resp.Http.status;
+  check Alcotest.string "compare, 64 keywords: code" "bad_request" (code resp);
+  let resp = handle ~meth:"POST" ~body:(body 63) "/compare" in
+  check Alcotest.int "compare, 63 keywords" 404 resp.Http.status;
+  check Alcotest.string "compare, 63 keywords: code" "no_results" (code resp);
+  check Alcotest.int "session, 64 keywords" 400
+    (handle ~meth:"POST" ~body:(body 64) "/session").Http.status;
+  let search n =
+    handle
+      ("/search?dataset=product-reviews&q="
+      ^ String.concat "+" (String.split_on_char ' ' (words n)))
+  in
+  check Alcotest.int "search, 64 keywords" 400 (search 64).Http.status;
+  let resp = search 63 in
+  check Alcotest.int "search, 63 keywords" 200 resp.Http.status;
+  check json "search, 63 keywords: no results" (Json.Int 0)
+    (member_exn "count" resp.Http.resp_body)
+
 let test_handle_compare_cache () =
   let miss = handle ~meth:"POST" ~body:compare_body "/compare" in
   check Alcotest.int "compare ok" 200 miss.Http.status;
@@ -723,6 +758,7 @@ let () =
           Alcotest.test_case "basic routes" `Quick test_handle_basic;
           Alcotest.test_case "search" `Quick test_handle_search;
           Alcotest.test_case "compare errors" `Quick test_handle_compare_errors;
+          Alcotest.test_case "keyword bound" `Quick test_handle_keyword_bound;
           Alcotest.test_case "compare cache" `Quick test_handle_compare_cache;
           Alcotest.test_case "sessions" `Quick test_handle_sessions;
           Alcotest.test_case "domains field ignored" `Quick
