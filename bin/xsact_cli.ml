@@ -155,6 +155,17 @@ let or_die = function
     prerr_endline ("xsact: " ^ msg);
     exit 1
 
+(* The SLCA pass gives each keyword one bit of an [int] mask, so a query
+   with more distinct keywords cannot be searched. Every command that
+   searches checks this first, instead of letting the search raise. *)
+let check_keywords keywords =
+  let n = List.length (Token.normalize_query keywords) in
+  if n > Slca.max_keywords then
+    Error
+      (Printf.sprintf "query has %d distinct keywords, at most %d are supported"
+         n Slca.max_keywords)
+  else Ok ()
+
 let or_die_compare = function
   | Ok v -> v
   | Error e ->
@@ -296,6 +307,7 @@ let search_cmd =
       & info [ "scoring" ] ~docv:"R" ~doc)
   in
   let run dataset file lists keywords limit lift_to semantics scoring =
+    or_die (check_keywords keywords);
     let doc = or_die (load_corpus ?lists ~dataset ~file ()) in
     let engine = Search.create doc in
     let results =
@@ -321,6 +333,7 @@ let search_cmd =
 
 let snippets_cmd =
   let run dataset file lists keywords size_bound top lift_to =
+    or_die (check_keywords keywords);
     let doc = or_die (load_corpus ?lists ~dataset ~file ()) in
     let pipeline = Pipeline.create doc in
     let results = Pipeline.search ~limit:top ?lift_to pipeline keywords in
@@ -352,6 +365,7 @@ let compare_cmd =
   in
   let run dataset file lists keywords size_bound algorithm threshold measure
       weight prune select top lift_to html markdown explain stats =
+    or_die (check_keywords keywords);
     let doc = or_die (load_corpus ?lists ~dataset ~file ()) in
     let pipeline = Pipeline.create doc in
     let params = { Dod.threshold_pct = threshold; measure } in
@@ -502,11 +516,14 @@ let repl_cmd =
          | "", _ -> ()
          | "quit", _ | "exit", _ -> raise Exit
          | "help", _ -> help ()
-         | "search", kw ->
-           keywords := kw;
-           selection := [];
-           results := Search.query ~limit:20 ?lift_to:!lift engine kw;
-           print_results ()
+         | "search", kw -> (
+           match check_keywords kw with
+           | Error msg -> Printf.printf "  error: %s\n" msg
+           | Ok () ->
+             keywords := kw;
+             selection := [];
+             results := Search.query ~limit:20 ?lift_to:!lift engine kw;
+             print_results ())
          | "lift", "off" -> lift := None
          | "lift", tag -> lift := Some tag
          | "select", ranks ->

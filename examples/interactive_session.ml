@@ -32,12 +32,15 @@ let () =
       |> step 1 "compare the first two phones"
     in
     (* 2-3. Tick two more checkboxes. *)
-    let s = Session.add s p3 |> step 2 "add a third phone" in
-    let s = Session.add s p4 |> step 3 "add a fourth phone" in
+    let s = ok (Session.apply s [ Session.Add p3 ]) |> step 2 "add a third phone" in
+    let s = ok (Session.apply s [ Session.Add p4 ]) |> step 3 "add a fourth phone" in
     (* 4. Widen the table. *)
-    let s = ok (Session.set_size_bound s 10) |> step 4 "widen the table to L = 10" in
+    let s =
+      ok (Session.apply s [ Session.Set_size_bound 10 ])
+      |> step 4 "widen the table to L = 10"
+    in
     (* 5. The second phone is out of budget; drop it. *)
-    let s = ok (Session.remove s 1) |> step 5 "drop the second phone" in
+    let s = ok (Session.apply s [ Session.Remove 1 ]) |> step 5 "drop the second phone" in
     Printf.printf "final table:\n\n%s\n" (Render_text.table (Session.table s));
     (* 6. Re-weight toward battery life and star ratings and compare. *)
     let weighted =

@@ -8,7 +8,8 @@ let default_params = { threshold_pct = 10.0; measure = Raw }
    A link is two unboxed ints in a flat [int array]:
      word A = (other  lsl 20) lor gi_other
      word B = (gap_self lsl 31) lor gap_other
-   so a list of links is a run of 2×len words. The sentinel first-gap
+   so a list of links is a run of 2×len words, and a context holds all
+   of its lists back to back in one buffer. The sentinel first-gap
    value fits the 31-bit field, which is why [infinity_gap] is
    [2^31 - 1] rather than [max_int]; real gaps are 1-based prefix
    indices and never approach it. [gi] indices are bounded by
@@ -27,20 +28,6 @@ type link = {
   gap_self : int;
   gap_other : int;
 }
-
-(* A link list is a chain of segments aliasing shared buffers: a fresh
-   build is one contiguous segment per list into one context-wide buffer;
-   delta operations cons short fresh segments in front of (or alias
-   suffixes of) the input's segments instead of copying. [slen] counts
-   links; each link is 2 words at [sbuf.(soff + 2k)]. The nil sentinel is
-   its own tail so iteration needs one physical-equality test, no option
-   boxing. *)
-type seg = { sbuf : int array; soff : int; slen : int; snext : seg }
-
-let rec nil_seg = { sbuf = [||]; soff = 0; slen = 0; snext = nil_seg }
-
-let rec chain_len s acc =
-  if s == nil_seg then acc else chain_len s.snext (acc + s.slen)
 
 (* A pair's entry table, before orientation: the shared types of results
    (i, j), i < j, packed two words per entry in the iteration order of
@@ -62,9 +49,12 @@ type context = {
      can weight types of results added later *)
   weight_fn : Feature.ftype -> int;
   results : Result_profile.t array;
-  (* links_table.(i).(gi) = all pair links of type gi of result i, as a
-     segment chain over packed buffers *)
-  links_table : seg array array;
+  (* every pair link of the context, 2 packed words per link, one
+     contiguous run per list, the lists in (result, type) order *)
+  links : int array;
+  (* the links of type gi of result i are links starts.(i).(gi) to
+     starts.(i).(gi + 1) - 1, link k at words 2k and 2k + 1 of [links] *)
+  starts : int array array;
   (* weights.(i).(gi) = interestingness weight of that type *)
   weights : int array array;
   (* per-result feature -> count, kept for witness explanations *)
@@ -78,7 +68,7 @@ type context = {
      re-orienting. *)
   ids : int array;
   next_id : int;
-  (* (id_lo, id_hi) -> that pair's packed entries. The links_table is a
+  (* (id_lo, id_hi) -> that pair's packed entries. The link table is a
      pure fold of this map in canonical pair order, so deltas rebuild it
      by replay instead of recomputing first-gap scans. *)
   pairs : int array Pair_map.t;
@@ -179,14 +169,14 @@ let compute_pair params results counts fmaps i j =
     fmaps.(i);
   e
 
-(* Replay the cached pair entries into a fresh links_table, visiting the
+(* Replay the cached pair entries into a fresh link table, visiting the
    unordered pairs (i, j), i < j, in row-major order — exactly the merge
    order of the original batch build, so a table derived from any mix of
    cached and freshly-computed pairs is bit-identical to a from-scratch
-   one. Two passes: count per-list lengths, then fill one context-wide
-   packed buffer backward per list, so the last-merged link (the logical
-   head of the old prepend order) lands at each segment's start. Every
-   list is a single contiguous segment. O(total links): no first-gap
+   one. Two passes: count per-list lengths into [starts] (one slot up)
+   and prefix-sum them into list offsets, then fill each list backward,
+   so the last-merged link lands at the list's start and every list runs
+   in strictly descending partner order. O(total links): no first-gap
    scans, no feature-map lookups. *)
 let derive_links_table results ids pairs =
   let n = Array.length results in
@@ -195,38 +185,36 @@ let derive_links_table results ids pairs =
     | Some e -> e
     | None -> invalid_arg "Dod: missing pair table"
   in
-  let lens =
+  let starts =
     Array.map
-      (fun profile -> Array.make (Result_profile.num_types profile) 0)
+      (fun profile -> Array.make (Result_profile.num_types profile + 1) 0)
       results
   in
-  let total = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let e = find_entries i j in
       let ne = Array.length e / 2 in
-      total := !total + (2 * ne);
       for k = 0 to ne - 1 do
         let a = e.(2 * k) in
         let gi_i = a lsr gi_bits and gi_j = a land gi_mask in
-        lens.(i).(gi_i) <- lens.(i).(gi_i) + 1;
-        lens.(j).(gi_j) <- lens.(j).(gi_j) + 1
+        starts.(i).(gi_i + 1) <- starts.(i).(gi_i + 1) + 1;
+        starts.(j).(gi_j + 1) <- starts.(j).(gi_j + 1) + 1
       done
     done
   done;
-  let buf = Array.make (2 * !total) 0 in
-  let offs = Array.map (fun row -> Array.make (Array.length row) 0) lens in
-  let cur = Array.map (fun row -> Array.make (Array.length row) 0) lens in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun gi len ->
-          offs.(i).(gi) <- !pos;
-          cur.(i).(gi) <- !pos + (2 * len);
-          pos := !pos + (2 * len))
-        row)
-    lens;
+  let total = ref 0 in
+  Array.iter
+    (fun row ->
+      row.(0) <- !total;
+      for gi = 1 to Array.length row - 1 do
+        row.(gi) <- row.(gi - 1) + row.(gi)
+      done;
+      total := row.(Array.length row - 1))
+    starts;
+  let links = Array.make (2 * !total) 0 in
+  (* cur.(i).(gi): one past the next free link of the list, filled
+     backward from its end *)
+  let cur = Array.map (fun row -> Array.sub row 1 (Array.length row - 1)) starts in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let e = find_entries i j in
@@ -235,228 +223,41 @@ let derive_links_table results ids pairs =
         let a = e.(2 * k) and b = e.(2 * k + 1) in
         let gi_i = a lsr gi_bits and gi_j = a land gi_mask in
         let gap_i = b lsr gap_bits and gap_j = b land gap_mask in
-        let p = cur.(i).(gi_i) - 2 in
+        let p = cur.(i).(gi_i) - 1 in
         cur.(i).(gi_i) <- p;
-        buf.(p) <- (j lsl gi_bits) lor gi_j;
-        buf.(p + 1) <- b;
-        let p = cur.(j).(gi_j) - 2 in
+        links.(2 * p) <- (j lsl gi_bits) lor gi_j;
+        links.(2 * p + 1) <- b;
+        let p = cur.(j).(gi_j) - 1 in
         cur.(j).(gi_j) <- p;
-        buf.(p) <- (i lsl gi_bits) lor gi_i;
-        buf.(p + 1) <- (gap_j lsl gap_bits) lor gap_i
+        links.(2 * p) <- (i lsl gi_bits) lor gi_i;
+        links.(2 * p + 1) <- (gap_j lsl gap_bits) lor gap_i
       done
     done
   done;
-  Array.init n (fun i ->
-      Array.mapi
-        (fun gi len ->
-          if len = 0 then nil_seg
-          else { sbuf = buf; soff = offs.(i).(gi); slen = len; snext = nil_seg })
-        lens.(i))
+  (links, starts)
 
-(* Extend a links_table for one appended result, bit-identically to a
-   batch rebuild over the extended array. In the batch's row-major merge,
-   every new pair (k, n) is the last pair of row k, so for an existing
-   result k the new links are the final prepends to its lists — each
-   affected list gains a fresh 1-link segment at its head, with the old
-   chain behind it (physically shared; [equal_context] compares the
-   logical sequences). The appended result's own lists see pairs (0, n) …
-   (n−1, n) in that order, built contiguously into their own buffer.
-   O(n × types) fresh words, not the O(n²) of a full replay. *)
-let extend_links_table links_table results new_buffers =
-  let n = Array.length links_table in
-  let n_entries =
-    Array.fold_left (fun acc e -> acc + (Array.length e / 2)) 0 new_buffers
-  in
-  let addbuf = Array.make (2 * n_entries) 0 in
-  let apos = ref 0 in
-  let nt = Result_profile.num_types results.(n) in
-  let lens_n = Array.make nt 0 in
-  Array.iter
-    (fun e ->
-      let ne = Array.length e / 2 in
-      for k = 0 to ne - 1 do
-        let gi_n = e.(2 * k) land gi_mask in
-        lens_n.(gi_n) <- lens_n.(gi_n) + 1
-      done)
-    new_buffers;
-  let nbuf = Array.make (2 * n_entries) 0 in
-  let offs_n = Array.make nt 0 and cur_n = Array.make nt 0 in
-  let pos = ref 0 in
-  for gi = 0 to nt - 1 do
-    offs_n.(gi) <- !pos;
-    cur_n.(gi) <- !pos + (2 * lens_n.(gi));
-    pos := !pos + (2 * lens_n.(gi))
-  done;
-  let table =
-    Array.init (n + 1) (fun k ->
-        if k < n then Array.copy links_table.(k)
-        else
-          Array.init nt (fun gi ->
-              if lens_n.(gi) = 0 then nil_seg
-              else
-                {
-                  sbuf = nbuf;
-                  soff = offs_n.(gi);
-                  slen = lens_n.(gi);
-                  snext = nil_seg;
-                }))
-  in
-  for k = 0 to n - 1 do
-    let e = new_buffers.(k) in
-    let ne = Array.length e / 2 in
-    for m = 0 to ne - 1 do
-      let a = e.(2 * m) and b = e.(2 * m + 1) in
-      let gi_k = a lsr gi_bits and gi_n = a land gi_mask in
-      let gap_k = b lsr gap_bits and gap_n = b land gap_mask in
-      let p = !apos in
-      apos := p + 2;
-      addbuf.(p) <- (n lsl gi_bits) lor gi_n;
-      addbuf.(p + 1) <- b;
-      table.(k).(gi_k) <-
-        { sbuf = addbuf; soff = p; slen = 1; snext = table.(k).(gi_k) };
-      let p = cur_n.(gi_n) - 2 in
-      cur_n.(gi_n) <- p;
-      nbuf.(p) <- (k lsl gi_bits) lor gi_k;
-      nbuf.(p + 1) <- (gap_n lsl gap_bits) lor gap_k
-    done
-  done;
-  table
-
-(* Shrink a link chain past a removed result. The batch merge order makes
-   every chain strictly descending in the partner index (row k's prepends
-   run (0,k) … (k−1,k) then (k,k+1) … (k,n−1), so the head holds the
-   largest index), which turns the old full filter+reindex into prefix
-   surgery: locate the boundary, rewrite the links with [other > index]
-   (shift down) into one fresh segment and alias the whole remainder of
-   the chain — possibly mid-segment — physically. Cost O(links above the
-   removed index); chains the removed result never reached are returned
-   as-is ([==]). *)
-let locate_cut index chain =
-  (* (links above the removed index, the shared tail below it, whether a
-     link to the removed result itself was found and skipped) *)
-  let rec go s npre =
-    if s == nil_seg then (npre, nil_seg, false)
-    else begin
-      let rec scan k =
-        if k >= s.slen then None
-        else
-          let other = s.sbuf.(s.soff + (2 * k)) lsr gi_bits in
-          if other > index then scan (k + 1) else Some (k, other = index)
-      in
-      match scan 0 with
-      | None -> go s.snext (npre + s.slen)
-      | Some (k, hit) ->
-        let cut = if hit then k + 1 else k in
-        let tail =
-          if cut >= s.slen then s.snext
-          else if cut = 0 then s
-          else
-            {
-              sbuf = s.sbuf;
-              soff = s.soff + (2 * cut);
-              slen = s.slen - cut;
-              snext = s.snext;
-            }
-        in
-        (npre + k, tail, hit)
-    end
-  in
-  go chain 0
-
-let shrink_chain index chain =
-  let npre, tail, hit = locate_cut index chain in
-  if npre = 0 && not hit then chain (* every [other] < index: shared *)
-  else if npre = 0 then tail (* head drop: shared tail *)
-  else begin
-    let buf = Array.make (2 * npre) 0 in
-    let pos = ref 0 in
-    let rec copy s =
-      if !pos < 2 * npre then begin
-        let take = min s.slen ((2 * npre - !pos) / 2) in
-        for k = 0 to take - 1 do
-          buf.(!pos) <- s.sbuf.(s.soff + (2 * k)) - (1 lsl gi_bits);
-          buf.(!pos + 1) <- s.sbuf.(s.soff + (2 * k) + 1);
-          pos := !pos + 2
-        done;
-        copy s.snext
-      end
-    in
-    copy chain;
-    { sbuf = buf; soff = 0; slen = npre; snext = tail }
-  end
-
-let shrink_row index row =
-  let changed = ref false in
-  let row' =
-    Array.map
-      (fun s ->
-        let s' = shrink_chain index s in
-        if s' != s then changed := true;
-        s')
-      row
-  in
-  if !changed then row' else row
-
-let shrink_links_table links_table index =
-  let n = Array.length links_table in
-  Array.init (n - 1) (fun k' ->
-      let k = if k' < index then k' else k' + 1 in
-      shrink_row index links_table.(k))
-
-(* Fast path for removing the {e newest} result (the interactive undo):
-   its links were the final prepends of every row, so they sit at the
-   chain heads and no surviving index shifts — the new table is the old
-   one minus those heads, and dropping a head is pure offset arithmetic
-   (or stepping to the next segment), zero fresh link words. The pairs
-   map doubles as a per-result membership index: the entries of pair
-   (id_k, removed_id) name exactly the lists of survivor k that link to
-   the removed result, so the surgery touches nothing else — untouched
-   chains, tails, and whole rows (when the pair shares no types) are the
-   input's own, physically. *)
-let drop_head s =
-  if s.slen > 1 then { s with soff = s.soff + 2; slen = s.slen - 1 }
-  else s.snext
-
-let remove_last_links_table c ~index ~removed =
-  Array.init index (fun k ->
-      match Pair_map.find_opt (c.ids.(k), removed) c.pairs with
-      | None -> c.links_table.(k)
-      | Some e when Array.length e = 0 -> c.links_table.(k)
-      | Some e ->
-        let row = Array.copy c.links_table.(k) in
-        let ne = Array.length e / 2 in
-        for m = 0 to ne - 1 do
-          let gi_k = e.(2 * m) lsr gi_bits in
-          let s = row.(gi_k) in
-          (* membership index out of sync if the head is not the removed
-             result's link *)
-          assert (s != nil_seg && s.sbuf.(s.soff) lsr gi_bits = index);
-          row.(gi_k) <- drop_head s
-        done;
-        row)
-
-(* Compute the entry tables for an explicit worklist of pairs. A context
-   is all-or-nothing — a partially linked table would silently change the
-   objective — so a tripped deadline raises Deadline.Expired between pairs
-   instead of returning something degraded. *)
-let compute_pairs ?deadline params results counts fmaps pair_i pair_j =
-  Array.init (Array.length pair_i) (fun p ->
-      Deadline.check deadline;
-      compute_pair params results counts fmaps pair_i.(p) pair_j.(p))
-
-(* All unordered pairs (i, j), i < j, flattened in row-major order. *)
-let all_pairs n =
-  let npairs = n * (n - 1) / 2 in
-  let pair_i = Array.make npairs 0 and pair_j = Array.make npairs 0 in
-  let p = ref 0 in
+(* The pair map over the arrangement [ids]: each pair's entry table comes
+   from [cached] when it holds one, otherwise it is computed. A context is
+   all-or-nothing — a partially linked table would silently change the
+   objective — so a tripped deadline raises Deadline.Expired before a
+   computed pair instead of returning something degraded. *)
+let pair_map ?deadline params results counts fmaps ids cached =
+  let pairs = ref Pair_map.empty in
+  let n = Array.length results in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      pair_i.(!p) <- i;
-      pair_j.(!p) <- j;
-      incr p
+      let key = (ids.(i), ids.(j)) in
+      let entries =
+        match Pair_map.find_opt key cached with
+        | Some entries -> entries
+        | None ->
+          Deadline.check deadline;
+          compute_pair params results counts fmaps i j
+      in
+      pairs := Pair_map.add key entries !pairs
     done
   done;
-  (pair_i, pair_j)
+  !pairs
 
 (* [domains] is ignored; it stays only for e2ebench/replay.ml. *)
 let make_context ?(params = default_params) ?(weight = fun _ -> 1)
@@ -468,93 +269,26 @@ let make_context ?(params = default_params) ?(weight = fun _ -> 1)
   let n = Array.length results in
   let counts = Array.map counts_map results in
   let fmaps = Array.map ftype_map results in
-  let pair_i, pair_j = all_pairs n in
-  let buffers =
-    compute_pairs ?deadline params results counts fmaps pair_i pair_j
-  in
   let ids = Array.init n (fun i -> i) in
-  let pairs = ref Pair_map.empty in
-  Array.iteri
-    (fun p entries ->
-      pairs := Pair_map.add (pair_i.(p), pair_j.(p)) entries !pairs)
-    buffers;
-  let links_table = derive_links_table results ids !pairs in
+  let pairs =
+    pair_map ?deadline params results counts fmaps ids Pair_map.empty
+  in
+  let links, starts = derive_links_table results ids pairs in
   {
     params;
     weight_fn = weight;
     results;
-    links_table;
+    links;
+    starts;
     weights;
     counts;
     fmaps;
     ids;
     next_id = n;
-    pairs = !pairs;
+    pairs;
   }
 
-(* {2 Delta operations}
-
-   All three return a fresh context sharing the surviving pair entry
-   tables and link buffers with the input — the input context stays fully
-   usable (sessions keep their history, and a deadline tripping mid-delta
-   leaves it intact). Because [compute_pair] is a pure function of the
-   two profiles and the params, and the table surgery
-   ([extend_links_table] / [shrink_links_table]) reproduces the canonical
-   batch merge order, every delta result is bit-identical to
-   [make_context] over the same result array. *)
-
-let add_result ?deadline c profile =
-  Deadline.check deadline;
-  let n = Array.length c.results in
-  let results = Array.append c.results [| profile |] in
-  let weights = Array.append c.weights [| weights_row c.weight_fn profile |] in
-  let counts = Array.append c.counts [| counts_map profile |] in
-  let fmaps = Array.append c.fmaps [| ftype_map profile |] in
-  let ids = Array.append c.ids [| c.next_id |] in
-  (* only the n new pairs (i, n), i < n — the surviving O(n²) are cached *)
-  let pair_i = Array.init n (fun i -> i) in
-  let pair_j = Array.make n n in
-  let buffers =
-    compute_pairs ?deadline c.params results counts fmaps pair_i pair_j
-  in
-  let pairs = ref c.pairs in
-  Array.iteri
-    (fun i entries -> pairs := Pair_map.add (c.ids.(i), c.next_id) entries !pairs)
-    buffers;
-  let links_table = extend_links_table c.links_table results buffers in
-  {
-    c with
-    results;
-    weights;
-    counts;
-    fmaps;
-    ids;
-    next_id = c.next_id + 1;
-    pairs = !pairs;
-    links_table;
-  }
-
-let remove_result c index =
-  let n = Array.length c.results in
-  if index < 0 || index >= n then
-    invalid_arg "Dod.remove_result: index out of range";
-  if n <= 2 then invalid_arg "Dod.remove_result: need at least two results";
-  let removed = c.ids.(index) in
-  let keep = Array.init (n - 1) (fun i -> if i < index then i else i + 1) in
-  let take a = Array.map (fun i -> a.(i)) keep in
-  let results = take c.results in
-  let weights = take c.weights in
-  let counts = take c.counts in
-  let fmaps = take c.fmaps in
-  let ids = take c.ids in
-  let pairs =
-    Pair_map.filter (fun (a, b) _ -> a <> removed && b <> removed) c.pairs
-  in
-  let links_table =
-    if index = n - 1 then remove_last_links_table c ~index ~removed
-    else shrink_links_table c.links_table index
-  in
-  { c with results; weights; counts; fmaps; ids; pairs; links_table }
+(* {2 Deltas} *)
 
 type op =
   | Add of Result_profile.t
@@ -572,192 +306,117 @@ type slot = Old of int | New of int * Result_profile.t
    slot descriptors first — O(ops × n) bookkeeping, no pair work — which
    is where the dedup falls out: a result added and later removed within
    the batch never becomes a slot, so its pairs are never computed, and
-   only the last params/weight matter. Then one pair worklist (everything
-   not cached: pairs touching new results, or all of them after a params
-   change) and one link-table replay produce the final context.
+   only the last params/weight matter. Then the pairs the cache cannot
+   serve (those touching new results, or all of them after a params
+   change) are computed, and one link-table replay produces the final
+   context. The input shares its pair entry tables with the result and
+   stays fully usable: sessions keep their history, and a deadline
+   tripping mid-delta leaves it intact.
 
    The arrangement invariant holds throughout: removes preserve relative
    order and adds append with fresh (larger) ids, so ids stay strictly
    increasing with position and every cached entry table keeps its
-   orientation. *)
-let apply_batch ?deadline c ops =
-  let slots =
-    ref (List.init (Array.length c.results) (fun i -> Old i))
-  in
-  let next_id = ref c.next_id in
-  let final_params = ref c.params in
-  let weight_fn = ref c.weight_fn in
-  let weight_dirty = ref false in
-  List.iter
-    (function
-      | Add p ->
-        slots := !slots @ [ New (!next_id, p) ];
-        incr next_id
-      | Remove i ->
-        let len = List.length !slots in
-        if i < 0 || i >= len then
-          invalid_arg "Dod.apply: remove index out of range";
-        if len <= 2 then invalid_arg "Dod.apply: need at least two results";
-        slots := List.filteri (fun j _ -> j <> i) !slots
-      | Reparams { params; weight } ->
-        (match params with Some p -> final_params := p | None -> ());
-        (match weight with
-        | Some w ->
-          weight_fn := w;
-          weight_dirty := true
-        | None -> ()))
-    ops;
-  let slots = Array.of_list !slots in
-  let params = !final_params in
-  let params_changed = params <> c.params in
-  let results =
-    Array.map (function Old i -> c.results.(i) | New (_, p) -> p) slots
-  in
-  let counts =
-    Array.map (function Old i -> c.counts.(i) | New (_, p) -> counts_map p)
-      slots
-  in
-  let fmaps =
-    Array.map (function Old i -> c.fmaps.(i) | New (_, p) -> ftype_map p)
-      slots
-  in
-  let ids =
-    Array.map (function Old i -> c.ids.(i) | New (id, _) -> id) slots
-  in
-  let weights =
-    if !weight_dirty then Array.map (weights_row !weight_fn) results
-    else
-      Array.map
-        (function
-          | Old i -> c.weights.(i) | New (_, p) -> weights_row !weight_fn p)
-        slots
-  in
-  let n = Array.length results in
-  (* One worklist of every pair not served by the cache, in row-major
-     order (the order is irrelevant to the result — entries are keyed). *)
-  let pairs = ref Pair_map.empty in
-  let missing = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let key = (ids.(i), ids.(j)) in
-      match
-        if params_changed then None else Pair_map.find_opt key c.pairs
-      with
-      | Some entries -> pairs := Pair_map.add key entries !pairs
-      | None -> missing := (i, j) :: !missing
-    done
-  done;
-  let missing = Array.of_list (List.rev !missing) in
-  let pair_i = Array.map fst missing and pair_j = Array.map snd missing in
-  let buffers =
-    compute_pairs ?deadline params results counts fmaps pair_i pair_j
-  in
-  Array.iteri
-    (fun p entries ->
-      pairs := Pair_map.add (ids.(pair_i.(p)), ids.(pair_j.(p))) entries !pairs)
-    buffers;
-  let links_table = derive_links_table results ids !pairs in
-  {
-    params;
-    weight_fn = !weight_fn;
-    results;
-    links_table;
-    weights;
-    counts;
-    fmaps;
-    ids;
-    next_id = !next_id;
-    pairs = !pairs;
-  }
-
-(* Only a weight-only change has a fast path: the pair tables do not
-   depend on weights. Threshold/measure feed the first-gap scans, so a
-   params change recomputes every pair — exactly what a one-op batch does. *)
-let reparams ?params ?weight ?deadline c =
-  Deadline.check deadline;
-  match params with
-  | Some p when p <> c.params ->
-    apply_batch ?deadline c [ Reparams { params; weight } ]
-  | _ ->
-    let weights =
-      match weight with
-      | Some w -> Array.map (weights_row w) c.results
-      | None -> c.weights
-    in
-    { c with weight_fn = Option.value weight ~default:c.weight_fn; weights }
-
+   orientation. Because [compute_pair] is a pure function of the two
+   profiles and the params, and [derive_links_table] replays the
+   canonical merge order, the result is bit-identical to [make_context]
+   over the same result array. *)
 let apply ?deadline c ops =
   Deadline.check deadline;
   match ops with
   | [] -> c
-  (* Single ops keep their dedicated surgical paths — an appended result
-     splices links instead of replaying the table, a removed one shares
-     every untouched tail — so routing session history through [apply]
-     costs nothing over calling the specific operation. *)
-  | [ Add p ] -> add_result ?deadline c p
-  | [ Remove i ] -> remove_result c i
-  | [ Reparams { params; weight } ] -> reparams ?params ?weight ?deadline c
-  | ops -> apply_batch ?deadline c ops
+  | ops ->
+    let slots = ref (List.init (Array.length c.results) (fun i -> Old i)) in
+    let next_id = ref c.next_id in
+    let final_params = ref c.params in
+    let weight_fn = ref c.weight_fn in
+    let weight_dirty = ref false in
+    List.iter
+      (function
+        | Add p ->
+          slots := !slots @ [ New (!next_id, p) ];
+          incr next_id
+        | Remove i ->
+          let len = List.length !slots in
+          if i < 0 || i >= len then
+            invalid_arg "Dod.apply: remove index out of range";
+          if len <= 2 then invalid_arg "Dod.apply: need at least two results";
+          slots := List.filteri (fun j _ -> j <> i) !slots
+        | Reparams { params; weight } ->
+          (match params with Some p -> final_params := p | None -> ());
+          (match weight with
+          | Some w ->
+            weight_fn := w;
+            weight_dirty := true
+          | None -> ()))
+      ops;
+    let slots = Array.of_list !slots in
+    let params = !final_params in
+    let results =
+      Array.map (function Old i -> c.results.(i) | New (_, p) -> p) slots
+    in
+    let counts =
+      Array.map (function Old i -> c.counts.(i) | New (_, p) -> counts_map p)
+        slots
+    in
+    let fmaps =
+      Array.map (function Old i -> c.fmaps.(i) | New (_, p) -> ftype_map p)
+        slots
+    in
+    let ids =
+      Array.map (function Old i -> c.ids.(i) | New (id, _) -> id) slots
+    in
+    let weights =
+      if !weight_dirty then Array.map (weights_row !weight_fn) results
+      else
+        Array.map
+          (function
+            | Old i -> c.weights.(i) | New (_, p) -> weights_row !weight_fn p)
+          slots
+    in
+    let pairs =
+      pair_map ?deadline params results counts fmaps ids
+        (if params <> c.params then Pair_map.empty else c.pairs)
+    in
+    let links, starts = derive_links_table results ids pairs in
+    {
+      params;
+      weight_fn = !weight_fn;
+      results;
+      links;
+      starts;
+      weights;
+      counts;
+      fmaps;
+      ids;
+      next_id = !next_id;
+      pairs;
+    }
 
 (* {2 Observation helpers for the serve layer and tests} *)
 
-(* Logical link-sequence equality across differently-segmented chains:
-   the bit-identity contract is over the packed words, not the
-   segmentation, which is an artifact of the mutation history. *)
-let equal_chain a b =
-  let rec norm s k = if s != nil_seg && k >= s.slen then norm s.snext 0 else (s, k) in
-  let rec go sa ka sb kb =
-    let sa, ka = norm sa ka in
-    let sb, kb = norm sb kb in
-    if sa == nil_seg then sb == nil_seg
-    else if sb == nil_seg then false
-    else
-      sa.sbuf.(sa.soff + (2 * ka)) = sb.sbuf.(sb.soff + (2 * kb))
-      && sa.sbuf.(sa.soff + (2 * ka) + 1) = sb.sbuf.(sb.soff + (2 * kb) + 1)
-      && go sa (ka + 1) sb (kb + 1)
-  in
-  go a 0 b 0
-
-let equal_links_table a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun ra rb ->
-         Array.length ra = Array.length rb && Array.for_all2 equal_chain ra rb)
-       a b
-
+(* Every link table is [derive_links_table]'s canonical layout, so equal
+   link sequences mean equal buffers and offsets. *)
 let equal_context a b =
   a.params = b.params
   && Array.length a.results = Array.length b.results
   && Array.for_all2 (fun (x : Result_profile.t) y -> x == y) a.results b.results
-  && equal_links_table a.links_table b.links_table
+  && a.starts = b.starts
+  && a.links = b.links
   && a.weights = b.weights
   && Array.for_all2 (Feature.Map.equal ( = )) a.counts b.counts
 
 let num_pair_tables c = Pair_map.cardinal c.pairs
 
 let approx_bytes c =
-  (* rough heap words of the flat representation, charged as a function
-     of the logical content only: a delta-built context and a fresh build
-     of the same results report the same footprint even when their
-     physical segmentation differs (segmentation is a mutation-history
-     artifact; billing it would make footprints drift under churn while
-     the data stays the same). Links are 2 packed words; a non-empty list
-     is charged one segment header (5 words) and its buffer words. Cached
-     pair entries are separate packed storage in this representation (the
-     boxed one merged the tuples into the links at derivation), so they
-     are billed: 2 words per entry plus array header, plus ~8 words of
-     map spine per node. Count/type maps: ~6 words per AVL binding; keys
-     are shared with the profiles and not charged here. *)
-  let words = ref 64 in
-  Array.iter
-    (fun row ->
-      words := !words + Array.length row + 2;
-      Array.iter
-        (fun s ->
-          let len = chain_len s 0 in
-          if len > 0 then words := !words + 5 + (2 * len))
-        row)
-    c.links_table;
+  (* rough heap words of the representation: the link buffer (2 packed
+     words per link plus its header) and the per-result offset rows.
+     Cached pair entries are separate packed storage (the boxed layout
+     merged the tuples into the links at derivation), so they are billed:
+     2 words per entry plus array header, plus ~8 words of map spine per
+     node. Count/type maps: ~6 words per AVL binding; keys are shared
+     with the profiles and not charged here. *)
+  let words = ref (64 + Array.length c.links + 1 + Array.length c.starts + 1) in
+  Array.iter (fun row -> words := !words + Array.length row + 1) c.starts;
   Pair_map.iter
     (fun _ e -> words := !words + 8 + Array.length e + 1)
     c.pairs;
@@ -768,43 +427,17 @@ let approx_bytes c =
   Array.iter (fun w -> words := !words + Array.length w + 2) c.weights;
   !words * (Sys.word_size / 8)
 
-let link_buffers c =
-  let bufs = ref [] in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun s ->
-          let rec go s =
-            if s != nil_seg then begin
-              if not (List.memq s.sbuf !bufs) then bufs := s.sbuf :: !bufs;
-              go s.snext
-            end
-          in
-          go s)
-        row)
-    c.links_table;
-  !bufs
-
-let fresh_link_words ~parent c =
-  let pb = link_buffers parent in
-  List.fold_left
-    (fun acc b -> if List.memq b pb then acc else acc + Array.length b)
-    0 (link_buffers c)
-
 let iter_links c ~i ~gi f =
-  let rec go s =
-    if s != nil_seg then begin
-      for k = 0 to s.slen - 1 do
-        let a = s.sbuf.(s.soff + (2 * k)) and b = s.sbuf.(s.soff + (2 * k) + 1) in
-        f ~other:(a lsr gi_bits) ~gi_other:(a land gi_mask)
-          ~gap_self:(b lsr gap_bits) ~gap_other:(b land gap_mask)
-      done;
-      go s.snext
-    end
-  in
-  go c.links_table.(i).(gi)
+  let s = c.starts.(i) in
+  for k = s.(gi) to s.(gi + 1) - 1 do
+    let a = c.links.(2 * k) and b = c.links.((2 * k) + 1) in
+    f ~other:(a lsr gi_bits) ~gi_other:(a land gi_mask)
+      ~gap_self:(b lsr gap_bits) ~gap_other:(b land gap_mask)
+  done
 
-let num_links c ~i ~gi = chain_len c.links_table.(i).(gi) 0
+let num_links c ~i ~gi =
+  let s = c.starts.(i) in
+  s.(gi + 1) - s.(gi)
 
 let links c ~i ~gi =
   let acc = ref [] in
@@ -825,28 +458,21 @@ let threshold_q link ~q_other =
 
 let dod_pair c ~i ~j di dj =
   let count = ref 0 in
-  let row = c.links_table.(i) in
-  for gi = 0 to Array.length row - 1 do
+  let s = c.starts.(i) in
+  for gi = 0 to Array.length s - 2 do
     let q_self = Dfs.q di gi in
-    if q_self >= 1 then begin
-      let rec go s =
-        if s != nil_seg then begin
-          for k = 0 to s.slen - 1 do
-            let a = s.sbuf.(s.soff + (2 * k)) in
-            if a lsr gi_bits = j then begin
-              let q_other = Dfs.q dj (a land gi_mask) in
-              if q_other >= 1 then begin
-                let b = s.sbuf.(s.soff + (2 * k) + 1) in
-                if b lsr gap_bits <= q_self || b land gap_mask <= q_other then
-                  count := !count + c.weights.(i).(gi)
-              end
-            end
-          done;
-          go s.snext
+    if q_self >= 1 then
+      for k = s.(gi) to s.(gi + 1) - 1 do
+        let a = c.links.(2 * k) in
+        if a lsr gi_bits = j then begin
+          let q_other = Dfs.q dj (a land gi_mask) in
+          if q_other >= 1 then begin
+            let b = c.links.((2 * k) + 1) in
+            if b lsr gap_bits <= q_self || b land gap_mask <= q_other then
+              count := !count + c.weights.(i).(gi)
+          end
         end
-      in
-      go row.(gi)
-    end
+      done
   done;
   !count
 
@@ -856,30 +482,24 @@ let total c dfss =
   let sum = ref 0 in
   let n = Array.length c.results in
   for i = 0 to n - 1 do
-    let row = c.links_table.(i) in
-    for gi = 0 to Array.length row - 1 do
+    let s = c.starts.(i) in
+    for gi = 0 to Array.length s - 2 do
       let q_self = Dfs.q dfss.(i) gi in
       if q_self >= 1 then begin
         let w = c.weights.(i).(gi) in
-        let rec go s =
-          if s != nil_seg then begin
-            for k = 0 to s.slen - 1 do
-              let a = s.sbuf.(s.soff + (2 * k)) in
-              let other = a lsr gi_bits in
-              (* Count each unordered pair once, from the lower index. *)
-              if other > i then begin
-                let q_other = Dfs.q dfss.(other) (a land gi_mask) in
-                if q_other >= 1 then begin
-                  let b = s.sbuf.(s.soff + (2 * k) + 1) in
-                  if b lsr gap_bits <= q_self || b land gap_mask <= q_other
-                  then sum := !sum + w
-                end
-              end
-            done;
-            go s.snext
+        for k = s.(gi) to s.(gi + 1) - 1 do
+          let a = c.links.(2 * k) in
+          let other = a lsr gi_bits in
+          (* Count each unordered pair once, from the lower index. *)
+          if other > i then begin
+            let q_other = Dfs.q dfss.(other) (a land gi_mask) in
+            if q_other >= 1 then begin
+              let b = c.links.((2 * k) + 1) in
+              if b lsr gap_bits <= q_self || b land gap_mask <= q_other then
+                sum := !sum + w
+            end
           end
-        in
-        go row.(gi)
+        done
       end
     done
   done;
@@ -888,28 +508,19 @@ let total c dfss =
 let delta_for_type c ~dfss ~i ~gi ~old_q ~new_q =
   let delta = ref 0 in
   let w = c.weights.(i).(gi) in
-  let rec go s =
-    if s != nil_seg then begin
-      for k = 0 to s.slen - 1 do
-        let a = s.sbuf.(s.soff + (2 * k)) in
-        let q_other = Dfs.q dfss.(a lsr gi_bits) (a land gi_mask) in
-        if q_other >= 1 then begin
-          let b = s.sbuf.(s.soff + (2 * k) + 1) in
-          let gap_self = b lsr gap_bits and gap_other = b land gap_mask in
-          let before =
-            old_q >= 1 && (gap_self <= old_q || gap_other <= q_other)
-          in
-          let after =
-            new_q >= 1 && (gap_self <= new_q || gap_other <= q_other)
-          in
-          if before && not after then delta := !delta - w
-          else if (not before) && after then delta := !delta + w
-        end
-      done;
-      go s.snext
+  let s = c.starts.(i) in
+  for k = s.(gi) to s.(gi + 1) - 1 do
+    let a = c.links.(2 * k) in
+    let q_other = Dfs.q dfss.(a lsr gi_bits) (a land gi_mask) in
+    if q_other >= 1 then begin
+      let b = c.links.((2 * k) + 1) in
+      let gap_self = b lsr gap_bits and gap_other = b land gap_mask in
+      let before = old_q >= 1 && (gap_self <= old_q || gap_other <= q_other) in
+      let after = new_q >= 1 && (gap_self <= new_q || gap_other <= q_other) in
+      if before && not after then delta := !delta - w
+      else if (not before) && after then delta := !delta + w
     end
-  in
-  go c.links_table.(i).(gi);
+  done;
   !delta
 
 type witness = {
@@ -926,28 +537,23 @@ let measures_of c ~i ~j f =
     measure_of c.params c.results.(j) f (count_in j) )
 
 let find_link c ~i ~gi ~j =
-  let rec go s =
-    if s == nil_seg then None
-    else begin
-      let rec scan k =
-        if k >= s.slen then go s.snext
-        else
-          let a = s.sbuf.(s.soff + (2 * k)) in
-          if a lsr gi_bits = j then
-            let b = s.sbuf.(s.soff + (2 * k) + 1) in
-            Some
-              {
-                other = j;
-                gi_other = a land gi_mask;
-                gap_self = b lsr gap_bits;
-                gap_other = b land gap_mask;
-              }
-          else scan (k + 1)
-      in
-      scan 0
-    end
+  let s = c.starts.(i) in
+  let rec scan k =
+    if k >= s.(gi + 1) then None
+    else
+      let a = c.links.(2 * k) in
+      if a lsr gi_bits = j then
+        let b = c.links.((2 * k) + 1) in
+        Some
+          {
+            other = j;
+            gi_other = a land gi_mask;
+            gap_self = b lsr gap_bits;
+            gap_other = b land gap_mask;
+          }
+      else scan (k + 1)
   in
-  go c.links_table.(i).(gi)
+  scan s.(gi)
 
 let witness c ~i ~j di dj ~gi =
   match find_link c ~i ~gi ~j with
@@ -977,7 +583,7 @@ let explain_pair c ~i ~j di dj =
       | Some w ->
         acc := ((Result_profile.type_info c.results.(i) gi).ftype, w) :: !acc
       | None -> ())
-    c.links_table.(i);
+    c.weights.(i);
   List.rev !acc
 
 (* Both gap fields at the sentinel: the packed word of a never-
@@ -986,19 +592,12 @@ let inf_both = (infinity_gap lsl gap_bits) lor infinity_gap
 
 let upper_bound_pair c ~i ~j =
   let sum = ref 0 in
-  let row = c.links_table.(i) in
-  for gi = 0 to Array.length row - 1 do
-    let rec go s =
-      if s != nil_seg then begin
-        for k = 0 to s.slen - 1 do
-          let a = s.sbuf.(s.soff + (2 * k)) in
-          if a lsr gi_bits = j && s.sbuf.(s.soff + (2 * k) + 1) <> inf_both
-          then sum := !sum + c.weights.(i).(gi)
-        done;
-        go s.snext
-      end
-    in
-    go row.(gi)
+  let s = c.starts.(i) in
+  for gi = 0 to Array.length s - 2 do
+    for k = s.(gi) to s.(gi + 1) - 1 do
+      if c.links.(2 * k) lsr gi_bits = j && c.links.((2 * k) + 1) <> inf_both
+      then sum := !sum + c.weights.(i).(gi)
+    done
   done;
   !sum
 
@@ -1114,13 +713,14 @@ let deserialize_context ?(weight = fun _ -> 1) profiles blob =
           then fail "entry type index out of range"
         done)
       !pairs;
-    let links_table = derive_links_table profiles ids !pairs in
+    let links, starts = derive_links_table profiles ids !pairs in
     Ok
       {
         params;
         weight_fn = weight;
         results = profiles;
-        links_table;
+        links;
+        starts;
         weights;
         counts;
         fmaps;

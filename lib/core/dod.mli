@@ -58,65 +58,23 @@ val make_context :
 val weight_of : context -> i:int -> gi:int -> int
 (** The weight of a type of result [i] under the context's weighting. *)
 
-(** {1 Delta operations}
+(** {1 Deltas}
 
     A context caches each pair's precomputed table independently, keyed by
-    stable result identities, so mutations recompute only the pairs they
-    touch and replay the rest. All three operations return a {e new}
-    context — the input stays fully usable, which is what lets sessions
-    keep history and lets a deadline tripping mid-delta leave the live
-    context intact — and the result is {e bit-identical} to a fresh
-    {!make_context} over the same result array (same params and
-    weighting). *)
-
-val add_result :
-  ?deadline:Xsact_util.Deadline.t ->
-  context ->
-  Result_profile.t ->
-  context
-(** Append one result: computes only the [n] new pairs against the
-    existing results and splices their links onto the live table — the
-    untouched lists are shared, not replayed. O(n × shared types × features)
-    instead of the batch O(n² × …).
-    @raise Xsact_util.Deadline.Expired on a tripped deadline (the input
-    context is untouched).
-    @raise Invalid_argument if the context's weighting is negative on one
-    of the new result's types. *)
-
-val remove_result : context -> int -> context
-(** Drop the result at an index — no first-gap scan, no pair replay, and
-    O(what changed) list surgery instead of a full filter+reindex. Link
-    lists are strictly descending in the partner index (a consequence of
-    the batch merge order), so only the prefix of each list at or above
-    the removed index is rebuilt; the rest is reused {e physically}.
-    Removing the {e newest} result (the interactive undo) is the extreme
-    case: nothing shifts, the pairs map serves as a per-result membership
-    index naming exactly the lists that link to the removed result, and
-    every untouched list, tail and row of the new table is the input's
-    own allocation ([==], which the tests assert).
-    @raise Invalid_argument if the index is out of range or the context
-    has only two results (a context needs at least two). *)
-
-val reparams :
-  ?params:params ->
-  ?weight:(Feature.ftype -> int) ->
-  ?deadline:Xsact_util.Deadline.t ->
-  context ->
-  context
-(** Re-derive the context under new parameters and/or weighting without
-    re-extracting profiles. A weighting change alone rebuilds just the
-    weight rows (the pair tables don't depend on weights); a [params]
-    change invalidates the first-gap data and recomputes every pair — the
-    same work as a one-op {!apply} batch.
-    @raise Xsact_util.Deadline.Expired on a tripped deadline.
-    @raise Invalid_argument on a negative weight. *)
+    stable result identities, so a mutation computes only the pairs it
+    adds and replays the rest. {!apply} is the one way a context changes:
+    it returns a {e new} context — the input stays fully usable, which is
+    what lets sessions keep history and lets a deadline tripping
+    mid-delta leave the live context intact — and the result is
+    {e bit-identical} to a fresh {!make_context} over the same result
+    array (same params and weighting). *)
 
 (** One step of a batched mutation, consumed by {!apply}. *)
 type op =
   | Add of Result_profile.t
   | Remove of int
       (** Index into the array as it stands {e at that point of the op
-          list} — the same convention as folding the single-op deltas. *)
+          list}, after the ops before it. *)
   | Reparams of {
       params : params option;
       weight : (Feature.ftype -> int) option;
@@ -127,48 +85,40 @@ val apply :
   context ->
   op list ->
   context
-(** Coalesce a batch of mutations into one delta. Semantically the
-    sequential fold of the single-op operations, and bit-identical to a
-    fresh {!make_context} over the final result array — but the work is
-    O(final change): the batch is first simulated symbolically, so a
-    cancelling add/remove pair costs nothing, k adds share one pair
-    worklist, and the link table is replayed exactly once at the end
-    regardless of k. The last [Reparams] in the batch wins; when it
-    changes [params], surviving pair tables are recomputed as part of the
-    same single pass. [[]] returns the input context itself ([==]);
-    singleton batches route to the surgical single-op deltas.
+(** Apply a batch of mutations as one delta. Semantically the ops
+    applied one at a time, in order, and bit-identical to a fresh
+    {!make_context} over the final result array. The batch is first
+    simulated symbolically, so a cancelling add/remove pair costs
+    nothing; then every cached pair table is reused, only the missing
+    pairs are computed (those touching added results, or all of them
+    when [params] changed), and the link table is replayed exactly once,
+    in O(total links). The last [Reparams] in the batch wins. A weighting
+    change alone recomputes no pair (the pair tables do not depend on
+    weights). [[]] returns the input context itself ([==]).
     @raise Invalid_argument if a [Remove] index is out of range at its
     point in the sequence, if the batch would leave fewer than two
     results, or on a negative weight.
-    @raise Xsact_util.Deadline.Expired on a tripped deadline (the input
-    context is untouched — all-or-nothing, like every delta). *)
+    @raise Xsact_util.Deadline.Expired on a tripped deadline: the token
+    is checked on entry and polled before every computed pair (the input
+    context is untouched — all-or-nothing). *)
 
 val equal_context : context -> context -> bool
 (** Observable equality: same params, the same result profiles
-    (physically), and logically identical link tables (the packed link
-    sequences, compared across segment boundaries — physical
-    segmentation is a mutation-history artifact), weight rows and count
-    maps — the bit-identity contract the delta operations promise
-    against {!make_context}. Internal cache bookkeeping (stable ids) is
-    deliberately ignored. *)
+    (physically), and identical link tables, weight rows and count maps —
+    the bit-identity contract {!apply} promises against {!make_context}.
+    Internal cache bookkeeping (stable ids) is deliberately ignored. *)
 
 val num_pair_tables : context -> int
 (** Cached per-pair tables currently held — [n (n - 1) / 2]. *)
 
 val approx_bytes : context -> int
-(** Rough heap footprint of the context (flat link buffers, cached pair
-    entry tables, count/type maps) in bytes — the currency of the serve
-    layer's unified warm-context memory budget. An estimate from
-    heap-word accounting, not a measurement, and a function of the
-    {e logical} content only: a delta-built context reports the same
-    footprint as a fresh build of the same results, regardless of how
-    its link storage happens to be segmented by the mutation history. *)
-
-val fresh_link_words : parent:context -> context -> int
-(** Diagnostic for the sharing tests: heap words of link-buffer storage
-    in the second context that are {e not} physically shared with
-    [parent]. Removing the newest result allocates zero fresh words;
-    a general remove allocates only the rewritten prefixes. *)
+(** Rough heap footprint of the context (the link buffer and its
+    per-list offsets, cached pair entry tables, count/type maps) in
+    bytes — the currency of the serve layer's unified warm-context memory
+    budget. An estimate from heap-word accounting, not a measurement.
+    Every context holds its links in one canonical layout, so a
+    delta-built context reports the same footprint as a fresh build of
+    the same results. *)
 
 val params : context -> params
 val results : context -> Result_profile.t array

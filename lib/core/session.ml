@@ -194,9 +194,7 @@ let apply ?deadline s ops =
       in
       (* Uniform warm start: survivors resume from their current DFS
          (truncated when the final bound shrank — the identity otherwise,
-         physically), newcomers seed from top-k at the final bound. A
-         singleton batch reproduces the op's historical warm start
-         exactly. *)
+         physically), newcomers seed from top-k at the final bound. *)
       let init =
         Array.of_list
           (List.map
@@ -225,18 +223,3 @@ let apply ?deadline s ops =
            { s with config; size_bound = bound }
            context profiles)
     end
-
-let add ?deadline s profile =
-  match apply ?deadline s [ Add profile ] with
-  | Ok s' -> s'
-  | Error _ -> assert false (* Add validates nothing *)
-
-let remove ?deadline s index = apply ?deadline s [ Remove index ]
-
-let set_size_bound ?deadline s size_bound =
-  apply ?deadline s [ Set_size_bound size_bound ]
-
-let reparams ?deadline ?params ?weight s =
-  match apply ?deadline s [ Reparams { params; weight } ] with
-  | Ok s' -> s'
-  | Error _ -> assert false (* Reparams validates nothing *)

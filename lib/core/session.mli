@@ -10,13 +10,12 @@
     are cheap or stochastic by nature.)
 
     The precomputed {!Dod.context} is maintained the same way: every
-    mutation routes through the batched delta path ({!Dod.apply}), so a
-    single op costs its surgical delta, a batch of k ops coalesces into
-    one context pass and one DFS regeneration, resizing reuses the
-    context verbatim, and a parameter or weighting change ({!Reparams})
-    never re-extracts profiles — bit-identical to a fresh build in every
-    case. [Config.incremental = false] restores full rebuilds as an
-    ablation baseline.
+    mutation is one {!apply} batch and one {!Dod.apply} delta, so a batch
+    of k ops costs one context pass and one DFS regeneration, resizing
+    reuses the context verbatim, and a parameter or weighting change
+    ({!Reparams}) never re-extracts profiles — bit-identical to a fresh
+    build in every case. [Config.incremental = false] restores full
+    rebuilds as an ablation baseline.
 
     Sessions are immutable: every operation returns a new session, so the
     UI's undo is free — and a deadline tripping mid-mutation leaves the
@@ -88,10 +87,11 @@ val table : t -> Table.t
 
 (** {1 Operations}
 
-    Each operation takes an optional [deadline] bounding the context
-    maintenance (the anytime DFS regeneration that follows is not
-    deadline-bound — warm-started, it is cheap). A tripped deadline raises
-    {!Xsact_util.Deadline.Expired} and leaves the input session intact. *)
+    Every change is one {!apply} batch, which takes an optional
+    [deadline] bounding the context maintenance (the anytime DFS
+    regeneration that follows is not deadline-bound — warm-started, it is
+    cheap). A tripped deadline raises {!Xsact_util.Deadline.Expired} and
+    leaves the input session intact. *)
 
 (** One step of a session mutation, consumed by {!apply}. [Remove]
     indexes the profile array as it stands at that point of the op list
@@ -111,48 +111,21 @@ val apply : ?deadline:Xsact_util.Deadline.t -> t -> op list -> (t, Error.t) resu
     out, cost no pair work), the context is updated by a single
     {!Dod.apply} delta — or one rebuild under the ablation config — and
     the DFSs regenerate {e exactly once}, warm-started uniformly:
-    surviving results resume from their current DFS (truncated if the
-    final bound shrank), added ones seed from top-k at the final bound.
+    surviving results resume from their current DFS, added ones (appended
+    last) seed from top-k at the final bound. [Set_size_bound] reuses the
+    context (it does not depend on the bound); when the final bound
+    shrank, survivors resume from their truncated prefixes — dropping
+    features from the least significant selected types keeps every
+    intermediate DFS valid (Desideratum 2), so no cold restart is needed.
     The last [Reparams] values win and are kept in the session's config
-    for all later operations. A singleton batch is observably identical
-    to the corresponding single operation; a batch whose net effect is
-    nothing (e.g. only cancelling add/remove pairs, or a resize to the
-    current bound) returns the input session itself. Errors mirror the
-    single ops: [Index_out_of_range], [Too_few_selected],
-    [Bound_too_small] — checked against the {e sequential} state, before
-    any work. *)
-
-val add : ?deadline:Xsact_util.Deadline.t -> t -> Result_profile.t -> t
-(** Add one result to the comparison (appended last). Computes only the
-    n−1 new context pairs (delta), then warm-starts generation. *)
-
-val remove : ?deadline:Xsact_util.Deadline.t -> t -> int -> (t, Error.t) result
-(** Remove the result at 0-based index; drops that result's pair tables
-    and surgically unlinks it from the survivors' lists (sharing every
-    untouched tail) without recomputing any pair. Fails with
-    [Index_out_of_range] when out of range, [Too_few_selected] when only
-    two results remain. *)
-
-val set_size_bound : ?deadline:Xsact_util.Deadline.t -> t -> int -> (t, Error.t) result
-(** Change L, reusing the live context (it does not depend on the bound).
-    Growing warm-starts from the current DFSs; shrinking warm-starts from
-    their truncated prefixes — dropping features from the least
-    significant selected types keeps every intermediate DFS valid
-    (Desideratum 2), so no cold restart is needed. Fails with
-    [Bound_too_small]. *)
-
-val reparams :
-  ?deadline:Xsact_util.Deadline.t ->
-  ?params:Dod.params ->
-  ?weight:(Feature.ftype -> int) ->
-  t ->
-  t
-(** Change the differentiation parameters and/or weighting of a live
-    session without re-extracting profiles: the context re-derives by
-    delta ({!Dod.reparams} — a weighting change alone rebuilds just the
-    weight rows) and the DFSs regenerate once, warm-started from the
-    current selections. The new values persist in the session's config.
-    @raise Invalid_argument on a negative weight. *)
+    for all later operations; they never re-extract profiles. A batch
+    whose net effect is nothing (e.g. only cancelling add/remove pairs,
+    or a resize to the current bound) returns the input session itself.
+    Errors: [Index_out_of_range] for a [Remove] out of range,
+    [Too_few_selected] for a [Remove] that would leave fewer than two
+    results, [Bound_too_small] for a bound below 1 — checked against the
+    {e sequential} state, before any work. @raise Invalid_argument on a
+    negative weight. *)
 
 val stats : t -> int
 (** Number of algorithm invocations performed by this session so far

@@ -410,16 +410,22 @@ let handle_search t req _params =
     error_response ~status:400 ~code:"bad_request"
       "missing query parameter \"q\""
   | Some dataset, Some q -> (
-    match (find_entry t dataset, Api.decode_keywords q) with
-    | _, Error e -> error_response ~status:400 ~code:"bad_request" e
-    | None, Ok _ ->
+    let limit =
+      match query_param req "limit" with
+      | None -> Ok 10
+      | Some s when String.for_all (fun c -> c >= '0' && c <= '9') s ->
+        Option.to_result ~none:() (int_of_string_opt s)
+      | Some _ -> Error ()
+    in
+    match (find_entry t dataset, Api.decode_keywords q, limit) with
+    | _, Error e, _ -> error_response ~status:400 ~code:"bad_request" e
+    | _, _, Error () ->
+      error_response ~status:400 ~code:"bad_request"
+        "query parameter \"limit\" must be a non-negative integer"
+    | None, Ok _, Ok _ ->
       error_response ~status:404 ~code:"unknown_dataset"
         ("unknown dataset " ^ dataset)
-    | Some entry, Ok normalized ->
-      let limit =
-        Option.bind (query_param req "limit") int_of_string_opt
-        |> Option.value ~default:10
-      in
+    | Some entry, Ok normalized, Ok limit ->
       let lift_to = query_param req "lift_to" in
       let results = Pipeline.search ~limit ?lift_to entry.pipeline q in
       let engine = Pipeline.engine entry.pipeline in
@@ -884,7 +890,7 @@ let timed_out_response t =
    which reuse the context outright), one full rebuild on the ablation
    server. A physically-unchanged session means the batch cancelled out —
    no context work happened, nothing to book. *)
-let book_mutation_build t se sops =
+let book_mutation_build t sops =
   if t.incremental then begin
     let ctx_op =
       List.exists (function Session.Set_size_bound _ -> false | _ -> true) sops
@@ -896,13 +902,7 @@ let book_mutation_build t se sops =
           (List.filter (function Session.Reparams _ -> true | _ -> false) sops)
       in
       if reparams_n > 0 then
-        Metrics.incr_counter ~by:reparams_n t.metrics "reparams_delta";
-      match sops with
-      | [ Session.Remove idx ] when idx = List.length se.s_ranks - 1 ->
-        (* removing the newest result takes the structure-sharing fast
-           path in [Dod.remove_result] *)
-        Metrics.incr_counter t.metrics "remove_tail_shared"
-      | _ -> ()
+        Metrics.incr_counter ~by:reparams_n t.metrics "reparams_delta"
     end
   end
   else Metrics.incr_counter t.metrics "context_builds_full"
@@ -982,7 +982,7 @@ let mutate t req params ~origin decode =
                     Metrics.incr_counter ~by:(List.length ops) t.metrics
                       "ops_batched";
                   if session != se.s_session then
-                    book_mutation_build t se sops;
+                    book_mutation_build t sops;
                   store_mutated t ~origin id st se
                     {
                       se with
@@ -1089,8 +1089,6 @@ let handle_metrics t _req _params =
              Json.Int (Metrics.counter t.metrics "ops_batched") );
            ( "reparams_delta",
              Json.Int (Metrics.counter t.metrics "reparams_delta") );
-           ( "remove_tail_shared",
-             Json.Int (Metrics.counter t.metrics "remove_tail_shared") );
            ( "contexts_demoted",
              Json.Int (Metrics.counter t.metrics "contexts_demoted") );
            ( "sessions_rewarmed",

@@ -180,6 +180,35 @@ let test_repl_errors () =
   check Alcotest.bool "unknown command" true (contains out "unknown command");
   check Alcotest.bool "usage message" true (contains out "usage: size")
 
+(* One keyword past the SLCA mask width: every searching command answers
+   with a one-line error, and the REPL keeps running. *)
+let too_many_words =
+  String.concat " " (List.init 64 (Printf.sprintf "zzq%d"))
+
+let test_keyword_bound () =
+  List.iter
+    (fun cmd ->
+      let code, output =
+        run (Printf.sprintf "%s %s -d imdb -q '%s'" cli cmd too_many_words)
+      in
+      check Alcotest.bool (cmd ^ ": nonzero exit") true (code <> 0);
+      check Alcotest.bool (cmd ^ ": no crash") false
+        (contains output "uncaught exception");
+      check Alcotest.bool (cmd ^ ": names the bound") true
+        (contains output "at most 63"))
+    [ "search"; "compare"; "snippets" ]
+
+let test_repl_keyword_bound () =
+  let out =
+    run_ok
+      (Printf.sprintf "printf 'search %s\nsearch gps\nquit\n' | %s repl -d product-reviews"
+         too_many_words cli)
+  in
+  check Alcotest.bool "error printed" true (contains out "at most 63");
+  check Alcotest.bool "no crash" false (contains out "uncaught exception");
+  check Alcotest.bool "next search lists results" true (contains out "[1]");
+  check Alcotest.bool "clean exit" true (contains out "bye")
+
 let test_site_generation () =
   let dir = Filename.temp_file "xsact_site_test" "" in
   Sys.remove dir;
@@ -224,6 +253,8 @@ let () =
           Alcotest.test_case "bad dataset" `Slow test_bad_dataset;
           Alcotest.test_case "repl scripted" `Slow test_repl_scripted;
           Alcotest.test_case "repl errors" `Slow test_repl_errors;
+          Alcotest.test_case "keyword bound" `Slow test_keyword_bound;
+          Alcotest.test_case "repl keyword bound" `Slow test_repl_keyword_bound;
         ] );
       ("site", [ Alcotest.test_case "generation" `Slow test_site_generation ]);
     ]

@@ -96,7 +96,7 @@ let test_session_stats_chain () =
   | Error e -> Alcotest.failf "create: %s" (Error.to_string e)
   | Ok s ->
     let n0 = Session.stats s in
-    let s2 = Result.get_ok (Session.set_size_bound s 6) in
+    let s2 = Result.get_ok (Session.apply s [ Session.Set_size_bound 6 ]) in
     check Alcotest.bool "counter grows along history" true
       (Session.stats s2 > n0 - 1)
 

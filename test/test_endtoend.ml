@@ -160,10 +160,12 @@ let prop_session =
         | Error _ -> true (* e.g. degenerate profiles; nothing to check *)
         | Ok s ->
           let s =
-            match rest with r3 :: _ -> Session.add s (p r3) | [] -> s
+            match rest with
+            | r3 :: _ -> Result.get_ok (Session.apply s [ Session.Add (p r3) ])
+            | [] -> s
           in
           let s =
-            match Session.set_size_bound s (limit + 2) with
+            match Session.apply s [ Session.Set_size_bound (limit + 2) ] with
             | Ok s -> s
             | Error _ -> s
           in

@@ -196,7 +196,7 @@ let test_session_add_remove () =
   let all = session_profiles 4 in
   let first3 = List.filteri (fun i _ -> i < 3) all in
   let s = create_ok first3 ~size_bound:4 in
-  let s4 = Session.add s (List.nth all 3) in
+  let s4 = Result.get_ok (Session.apply s [ Session.Add (List.nth all 3) ]) in
   check Alcotest.int "four results" 4 (Array.length (Session.profiles s4));
   (* Warm-started result equals the cold computation's DoD (both are
      multi-swap optima over the same inputs; values must match the cold run
@@ -205,29 +205,29 @@ let test_session_add_remove () =
   check Alcotest.bool "warm dod >= cold topk baseline" true
     (Session.dod s4 >= Session.dod cold - 2);
   (* Remove back down. *)
-  (match Session.remove s4 3 with
+  (match Session.apply s4 [ Session.Remove 3 ] with
   | Ok s3 ->
     check Alcotest.int "back to three" 3 (Array.length (Session.profiles s3));
     check Alcotest.int "same profiles" 3 (Array.length (Session.dfss s3))
   | Error e -> Alcotest.failf "remove: %s" (Error.to_string e));
-  (match Session.remove s4 9 with
+  (match Session.apply s4 [ Session.Remove 9 ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out of range accepted");
   let s2 = create_ok (List.filteri (fun i _ -> i < 2) all) ~size_bound:4 in
-  match Session.remove s2 0 with
+  match Session.apply s2 [ Session.Remove 0 ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dropped below two results"
 
 let test_session_resize () =
   let s = create_ok (session_profiles 3) ~size_bound:3 in
-  (match Session.set_size_bound s 6 with
+  (match Session.apply s [ Session.Set_size_bound 6 ] with
   | Ok bigger ->
     check Alcotest.bool "dod grows or stays" true
       (Session.dod bigger >= Session.dod s);
     Array.iter
       (fun d -> check Alcotest.bool "valid at 6" true (Dfs.is_valid ~limit:6 d))
       (Session.dfss bigger);
-    (match Session.set_size_bound bigger 2 with
+    (match Session.apply bigger [ Session.Set_size_bound 2 ] with
     | Ok smaller ->
       Array.iter
         (fun d ->
@@ -235,7 +235,7 @@ let test_session_resize () =
         (Session.dfss smaller)
     | Error e -> Alcotest.failf "shrink: %s" (Error.to_string e))
   | Error e -> Alcotest.failf "grow: %s" (Error.to_string e));
-  match Session.set_size_bound s 0 with
+  match Session.apply s [ Session.Set_size_bound 0 ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "L=0 accepted"
 
@@ -254,7 +254,10 @@ let prop_session_matches_direct =
 let test_session_warm_start_counts () =
   let s = create_ok (session_profiles 3) ~size_bound:4 in
   let before = Session.stats s in
-  let s' = Session.add s (List.nth (session_profiles 4) 3) in
+  let s' =
+    Result.get_ok
+      (Session.apply s [ Session.Add (List.nth (session_profiles 4) 3) ])
+  in
   check Alcotest.bool "one more run" true (Session.stats s' = before + 1)
 
 let () =

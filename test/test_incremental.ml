@@ -1,6 +1,6 @@
-(* The incremental comparison engine: Dod delta operations
-   (add_result / remove_result / reparams), their threading through
-   Session mutations, and the serve layer's warm-context machinery.
+(* The incremental comparison engine: the Dod delta ([Dod.apply]), its
+   threading through Session mutations, and the serve layer's
+   warm-context machinery.
 
    The contract under test everywhere is *bit-identity*: a context
    maintained by deltas, and the DFSs regenerated from it, must equal a
@@ -31,11 +31,17 @@ let drop idx a =
 
 (* ---- Dod delta operations ---------------------------------------------- *)
 
+let add c p = Dod.apply c [ Dod.Add p ]
+let remove c i = Dod.apply c [ Dod.Remove i ]
+
+let reparams ?params ?weight ?deadline c =
+  Dod.apply ?deadline c [ Dod.Reparams { params; weight } ]
+
 let test_add_equals_fresh () =
   let profiles = synthetic 3 7 in
   let base = Array.sub profiles 0 6 in
   let c = Dod.make_context base in
-  let c' = Dod.add_result c profiles.(6) in
+  let c' = add c profiles.(6) in
   check ctx "add = fresh rebuild" (Dod.make_context profiles) c';
   check Alcotest.int "pair tables after add" (7 * 6 / 2)
     (Dod.num_pair_tables c');
@@ -51,7 +57,7 @@ let test_remove_equals_fresh () =
       check ctx
         (Printf.sprintf "remove %d = fresh rebuild" idx)
         (Dod.make_context (drop idx profiles))
-        (Dod.remove_result c idx))
+        (remove c idx))
     [ 0; 3; 5 ];
   check ctx "input context intact" (Dod.make_context profiles) c
 
@@ -59,7 +65,7 @@ let test_add_remove_roundtrip () =
   let profiles = synthetic 17 5 in
   let extra = (synthetic 18 3).(2) in
   let c = Dod.make_context profiles in
-  let roundtrip = Dod.remove_result (Dod.add_result c extra) 5 in
+  let roundtrip = remove (add c extra) 5 in
   check ctx "add then remove = original" c roundtrip
 
 let test_reparams_equals_fresh () =
@@ -68,97 +74,39 @@ let test_reparams_equals_fresh () =
   let params = { Dod.threshold_pct = 25.0; measure = Dod.Rate } in
   check ctx "params change = fresh"
     (Dod.make_context ~params profiles)
-    (Dod.reparams ~params c);
+    (reparams ~params c);
   let weight _ = 3 in
   check ctx "weight change = fresh"
     (Dod.make_context ~weight profiles)
-    (Dod.reparams ~weight c);
+    (reparams ~weight c);
   check ctx "both = fresh"
     (Dod.make_context ~params ~weight profiles)
-    (Dod.reparams ~params ~weight c);
+    (reparams ~params ~weight c);
   check ctx "input context intact" (Dod.make_context profiles) c
 
 let test_delta_errors () =
   let profiles = synthetic 2 4 in
   let c = Dod.make_context profiles in
   Alcotest.check_raises "remove out of range"
-    (Invalid_argument "Dod.remove_result: index out of range") (fun () ->
-      ignore (Dod.remove_result c 4));
+    (Invalid_argument "Dod.apply: remove index out of range") (fun () ->
+      ignore (remove c 4));
   Alcotest.check_raises "remove below two"
-    (Invalid_argument "Dod.remove_result: need at least two results")
-    (fun () ->
-      ignore (Dod.remove_result (Dod.make_context (Array.sub profiles 0 2)) 0))
+    (Invalid_argument "Dod.apply: need at least two results")
+    (fun () -> ignore (remove (Dod.make_context (Array.sub profiles 0 2)) 0))
 
 let test_deadline_mid_delta () =
   let profiles = synthetic 7 6 in
   let base = Array.sub profiles 0 5 in
   let c = Dod.make_context base in
   Alcotest.check_raises "expired add raises" Deadline.Expired (fun () ->
-      ignore
-        (Dod.add_result ~deadline:(Deadline.of_ms 0.) c
-           profiles.(5)));
+      ignore (Dod.apply ~deadline:(Deadline.of_ms 0.) c [ Dod.Add profiles.(5) ]));
   Alcotest.check_raises "expired reparams raises" Deadline.Expired (fun () ->
       ignore
-        (Dod.reparams ~deadline:(Deadline.of_ms 0.)
+        (reparams ~deadline:(Deadline.of_ms 0.)
            ~params:{ Dod.threshold_pct = 50.0; measure = Dod.Raw }
            c));
   (* the failed deltas left the input context fully intact *)
   check ctx "context intact after expiry" (Dod.make_context base) c
-
-let test_remove_last_shares_tails () =
-  let profiles = synthetic 21 8 in
-  let c = Dod.make_context profiles in
-  let last = 7 in
-  let c' = Dod.remove_result c last in
-  check ctx "remove last = fresh"
-    (Dod.make_context (Array.sub profiles 0 last))
-    c';
-  (* the removed newest result's links sit at the chain heads (the
-     descending-partner invariant), so dropping them is pure offset
-     arithmetic on the shared buffers: the delta allocates ZERO fresh
-     link-storage words — every surviving link is the input's own *)
-  check Alcotest.int "remove-last allocates no link storage" 0
-    (Dod.fresh_link_words ~parent:c c');
-  (* guard against a degenerate corpus where nothing linked the removed
-     result (the zero above would then be vacuous) *)
-  let dropped = ref 0 in
-  for i = 0 to last - 1 do
-    for gi = 0 to Result_profile.num_types profiles.(i) - 1 do
-      match Dod.links c ~i ~gi with
-      | hd :: _ when hd.Dod.other = last -> incr dropped
-      | _ -> ()
-    done
-  done;
-  if !dropped = 0 then Alcotest.fail "degenerate: no list linked the removed result"
-
-let test_remove_general_shares_suffix () =
-  let profiles = synthetic 22 8 in
-  let index = 3 in
-  let c = Dod.make_context profiles in
-  let c' = Dod.remove_result c index in
-  check ctx "general remove = fresh"
-    (Dod.make_context (drop index profiles))
-    c';
-  (* links below the removed index sit in each chain's tail (descending
-     partners) and need no reindexing: the delta's fresh allocation is
-     exactly the rewritten prefixes — 2 packed words per link above the
-     removed index — and every tail word is shared physically *)
-  let expected_fresh = ref 0 in
-  let total_words = ref 0 in
-  for i = 0 to Array.length profiles - 1 do
-    if i <> index then
-      for gi = 0 to Result_profile.num_types profiles.(i) - 1 do
-        List.iter
-          (fun (l : Dod.link) ->
-            if l.Dod.other <> index then total_words := !total_words + 2;
-            if l.Dod.other > index then expected_fresh := !expected_fresh + 2)
-          (Dod.links c ~i ~gi)
-      done
-  done;
-  check Alcotest.int "fresh words = rewritten prefixes only" !expected_fresh
-    (Dod.fresh_link_words ~parent:c c');
-  if !expected_fresh >= !total_words then
-    Alcotest.fail "degenerate: no list had a shareable suffix"
 
 (* ---- Dod.apply: coalesced op batches ------------------------------------ *)
 
@@ -222,9 +170,9 @@ let test_apply_errors () =
   Alcotest.check_raises "batch remove below two"
     (Invalid_argument "Dod.apply: need at least two results") (fun () ->
       ignore (Dod.apply c [ Dod.Remove 0; Dod.Remove 0; Dod.Remove 0 ]));
-  (* singleton batches route to the surgical ops and keep their errors *)
+  (* a singleton batch is an ordinary batch, with the same message *)
   Alcotest.check_raises "singleton remove keeps its message"
-    (Invalid_argument "Dod.remove_result: index out of range") (fun () ->
+    (Invalid_argument "Dod.apply: remove index out of range") (fun () ->
       ignore (Dod.apply c [ Dod.Remove 9 ]));
   Alcotest.check_raises "expired batch raises" Deadline.Expired (fun () ->
       ignore
@@ -245,17 +193,16 @@ let test_approx_bytes_sane () =
 let test_approx_bytes_accounting () =
   if Sys.word_size = 64 then begin
     let c = Dod.make_context (synthetic 4 6) in
-    check Alcotest.int "64-bit golden footprint (flat)" 21624
+    check Alcotest.int "64-bit golden footprint (flat)" 19208
       (Dod.approx_bytes c);
     (* delta maintenance must account like a fresh build: bit-identical
-       contexts have identical footprints, whatever their physical
-       segmentation *)
+       contexts have identical footprints *)
     let profiles = synthetic 4 7 in
-    let grown = Dod.add_result c profiles.(6) in
+    let grown = add c profiles.(6) in
     check Alcotest.int "delta footprint = fresh footprint"
       (Dod.approx_bytes (Dod.make_context profiles))
       (Dod.approx_bytes grown);
-    let shrunk = Dod.remove_result (Dod.make_context profiles) 6 in
+    let shrunk = remove (Dod.make_context profiles) 6 in
     check Alcotest.int "remove footprint = fresh footprint"
       (Dod.approx_bytes c) (Dod.approx_bytes shrunk)
   end
@@ -268,7 +215,7 @@ let session_of config profiles ~size_bound =
   | Error e -> Alcotest.fail (Error.to_string e)
 
 let shrink s bound =
-  match Session.set_size_bound s bound with
+  match Session.apply s [ Session.Set_size_bound bound ] with
   | Ok s -> s
   | Error e -> Alcotest.fail (Error.to_string e)
 
@@ -311,12 +258,13 @@ let test_session_deadline_intact () =
   let extra = (synthetic 14 3).(1) in
   let s = session_of Config.default profiles ~size_bound:6 in
   let expired = Deadline.of_ms 0. in
+  let expire op = ignore (Session.apply ~deadline:expired s [ op ]) in
   Alcotest.check_raises "expired add raises" Deadline.Expired (fun () ->
-      ignore (Session.add ~deadline:expired s extra));
+      expire (Session.Add extra));
   Alcotest.check_raises "expired remove raises" Deadline.Expired (fun () ->
-      ignore (Session.remove ~deadline:expired s 0));
+      expire (Session.Remove 0));
   Alcotest.check_raises "expired resize raises" Deadline.Expired (fun () ->
-      ignore (Session.set_size_bound ~deadline:expired s 3));
+      expire (Session.Set_size_bound 3));
   (* the session survives: its context still equals a fresh build and the
      same mutations succeed without a deadline *)
   let cfg = Session.config s in
@@ -324,7 +272,7 @@ let test_session_deadline_intact () =
     (Dod.make_context ~params:cfg.Config.params ~weight:cfg.Config.weight
        (Session.profiles s))
     (Session.context s);
-  let s' = Session.add s extra in
+  let s' = Result.get_ok (Session.apply s [ Session.Add extra ]) in
   check Alcotest.int "undeadlined add lands" 5
     (Array.length (Session.profiles s'))
 
@@ -390,6 +338,8 @@ let prop_mutations_bit_identical =
         in
         if not (Dod.equal_context fresh (Session.context s)) then
           QCheck.Test.fail_reportf "step %d: context <> fresh rebuild" step;
+        if Dod.approx_bytes (Session.context s) <> Dod.approx_bytes fresh then
+          QCheck.Test.fail_reportf "step %d: footprint <> fresh rebuild" step;
         if not (Dod.equal_context (Session.context m) (Session.context s))
         then
           QCheck.Test.fail_reportf "step %d: context <> ablation mirror" step;
@@ -397,6 +347,15 @@ let prop_mutations_bit_identical =
           QCheck.Test.fail_reportf "step %d: DFSs diverge from mirror" step;
         if Session.dod s <> Session.dod m then
           QCheck.Test.fail_reportf "step %d: DoD diverges from mirror" step
+      in
+      let step_both step what op =
+        match (Session.apply !s [ op ], Session.apply !m [ op ]) with
+        | Ok a, Ok b ->
+          s := a;
+          m := b
+        | (Error e, _ | _, Error e) ->
+          QCheck.Test.fail_reportf "step %d: %s: %s" step what
+            (Error.to_string e)
       in
       agree 0;
       List.iteri
@@ -408,35 +367,18 @@ let prop_mutations_bit_identical =
             incr next;
             (* mid-sequence expiry: must raise, not corrupt *)
             (try
-               ignore (Session.add ~deadline:(Deadline.of_ms 0.) !s p);
+               ignore
+                 (Session.apply ~deadline:(Deadline.of_ms 0.) !s
+                    [ Session.Add p ]);
                QCheck.Test.fail_reportf "step %d: expired add did not raise"
                  step
              with Deadline.Expired -> ());
-            s := Session.add !s p;
-            m := Session.add !m p
+            step_both step "add" (Session.Add p)
           | Add -> () (* pool exhausted *)
           | Remove i ->
             let n = Array.length (Session.profiles !s) in
-            if n > 2 then begin
-              let i = i mod n in
-              match (Session.remove !s i, Session.remove !m i) with
-              | Ok a, Ok b ->
-                s := a;
-                m := b
-              | (Error e, _ | _, Error e) ->
-                QCheck.Test.fail_reportf "step %d: remove: %s" step
-                  (Error.to_string e)
-            end
-          | Resize k -> (
-            match
-              (Session.set_size_bound !s k, Session.set_size_bound !m k)
-            with
-            | Ok a, Ok b ->
-              s := a;
-              m := b
-            | (Error e, _ | _, Error e) ->
-              QCheck.Test.fail_reportf "step %d: resize: %s" step
-                (Error.to_string e)));
+            if n > 2 then step_both step "remove" (Session.Remove (i mod n))
+          | Resize k -> step_both step "resize" (Session.Set_size_bound k));
           agree step)
         ops;
       true)
@@ -508,6 +450,8 @@ let prop_batches_bit_identical =
         in
         if not (Dod.equal_context fresh (Session.context s)) then
           QCheck.Test.fail_reportf "batch %d: context <> fresh rebuild" step;
+        if Dod.approx_bytes (Session.context s) <> Dod.approx_bytes fresh then
+          QCheck.Test.fail_reportf "batch %d: footprint <> fresh rebuild" step;
         if not (Dod.equal_context (Session.context m) (Session.context s))
         then
           QCheck.Test.fail_reportf "batch %d: context <> ablation mirror"
@@ -916,8 +860,7 @@ let test_server_apply_batch () =
         "ranks applied" [ 1; 3; 4 ]
         (List.filter_map (function Json.Int i -> Some i | _ -> None) ranks)
     | _ -> Alcotest.fail "no ranks");
-    (* a singleton batch removing the newest result rides the
-       tail-sharing fast path *)
+    (* a singleton batch removing the newest result *)
     let r2 =
       handle ~meth:"POST" ~body:{|{"ops":[{"op":"remove","rank":4}]}|}
         ("/session/" ^ id ^ "/apply")
@@ -936,15 +879,11 @@ let test_server_apply_batch () =
     (int_exn "context_builds_delta" metrics);
   check Alcotest.int "params op maintained by delta" 1
     (int_exn "reparams_delta" metrics);
-  check Alcotest.int "tail-sharing remove counted" 1
-    (int_exn "remove_tail_shared" metrics);
   let cold_metrics = (cold "/metrics").Http.resp_body in
   check Alcotest.int "ablation: applies rebuild in full" 3
     (int_exn "context_builds_full" cold_metrics);
   check Alcotest.int "ablation: no delta builds" 0
     (int_exn "context_builds_delta" cold_metrics);
-  check Alcotest.int "ablation: no tail sharing" 0
-    (int_exn "remove_tail_shared" cold_metrics);
   (* one batch = the same final state as the equivalent single-op replay,
      modulo the runs diagnostic *)
   let _, seq = session_server () in
@@ -1114,10 +1053,6 @@ let () =
           Alcotest.test_case "deadline mid-delta" `Quick
             test_deadline_mid_delta;
           Alcotest.test_case "approx_bytes sane" `Quick test_approx_bytes_sane;
-          Alcotest.test_case "remove-last shares tails" `Quick
-            test_remove_last_shares_tails;
-          Alcotest.test_case "general remove shares suffix" `Quick
-            test_remove_general_shares_suffix;
           Alcotest.test_case "apply batch = fresh" `Quick
             test_apply_batch_equals_fresh;
           Alcotest.test_case "apply cancelling pairs" `Quick

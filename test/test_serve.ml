@@ -323,6 +323,36 @@ let test_handle_search () =
   check Alcotest.int "unknown dataset" 404
     (handle "/search?dataset=nope&q=gps").Http.status
 
+(* [limit] is a non-negative decimal integer or absent (10; an empty
+   value counts as absent, like every query parameter): anything else is
+   a 400 naming the parameter, not a silent default. *)
+let test_handle_search_limit () =
+  let search limit =
+    handle ("/search?dataset=product-reviews&q=gps&limit=" ^ limit)
+  in
+  let error_field resp name =
+    match Json.member name (member_exn "error" resp.Http.resp_body) with
+    | Some (Json.String v) -> v
+    | _ -> Alcotest.failf "no error %s in %s" name resp.Http.resp_body
+  in
+  List.iter
+    (fun bad ->
+      let resp = search bad in
+      check Alcotest.int ("limit=" ^ bad) 400 resp.Http.status;
+      check Alcotest.string ("limit=" ^ bad ^ ": code") "bad_request"
+        (error_field resp "code");
+      check Alcotest.bool ("limit=" ^ bad ^ ": names limit") true
+        (Xsact_util.Textutil.contains_substring (error_field resp "message")
+           "limit"))
+    [ "abc"; "-1"; "1.5"; "0x10"; "99999999999999999999" ];
+  let count resp =
+    check Alcotest.int "search status" 200 resp.Http.status;
+    member_exn "count" resp.Http.resp_body
+  in
+  check json "limit=0" (Json.Int 0) (count (search "0"));
+  check json "limit=1" (Json.Int 1) (count (search "1"));
+  ignore (count (search "1000000"))
+
 let test_handle_compare_errors () =
   check Alcotest.int "bad JSON" 400
     (handle ~meth:"POST" ~body:"{oops" "/compare").Http.status;
@@ -757,6 +787,7 @@ let () =
         [
           Alcotest.test_case "basic routes" `Quick test_handle_basic;
           Alcotest.test_case "search" `Quick test_handle_search;
+          Alcotest.test_case "search limit" `Quick test_handle_search_limit;
           Alcotest.test_case "compare errors" `Quick test_handle_compare_errors;
           Alcotest.test_case "keyword bound" `Quick test_handle_keyword_bound;
           Alcotest.test_case "compare cache" `Quick test_handle_compare_cache;
