@@ -1099,7 +1099,7 @@ let persist_bench () =
 
 (* ---- Incremental maintenance: delta operations vs full rebuild ----------------------------- *)
 
-(* E14/E15: single mutation latency, a one-op [Dod.apply] delta vs a
+(* E14/E15: single mutation latency, one [Dod.rearrange] delta vs a
    batch make_context, over growing result sets: add, remove-last,
    general remove, reparams (threshold change: every pair recomputes but
    count/type maps are reused) and reweight (weight rows only, every pair
@@ -1142,14 +1142,19 @@ let incremental_bench () =
       let reweight gt = if String.length gt.Feature.attribute land 1 = 0 then 2 else 1 in
       let ctx_base = Dod.make_context base in
       let ctx_full = Dod.make_context profiles in
-      let add () = Dod.apply ctx_base [ Dod.Add profiles.(n) ] in
-      let remove_last () = Dod.apply ctx_full [ Dod.Remove n ] in
-      let remove_mid () = Dod.apply ctx_full [ Dod.Remove mid ] in
+      let all = List.init (n + 1) Fun.id in
+      let but i = List.filter (( <> ) i) all in
+      let keep_base = but n and keep_sans_mid = but mid in
+      let add () =
+        Dod.rearrange ctx_base ~keep:keep_base ~add:[ profiles.(n) ]
+      in
+      let remove_last () = Dod.rearrange ctx_full ~keep:keep_base ~add:[] in
+      let remove_mid () = Dod.rearrange ctx_full ~keep:keep_sans_mid ~add:[] in
       let reparams () =
-        Dod.apply ctx_full [ Dod.Reparams { params = Some params'; weight = None } ]
+        Dod.rearrange ~params:params' ctx_full ~keep:all ~add:[]
       in
       let reweighted () =
-        Dod.apply ctx_full [ Dod.Reparams { params = None; weight = Some reweight } ]
+        Dod.rearrange ~weight:reweight ctx_full ~keep:all ~add:[]
       in
       (* sanity: the timed deltas really are the batch results *)
       let same what fresh delta =
@@ -1318,13 +1323,13 @@ let incremental_bench () =
               (Array.to_list (Array.sub profiles 0 batch_n))
           with
           | Ok s ->
-            let ps, ctx =
+            let _, ctx =
               Intern.publish share_table share_key
                 ~profiles:(Session.profiles s)
                 ~context:(Session.context s)
             in
             if ctx == Session.context s then s
-            else Session.intern s ~profiles:ps ~context:ctx
+            else Session.intern s ~context:ctx
           | Error _ -> failwith "incremental bench: shared session failed"))
   in
   let one_physical_context =

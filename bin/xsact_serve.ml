@@ -24,8 +24,7 @@ let parse_hostport ~flag spec =
 
 let serve port threads cache datasets deadline_ms max_pending
     session_ttl max_sessions state_dir fsync snapshot_every no_incremental
-    context_cache max_context_mb replica_of peers takeover_after
-    no_context_snapshots =
+    max_context_mb replica_of peers takeover_after no_context_snapshots =
   let datasets = match datasets with [] -> None | names -> Some names in
   let fsync =
     match Xsact_persist.Journal.policy_of_string fsync with
@@ -53,7 +52,6 @@ let serve port threads cache datasets deadline_ms max_pending
     try
       Ok
         (Server.create ?datasets ~cache_capacity:cache
-           ~context_cache_capacity:context_cache
            ~incremental:(not no_incremental) ?max_context_bytes ?deadline_ms
            ?session_ttl_s:session_ttl ?max_sessions ?state_dir
            ~fsync ~snapshot_every ?replica_of ~peers ?takeover_after
@@ -218,16 +216,6 @@ let no_incremental_arg =
            byte-identical either way; this is the ablation/baseline \
            configuration.")
 
-let context_cache_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "context-cache" ] ~docv:"N"
-        ~doc:
-          "Maximum unpinned entries the cross-session context intern \
-           table retains for reuse — contexts no warm session holds, \
-           kept so POST /compare and re-created sessions over the same \
-           result set skip the rebuild. Pinned entries don't count.")
-
 let max_context_mb_arg =
   Arg.(
     value & opt (some float) None
@@ -294,7 +282,7 @@ let cmd =
       const serve $ port_arg $ threads_arg $ cache_arg $ datasets_arg
       $ deadline_arg $ max_pending_arg $ session_ttl_arg $ max_sessions_arg
       $ state_dir_arg $ fsync_arg $ snapshot_every_arg $ no_incremental_arg
-      $ context_cache_arg $ max_context_mb_arg
+      $ max_context_mb_arg
       $ replica_of_arg $ peers_arg $ takeover_after_arg
       $ no_context_snapshots_arg)
 

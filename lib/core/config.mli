@@ -18,9 +18,9 @@ type t = {
   domains : int option;
       (** ignored; kept only because e2ebench/replay.ml reads it *)
   incremental : bool;
-      (** maintain session contexts by delta ({!Dod.apply}: cached pair
-          tables reused, only the missing pairs computed, the link table
-          replayed once) instead of full rebuilds. Output is
+      (** maintain session contexts by delta ({!Dod.rearrange}: cached
+          pair tables reused, only the missing pairs computed, the link
+          table replayed once) instead of full rebuilds. Output is
           bit-identical either way —
           this is a cost knob (and the ablation lever for benchmarks),
           not a semantics knob. *)

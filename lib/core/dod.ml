@@ -290,88 +290,51 @@ let make_context ?(params = default_params) ?(weight = fun _ -> 1)
 
 (* {2 Deltas} *)
 
-type op =
-  | Add of Result_profile.t
-  | Remove of int
-  | Reparams of {
-      params : params option;
-      weight : (Feature.ftype -> int) option;
-    }
-
-(* A slot of the batch's final arrangement: a survivor of the input
-   context, or a result added (and not re-removed) along the way. *)
-type slot = Old of int | New of int * Result_profile.t
-
-(* Coalesce a whole op list into one delta. The sequence is simulated over
-   slot descriptors first — O(ops × n) bookkeeping, no pair work — which
-   is where the dedup falls out: a result added and later removed within
-   the batch never becomes a slot, so its pairs are never computed, and
-   only the last params/weight matter. Then the pairs the cache cannot
-   serve (those touching new results, or all of them after a params
-   change) are computed, and one link-table replay produces the final
-   context. The input shares its pair entry tables with the result and
+(* The context over [keep]'s survivors, in order, followed by [add]. The
+   arrangement invariant holds by construction: survivors keep their
+   strictly increasing ids and newcomers get fresh, larger ones, so every
+   cached entry table keeps its orientation. Then the pairs the cache
+   cannot serve (those touching new results, or all of them after a
+   params change) are computed, and one link-table replay produces the
+   result. The input shares its pair entry tables with the result and
    stays fully usable: sessions keep their history, and a deadline
-   tripping mid-delta leaves it intact.
-
-   The arrangement invariant holds throughout: removes preserve relative
-   order and adds append with fresh (larger) ids, so ids stay strictly
-   increasing with position and every cached entry table keeps its
-   orientation. Because [compute_pair] is a pure function of the two
-   profiles and the params, and [derive_links_table] replays the
-   canonical merge order, the result is bit-identical to [make_context]
-   over the same result array. *)
-let apply ?deadline c ops =
+   tripping mid-delta leaves it intact. Because [compute_pair] is a pure
+   function of the two profiles and the params, and [derive_links_table]
+   replays the canonical merge order, the result is bit-identical to
+   [make_context] over the same result array. *)
+let rearrange ?deadline ?params ?weight c ~keep ~add =
   Deadline.check deadline;
-  match ops with
-  | [] -> c
-  | ops ->
-    let slots = ref (List.init (Array.length c.results) (fun i -> Old i)) in
-    let next_id = ref c.next_id in
-    let final_params = ref c.params in
-    let weight_fn = ref c.weight_fn in
-    let weight_dirty = ref false in
-    List.iter
-      (function
-        | Add p ->
-          slots := !slots @ [ New (!next_id, p) ];
-          incr next_id
-        | Remove i ->
-          let len = List.length !slots in
-          if i < 0 || i >= len then
-            invalid_arg "Dod.apply: remove index out of range";
-          if len <= 2 then invalid_arg "Dod.apply: need at least two results";
-          slots := List.filteri (fun j _ -> j <> i) !slots
-        | Reparams { params; weight } ->
-          (match params with Some p -> final_params := p | None -> ());
-          (match weight with
-          | Some w ->
-            weight_fn := w;
-            weight_dirty := true
-          | None -> ()))
-      ops;
-    let slots = Array.of_list !slots in
-    let params = !final_params in
-    let results =
-      Array.map (function Old i -> c.results.(i) | New (_, p) -> p) slots
+  let n = Array.length c.results in
+  let keep = Array.of_list keep and add = Array.of_list add in
+  Array.iteri
+    (fun k i ->
+      if i < 0 || i >= n || (k > 0 && i <= keep.(k - 1)) then
+        invalid_arg "Dod.rearrange: keep is not strictly increasing in range")
+    keep;
+  if Array.length keep + Array.length add < 2 then
+    invalid_arg "Dod.rearrange: need at least two results";
+  let params = Option.value params ~default:c.params in
+  (* n strictly increasing indices below n are all of them, in place *)
+  if
+    Array.length keep = n && Array.length add = 0 && params = c.params
+    && Option.is_none weight
+  then c
+  else
+    let pick kept fresh =
+      Array.append (Array.map (fun i -> kept.(i)) keep) (Array.map fresh add)
     in
-    let counts =
-      Array.map (function Old i -> c.counts.(i) | New (_, p) -> counts_map p)
-        slots
-    in
-    let fmaps =
-      Array.map (function Old i -> c.fmaps.(i) | New (_, p) -> ftype_map p)
-        slots
-    in
+    let results = pick c.results Fun.id in
+    let counts = pick c.counts counts_map in
+    let fmaps = pick c.fmaps ftype_map in
     let ids =
-      Array.map (function Old i -> c.ids.(i) | New (id, _) -> id) slots
+      Array.append
+        (Array.map (fun i -> c.ids.(i)) keep)
+        (Array.init (Array.length add) (fun k -> c.next_id + k))
     in
+    let weight_fn = Option.value weight ~default:c.weight_fn in
     let weights =
-      if !weight_dirty then Array.map (weights_row !weight_fn) results
-      else
-        Array.map
-          (function
-            | Old i -> c.weights.(i) | New (_, p) -> weights_row !weight_fn p)
-          slots
+      if Option.is_some weight then Array.map (weights_row weight_fn) results
+      else pick c.weights (weights_row weight_fn)
     in
     let pairs =
       pair_map ?deadline params results counts fmaps ids
@@ -380,7 +343,7 @@ let apply ?deadline c ops =
     let links, starts = derive_links_table results ids pairs in
     {
       params;
-      weight_fn = !weight_fn;
+      weight_fn;
       results;
       links;
       starts;
@@ -388,7 +351,7 @@ let apply ?deadline c ops =
       counts;
       fmaps;
       ids;
-      next_id = !next_id;
+      next_id = c.next_id + Array.length add;
       pairs;
     }
 

@@ -62,41 +62,35 @@ val weight_of : context -> i:int -> gi:int -> int
 
     A context caches each pair's precomputed table independently, keyed by
     stable result identities, so a mutation computes only the pairs it
-    adds and replays the rest. {!apply} is the one way a context changes:
-    it returns a {e new} context — the input stays fully usable, which is
-    what lets sessions keep history and lets a deadline tripping
+    adds and replays the rest. {!rearrange} is the one way a context
+    changes: it returns a {e new} context — the input stays fully usable,
+    which is what lets sessions keep history and lets a deadline tripping
     mid-delta leave the live context intact — and the result is
     {e bit-identical} to a fresh {!make_context} over the same result
-    array (same params and weighting). *)
+    array (same params and weighting). It takes the final arrangement,
+    not an op list: {!Session.apply} is the one interpreter of op
+    batches. *)
 
-(** One step of a batched mutation, consumed by {!apply}. *)
-type op =
-  | Add of Result_profile.t
-  | Remove of int
-      (** Index into the array as it stands {e at that point of the op
-          list}, after the ops before it. *)
-  | Reparams of {
-      params : params option;
-      weight : (Feature.ftype -> int) option;
-    }
-
-val apply :
+val rearrange :
   ?deadline:Xsact_util.Deadline.t ->
+  ?params:params ->
+  ?weight:(Feature.ftype -> int) ->
   context ->
-  op list ->
+  keep:int list ->
+  add:Result_profile.t list ->
   context
-(** Apply a batch of mutations as one delta. Semantically the ops
-    applied one at a time, in order, and bit-identical to a fresh
-    {!make_context} over the final result array. The batch is first
-    simulated symbolically, so a cancelling add/remove pair costs
-    nothing; then every cached pair table is reused, only the missing
-    pairs are computed (those touching added results, or all of them
-    when [params] changed), and the link table is replayed exactly once,
-    in O(total links). The last [Reparams] in the batch wins. A weighting
-    change alone recomputes no pair (the pair tables do not depend on
-    weights). [[]] returns the input context itself ([==]).
-    @raise Invalid_argument if a [Remove] index is out of range at its
-    point in the sequence, if the batch would leave fewer than two
+(** [rearrange c ~keep ~add] is the context over the results of [c] at
+    the indices [keep], in order, followed by [add], under [params] and
+    [weight] (each defaulting to [c]'s). Every cached pair table between
+    survivors is reused unless [params] differ from [c]'s; only the
+    missing pairs are computed (those touching added results, or all of
+    them after a params change), and the link table is replayed exactly
+    once, in O(total links). A weighting change alone recomputes no pair
+    (the pair tables do not depend on weights). The same arrangement
+    under the same params and no [weight] returns [c] itself ([==]).
+    @raise Invalid_argument if [keep] is not strictly increasing or names
+    an index out of range (stable-id orientation depends on survivors
+    keeping their order), if the result would hold fewer than two
     results, or on a negative weight.
     @raise Xsact_util.Deadline.Expired on a tripped deadline: the token
     is checked on entry and polled before every computed pair (the input
@@ -105,7 +99,7 @@ val apply :
 val equal_context : context -> context -> bool
 (** Observable equality: same params, the same result profiles
     (physically), and identical link tables, weight rows and count maps —
-    the bit-identity contract {!apply} promises against {!make_context}.
+    the bit-identity contract {!rearrange} promises against {!make_context}.
     Internal cache bookkeeping (stable ids) is deliberately ignored. *)
 
 val num_pair_tables : context -> int

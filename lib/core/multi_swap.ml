@@ -206,6 +206,11 @@ let spread_bonus context ~i ~gi = 1 + Dod.num_links context ~i ~gi
 
 let best_response ?(spread = true) ?thresholds context ~limit dfss i =
   let profile = (Dod.results context).(i) in
+  (* The tables are indexed by budget, so they are sized by what the
+     result can hold, not by the caller's bound: no DFS has more than
+     [total_features] features, and a cell at budget b reads only smaller
+     budgets, so every budget past it would repeat the last cell. *)
+  let limit = min limit profile.Result_profile.total_features in
   let nt = Result_profile.num_types profile in
   let thresholds =
     match thresholds with

@@ -1,8 +1,7 @@
 type t = {
   config : Config.t;
   size_bound : int;
-  profiles : Result_profile.t array;
-  context : Dod.context;
+  context : Dod.context;  (* its results are the session's profiles *)
   dfss : Dfs.t array;
   runs : int ref;  (* shared along the session history *)
 }
@@ -20,13 +19,6 @@ let make_context ?deadline config profiles =
   Dod.make_context ~params:config.Config.params
     ~weight:config.Config.weight ?deadline profiles
 
-(* Adopt an already-maintained context (delta-updated or rebuilt) and
-   regenerate the DFSs from it, warm-started when [init] is given. *)
-let regenerate ?init session context profiles =
-  let session = { session with profiles; context } in
-  let dfss = generate ?init session context in
-  { session with dfss }
-
 let create ?(config = Config.default) ?context ~size_bound profiles =
   if config.Config.algorithm = Algorithm.Exhaustive then
     Error
@@ -35,24 +27,13 @@ let create ?(config = Config.default) ?context ~size_bound profiles =
     Error (Error.Too_few_selected (List.length profiles))
   else if size_bound < 1 then Error (Error.Bound_too_small size_bound)
   else
-    let profiles = Array.of_list profiles in
     let context =
       match context with
-      | Some c ->
-        if Dod.num_results c <> Array.length profiles then
-          invalid_arg "Session.create: context arity mismatch";
-        c
-      | None -> make_context config profiles
+      | Some c -> c
+      | None -> make_context config (Array.of_list profiles)
     in
     let skeleton =
-      {
-        config;
-        size_bound;
-        profiles;
-        context;
-        dfss = [||];
-        runs = ref 0;
-      }
+      { config; size_bound; context; dfss = [||]; runs = ref 0 }
     in
     let dfss = generate skeleton context in
     Ok { skeleton with dfss }
@@ -61,17 +42,16 @@ let create ?(config = Config.default) ?context ~size_bound profiles =
    no search, extraction, context build or generation. The warm-boot
    path: everything here was produced by [create]/[apply] in a previous
    process, so validity is re-checked rather than re-derived. *)
-let restore ?(runs = 1) ~config ~size_bound ~profiles ~context ~dfss () =
+let restore ?(runs = 1) ~config ~size_bound ~context ~dfss () =
+  let profiles = Dod.results context in
   if config.Config.algorithm = Algorithm.Exhaustive then
     Error
       (Error.Unsupported_algorithm (Algorithm.to_string Algorithm.Exhaustive))
   else if Array.length profiles < 2 then
     Error (Error.Too_few_selected (Array.length profiles))
   else if size_bound < 1 then Error (Error.Bound_too_small size_bound)
-  else if
-    Dod.num_results context <> Array.length profiles
-    || Array.length dfss <> Array.length profiles
-  then invalid_arg "Session.restore: arity mismatch"
+  else if Array.length dfss <> Array.length profiles then
+    invalid_arg "Session.restore: arity mismatch"
   else if
     not
       (Array.for_all2
@@ -82,22 +62,16 @@ let restore ?(runs = 1) ~config ~size_bound ~profiles ~context ~dfss () =
     (* [runs] defaults to 1 — what [create] leaves behind; a warm-boot
        caller passes the run count it snapshotted so the restored session
        is indistinguishable from the live one it resumes. *)
-    Ok { config; size_bound; profiles; context; dfss; runs = ref (max 1 runs) }
+    Ok { config; size_bound; context; dfss; runs = ref (max 1 runs) }
 
-(* Swap in a canonical, physically shared (profiles, context) pair that
-   is structurally identical to the session's own — the intern table's
-   adoption hook. The DFSs are untouched: they reference the old profile
-   objects, which carry the same data, and every consumer reads them by
-   value. *)
-let intern s ~profiles ~context =
-  if
-    Array.length profiles <> Array.length s.profiles
-    || Dod.num_results context <> Array.length s.profiles
-  then invalid_arg "Session.intern: arity mismatch";
-  { s with profiles; context }
+(* Swap in a canonical, physically shared context that is structurally
+   identical to the session's own — the intern table's adoption hook.
+   The DFSs are untouched: they reference the old profile objects, which
+   carry the same data, and every consumer reads them by value. *)
+let intern s ~context = { s with context }
 
 let config s = s.config
-let profiles s = s.profiles
+let profiles s = Dod.results s.context
 let dfss s = s.dfss
 let dod s = Dod.total s.context s.dfss
 let size_bound s = s.size_bound
@@ -136,90 +110,85 @@ type op =
       weight : (Feature.ftype -> int) option;
     }
 
+(* What a batch leaves, accumulated op by op: the arrangement as the
+   survivors [keep] (increasing indices into the session's profiles)
+   followed by the newcomers [add] — removes preserve relative order and
+   adds append, so it always has that shape — the bound, and the last
+   params and weighting a [Reparams] supplied. *)
+type batch = {
+  keep : int list;
+  add : Result_profile.t list;
+  bound : int;
+  params : Dod.params option;
+  weight : (Feature.ftype -> int) option;
+}
+
+let last earlier later = if Option.is_some later then later else earlier
+
+(* One op against the arrangement the ops before it left: validation and
+   simulation are the same step. *)
+let step b = function
+  | Add p -> Ok { b with add = b.add @ [ p ] }
+  | Remove index ->
+    let nk = List.length b.keep in
+    let n = nk + List.length b.add in
+    let drop i = List.filteri (fun j _ -> j <> i) in
+    if index < 0 || index >= n then
+      Error (Error.Index_out_of_range { index; length = n })
+    else if n <= 2 then Error (Error.Too_few_selected (n - 1))
+    else if index < nk then Ok { b with keep = drop index b.keep }
+    else Ok { b with add = drop (index - nk) b.add }
+  | Set_size_bound bound ->
+    if bound < 1 then Error (Error.Bound_too_small bound)
+    else Ok { b with bound }
+  | Reparams { params; weight } ->
+    Ok { b with params = last b.params params; weight = last b.weight weight }
+
 let apply ?deadline s ops =
-  let n0 = Array.length s.profiles in
-  (* Simulate the batch symbolically before touching anything: validation
-     and the final arrangement are O(ops × n) bookkeeping, so an invalid
-     op — or a batch that cancels itself out — is decided before any pair
-     work or DFS generation. *)
-  let rec validate n = function
-    | [] -> Ok ()
-    | Add _ :: tl -> validate (n + 1) tl
-    | Remove index :: tl ->
-      if index < 0 || index >= n then
-        Error (Error.Index_out_of_range { index; length = n })
-      else if n <= 2 then Error (Error.Too_few_selected (n - 1))
-      else validate (n - 1) tl
-    | Set_size_bound b :: tl ->
-      if b < 1 then Error (Error.Bound_too_small b) else validate n tl
-    | Reparams _ :: tl -> validate n tl
+  let old = Dod.results s.context in
+  let n = Array.length old in
+  (* One symbolic pass over the batch — O(ops × n) bookkeeping, so an
+     invalid op, or a batch that cancels itself out, is decided before
+     any pair work or DFS generation. *)
+  let start =
+    { keep = List.init n Fun.id; add = []; bound = s.size_bound;
+      params = None; weight = None }
   in
-  match validate n0 ops with
+  match
+    List.fold_left (fun b op -> Result.bind b (fun b -> step b op)) (Ok start)
+      ops
+  with
   | Error _ as e -> e
-  | Ok () ->
-    let slots = ref (List.init n0 (fun i -> `Old i)) in
-    let bound = ref s.size_bound in
-    let config = ref s.config in
-    let cfg_dirty = ref false in
-    List.iter
-      (function
-        | Add p -> slots := !slots @ [ `New p ]
-        | Remove i -> slots := List.filteri (fun j _ -> j <> i) !slots
-        | Set_size_bound b -> bound := b
-        | Reparams { params; weight } ->
-          (match params with
-          | Some p ->
-            config := Config.with_params p !config;
-            cfg_dirty := true
-          | None -> ());
-          (match weight with
-          | Some w ->
-            config := Config.with_weight w !config;
-            cfg_dirty := true
-          | None -> ()))
-      ops;
-    (* Removes preserve relative order, so [n0] surviving [`Old] slots can
-       only be 0..n0-1 in place: the arrangement is untouched. *)
-    let arrangement_kept =
-      List.length !slots = n0
-      && List.for_all (function `Old _ -> true | `New _ -> false) !slots
-    in
-    if arrangement_kept && !bound = s.size_bound && not !cfg_dirty then Ok s
+  | Ok { keep; add; bound; params; weight } ->
+    if
+      add = [] && List.length keep = n && bound = s.size_bound
+      && Option.is_none params && Option.is_none weight
+    then Ok s
     else begin
-      Deadline.check deadline;
-      let config = !config and bound = !bound in
-      let profiles =
-        Array.of_list
-          (List.map (function `Old i -> s.profiles.(i) | `New p -> p) !slots)
+      let config =
+        Option.fold ~none:s.config
+          ~some:(fun p -> Config.with_params p s.config)
+          params
+      in
+      let config =
+        Option.fold ~none:config ~some:(fun w -> Config.with_weight w config)
+          weight
+      in
+      let context =
+        if config.Config.incremental then
+          Dod.rearrange ?deadline ?params ?weight s.context ~keep ~add
+        else
+          make_context ?deadline config
+            (Array.of_list (List.map (fun i -> old.(i)) keep @ add))
       in
       (* Uniform warm start: survivors resume from their current DFS
          (truncated when the final bound shrank — the identity otherwise,
          physically), newcomers seed from top-k at the final bound. *)
       let init =
         Array.of_list
-          (List.map
-             (function
-               | `Old i -> truncate ~limit:bound s.dfss.(i)
-               | `New p -> Topk.generate_one ~limit:bound p)
-             !slots)
+          (List.map (fun i -> truncate ~limit:bound s.dfss.(i)) keep
+          @ List.map (Topk.generate_one ~limit:bound) add)
       in
-      let context =
-        if config.Config.incremental then
-          let dod_ops =
-            List.filter_map
-              (function
-                | Add p -> Some (Dod.Add p)
-                | Remove i -> Some (Dod.Remove i)
-                | Set_size_bound _ -> None
-                | Reparams { params; weight } ->
-                  Some (Dod.Reparams { params; weight }))
-              ops
-          in
-          Dod.apply ?deadline s.context dod_ops
-        else make_context ?deadline config profiles
-      in
-      Ok
-        (regenerate ~init
-           { s with config; size_bound = bound }
-           context profiles)
+      let s = { s with config; size_bound = bound; context } in
+      Ok { s with dfss = generate ~init s context }
     end

@@ -10,12 +10,14 @@
     are cheap or stochastic by nature.)
 
     The precomputed {!Dod.context} is maintained the same way: every
-    mutation is one {!apply} batch and one {!Dod.apply} delta, so a batch
-    of k ops costs one context pass and one DFS regeneration, resizing
-    reuses the context verbatim, and a parameter or weighting change
-    ({!Reparams}) never re-extracts profiles — bit-identical to a fresh
-    build in every case. [Config.incremental = false] restores full
-    rebuilds as an ablation baseline.
+    mutation is one {!apply} batch, simulated once here and handed to
+    {!Dod.rearrange} as the final arrangement, so a batch of k ops costs
+    one context pass and one DFS regeneration, resizing reuses the
+    context verbatim, and a parameter or weighting change ({!Reparams})
+    never re-extracts profiles — bit-identical to a fresh build in every
+    case. [Config.incremental = false] restores full rebuilds as an
+    ablation baseline. The session's profiles are its context's results:
+    there is one copy of the arrangement.
 
     Sessions are immutable: every operation returns a new session, so the
     UI's undo is free — and a deadline tripping mid-mutation leaves the
@@ -34,17 +36,16 @@ val create :
     including warm-started ones — honors its parameters, weighting and
     algorithm. [Exhaustive] is rejected with [Unsupported_algorithm].
 
-    [context], when given, is adopted instead of building one — the
-    caller (the serve layer's intern table) guarantees it is the context
-    a fresh build over [profiles] under [config] would produce, which the
-    delta operations' bit-identity contract makes checkable. @raise
-    Invalid_argument when its arity does not match [profiles]. *)
+    [context], when given, is adopted instead of building one, and its
+    results become the session's profiles — the caller (the serve
+    layer's intern table) guarantees it is the context a fresh build over
+    [profiles] under [config] would produce, which the delta operations'
+    bit-identity contract makes checkable. *)
 
 val restore :
   ?runs:int ->
   config:Config.t ->
   size_bound:int ->
-  profiles:Result_profile.t array ->
   context:Dod.context ->
   dfss:Dfs.t array ->
   unit ->
@@ -53,9 +54,10 @@ val restore :
     context build or DFS generation — the warm-boot path
     (DESIGN.md §14): the caller deserialized [context]
     ({!Dod.deserialize_context}) and the DFS q-vectors from a context
-    snapshot. The same request-level validations as {!create} apply
-    ([Exhaustive], arity, bound), and every DFS is re-checked for size
-    and downward closure at [size_bound]. A restored session is
+    snapshot; the session's profiles are [context]'s results. The same
+    request-level validations as {!create} apply ([Exhaustive], result
+    count, bound), and every DFS is re-checked for arity, size and
+    downward closure at [size_bound]. A restored session is
     observably identical to the one that was serialized — including its
     {!stats} run count when the caller snapshotted it ([runs],
     default 1, clamped from below to 1).
@@ -63,17 +65,20 @@ val restore :
     profile, or an invalid DFS — snapshot corruption, which the caller
     turns into a cold rebuild. *)
 
-val intern : t -> profiles:Result_profile.t array -> context:Dod.context -> t
-(** Swap in a canonical, physically shared (profiles, context) pair that
-    is structurally identical to the session's own — how a session adopts
-    the intern table's copy after publishing a context another session
-    already holds. Purely a sharing change: every observable output is
-    unchanged. @raise Invalid_argument on an arity mismatch. *)
+val intern : t -> context:Dod.context -> t
+(** Swap in a canonical, physically shared context that is structurally
+    identical to the session's own — how a session adopts the intern
+    table's copy after publishing a context another session already
+    holds. Purely a sharing change: every observable output is
+    unchanged. *)
 
 (** {1 State} *)
 
 val config : t -> Config.t
+
 val profiles : t -> Result_profile.t array
+(** The context's results, in session order. *)
+
 val dfss : t -> Dfs.t array
 val dod : t -> int
 val size_bound : t -> int
@@ -106,11 +111,12 @@ type op =
     }
 
 val apply : ?deadline:Xsact_util.Deadline.t -> t -> op list -> (t, Error.t) result
-(** Apply a batch of mutations as one step: the ops are simulated
-    symbolically first (so validation, and a batch that cancels itself
-    out, cost no pair work), the context is updated by a single
-    {!Dod.apply} delta — or one rebuild under the ablation config — and
-    the DFSs regenerate {e exactly once}, warm-started uniformly:
+(** Apply a batch of mutations as one step: the ops are validated and
+    simulated symbolically in one pass (so validation, and a batch that
+    cancels itself out, cost no pair work), the context is updated by a
+    single {!Dod.rearrange} to the final arrangement — or one rebuild
+    under the ablation config — and the DFSs regenerate {e exactly
+    once}, warm-started uniformly:
     surviving results resume from their current DFS, added ones (appended
     last) seed from top-k at the final bound. [Set_size_bound] reuses the
     context (it does not depend on the bound); when the final bound

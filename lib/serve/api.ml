@@ -57,6 +57,13 @@ let weight_rules j =
         Some (List.sort compare rules)
       else None)
 
+(* Weights must be non-negative ([Dod.make_context] rejects the rest):
+   the message names the first offending pattern. *)
+let negative_weight rules =
+  Option.map
+    (fun (pat, w) -> Printf.sprintf "negative weight %d for pattern %S" w pat)
+    (List.find_opt (fun (_, w) -> w < 0) rules)
+
 let decode_compare json =
   let* dataset = required json "dataset" Json.to_str in
   let* keywords = Result.bind (required json "q" Json.to_str) decode_keywords in
@@ -79,6 +86,9 @@ let decode_compare json =
         | _ -> None)
   in
   let* weights = optional json "weights" ~default:[] weight_rules in
+  let* () =
+    match negative_weight weights with Some msg -> Error msg | None -> Ok ()
+  in
   Ok
     {
       dataset;
@@ -173,11 +183,8 @@ let decode_params_patch json =
       match weight_rules v with
       | None -> Error (Malformed "field \"weights\" has the wrong type")
       | Some rules -> (
-        match List.find_opt (fun (_, w) -> w < 0) rules with
-        | Some (pat, w) ->
-          Error
-            (Unprocessable
-               (Printf.sprintf "negative weight %d for pattern %S" w pat))
+        match negative_weight rules with
+        | Some msg -> Error (Unprocessable msg)
         | None -> Ok (Some rules)))
   in
   if p_threshold = None && p_measure = None && p_weights = None then

@@ -27,7 +27,8 @@ val decode_compare : Json.t -> (compare_request, string) result
     decode. Keywords are normalized via
     {!Xsact_search.Token.normalize_query}, so requests differing only in
     case/whitespace decode identically; more than
-    {!Xsact_search.Slca.max_keywords} distinct keywords is an error. *)
+    {!Xsact_search.Slca.max_keywords} distinct keywords is an error, and
+    so is a negative weight (the message names its pattern). *)
 
 val decode_keywords : string -> (string, string) result
 (** The keyword normalization used by {!decode_compare}, exposed so

@@ -482,20 +482,24 @@ let degraded_response t ~cache ~reasons body =
       [ ("X-Cache", cache); ("X-Degraded", String.concat ", " reasons) ]
     ~status:200 body
 
+module Int_set = Set.Make (Int)
+
 (* A selection names each result at most once — the invariant the add op
    enforces. /compare, POST /session and a rewarm from a journaled
-   selection all answer this one 422. *)
+   selection all answer this one 422, naming the first rank that repeats
+   an earlier one. It runs before the range check, on a list as long as
+   the body allows, so it is O(n log n). *)
 let distinct_ranks ranks =
   let rec first_dup seen = function
     | [] -> Ok ()
     | r :: rest ->
-      if List.mem r seen then
+      if Int_set.mem r seen then
         Error
           (error_response ~status:422 ~code:"unprocessable"
              (Printf.sprintf "duplicate rank %d in \"select\"" r))
-      else first_dup (r :: seen) rest
+      else first_dup (Int_set.add r seen) rest
   in
-  first_dup [] ranks
+  first_dup Int_set.empty ranks
 
 (* Per-key single-flight: the first thread to miss on [key] claims it and
    computes with [t.lock] released, so cache hits, other keys, and /metrics
@@ -684,7 +688,10 @@ let build_session_entry t creq ~ranks ~size_bound =
       let ranks =
         match ranks with
         | Some ranks -> ranks
-        | None -> List.init (min creq.Api.top available) (fun i -> i + 1)
+        | None ->
+          (* a negative [top] selects nothing, as on /compare: the 422
+             comes from [Session.create] *)
+          List.init (max 0 (min creq.Api.top available)) (fun i -> i + 1)
       in
       match distinct_ranks ranks with
       | Error resp -> Error resp
@@ -737,14 +744,14 @@ let build_session_entry t creq ~ranks ~size_bound =
                 (* Publish under the key; a racing builder may have won —
                    adopt the canonical pair so both sessions share one
                    physical context (bit-identical by construction). *)
-                let profiles, context =
+                let _, context =
                   Intern.publish t.intern ctx_key
                     ~profiles:(Session.profiles session)
                     ~context:(Session.context session)
                 in
                 let session =
                   if context == Session.context session then session
-                  else Session.intern session ~profiles ~context
+                  else Session.intern session ~context
                 in
                 Ok (entry_of session, true)))))
 
@@ -923,7 +930,7 @@ let store_mutated t ~origin id st old_se se =
       let old_key = session_ctx_key old_se in
       let new_key = session_ctx_key se in
       let owned = Atomic.compare_and_set st.owns true false in
-      let profiles, context =
+      let _, context =
         Intern.publish t.intern new_key
           ~profiles:(Session.profiles se.s_session)
           ~context:(Session.context se.s_session)
@@ -931,7 +938,7 @@ let store_mutated t ~origin id st old_se se =
       if owned then Intern.release t.intern old_key;
       let session =
         if context == Session.context se.s_session then se.s_session
-        else Session.intern se.s_session ~profiles ~context
+        else Session.intern se.s_session ~context
       in
       ({ se with s_session = session }, true)
     end
@@ -1364,10 +1371,11 @@ let warm_from_record t ~blobs ~search (s : Warmboot.sess) =
       in
       match interned with
       | None -> miss ()
-      | Some (profiles, context) -> (
+      | Some (_, context) -> (
+        let profiles = Dod.results context in
         match
           Session.restore ~runs:s.Warmboot.z_runs ~config
-            ~size_bound:s.Warmboot.z_bound ~profiles ~context
+            ~size_bound:s.Warmboot.z_bound ~context
             ~dfss:
               (Array.mapi
                  (fun i q -> Dfs.of_q_array profiles.(i) q)
@@ -1779,9 +1787,14 @@ let routes_of t =
     r "POST" "v1/demote" handle_demote;
   ]
 
-let create ?datasets ?(cache_capacity = 128) ?(context_cache_capacity = 32)
-    ?(incremental = true) ?max_context_bytes ?deadline_ms
-    ?(max_deadline_ms = 60_000) ?session_ttl_s ?max_sessions ?state_dir
+(* Unpinned entries the intern table keeps for reuse: contexts no warm
+   session pins, so [POST /compare] and a re-created session over the
+   same result set skip the rebuild. *)
+let context_cache_capacity = 32
+
+let create ?datasets ?(cache_capacity = 128) ?(incremental = true)
+    ?max_context_bytes ?deadline_ms ?(max_deadline_ms = 60_000)
+    ?session_ttl_s ?max_sessions ?state_dir
     ?(fsync = Xsact_persist.Journal.Interval 0.1) ?(snapshot_every = 256)
     ?replica_of ?(peers = []) ?takeover_after ?(context_snapshots = true) ()
     =

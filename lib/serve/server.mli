@@ -66,8 +66,7 @@
 type t
 
 val create :
-  ?datasets:string list -> ?cache_capacity:int ->
-  ?context_cache_capacity:int -> ?incremental:bool ->
+  ?datasets:string list -> ?cache_capacity:int -> ?incremental:bool ->
   ?max_context_bytes:int ->
   ?deadline_ms:int -> ?max_deadline_ms:int -> ?session_ttl_s:float ->
   ?max_sessions:int -> ?state_dir:string ->
@@ -78,16 +77,15 @@ val create :
     registry). [cache_capacity] sizes the comparison LRU (default 128).
 
     Incremental-engine knobs (DESIGN.md §11, §13):
-    - [context_cache_capacity] (default 32): maximum {e unpinned} entries
-      the cross-session intern table retains for reuse — contexts no warm
-      session currently pins, kept so [POST /compare] and re-created
-      sessions over the same corpus skip the rebuild. Pinned entries
-      (held by at least one warm session) are not counted against it.
     - [incremental] (default [true]): maintain session contexts by delta,
       intern them across sessions, and serve [/compare] from the intern
       table. [false] restores full rebuilds and per-session private
       contexts everywhere — the ablation/baseline configuration; response
-      bodies are byte-identical either way.
+      bodies are byte-identical either way. The intern table retains at
+      most 32 {e unpinned} entries for reuse — contexts no warm session
+      currently pins, kept so [POST /compare] and re-created sessions
+      over the same corpus skip the rebuild; pinned entries (held by at
+      least one warm session) are not counted against that.
     - [max_context_bytes]: one budget for {e all} warm context bytes —
       interned session contexts (counted once however many sessions pin
       them) plus the unpinned reuse entries behind [POST /compare].

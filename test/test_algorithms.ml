@@ -266,6 +266,22 @@ let test_enumerate_valid_small () =
     (fun d -> check Alcotest.bool "each valid" true (Dfs.is_valid ~limit:2 d))
     all
 
+(* The DP's tables are sized by what a result can hold, not by the
+   caller's bound: every bound from the largest result's feature count up
+   is the same bound, max_int included. *)
+let test_limit_past_features () =
+  let profiles = synthetic ~seed:11 ~results:3 in
+  let c = Dod.make_context profiles in
+  let largest =
+    Array.fold_left
+      (fun acc p -> max acc p.Result_profile.total_features)
+      0 profiles
+  in
+  let qs limit = Array.map Dfs.to_q_array (Multi_swap.generate c ~limit) in
+  check Alcotest.bool "largest + 100 = largest" true
+    (qs (largest + 100) = qs largest);
+  check Alcotest.bool "max_int = largest" true (qs max_int = qs largest)
+
 let test_greedy_comparable () =
   let profiles = synthetic ~seed:7 ~results:3 in
   let c = Dod.make_context profiles in
@@ -327,5 +343,7 @@ let () =
           Alcotest.test_case "invalid init" `Quick test_invalid_init_rejected;
           Alcotest.test_case "exhaustive guard" `Quick test_exhaustive_guard;
           Alcotest.test_case "enumerate_valid" `Quick test_enumerate_valid_small;
+          Alcotest.test_case "limit past every result's features" `Quick
+            test_limit_past_features;
         ] );
     ]

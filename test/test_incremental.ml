@@ -1,5 +1,5 @@
-(* The incremental comparison engine: the Dod delta ([Dod.apply]), its
-   threading through Session mutations, and the serve layer's
+(* The incremental comparison engine: the Dod delta ([Dod.rearrange]),
+   the op batches Session.apply interprets for it, and the serve layer's
    warm-context machinery.
 
    The contract under test everywhere is *bit-identity*: a context
@@ -29,13 +29,14 @@ let ctx : Dod.context Alcotest.testable =
 let drop idx a =
   Array.of_list (List.filteri (fun i _ -> i <> idx) (Array.to_list a))
 
-(* ---- Dod delta operations ---------------------------------------------- *)
+(* ---- Dod.rearrange ------------------------------------------------------ *)
 
-let add c p = Dod.apply c [ Dod.Add p ]
-let remove c i = Dod.apply c [ Dod.Remove i ]
+let all c = List.init (Dod.num_results c) Fun.id
+let add c p = Dod.rearrange c ~keep:(all c) ~add:[ p ]
+let remove c i = Dod.rearrange c ~keep:(List.filter (( <> ) i) (all c)) ~add:[]
 
 let reparams ?params ?weight ?deadline c =
-  Dod.apply ?deadline c [ Dod.Reparams { params; weight } ]
+  Dod.rearrange ?deadline ?params ?weight c ~keep:(all c) ~add:[]
 
 let test_add_equals_fresh () =
   let profiles = synthetic 3 7 in
@@ -84,101 +85,72 @@ let test_reparams_equals_fresh () =
     (reparams ~params ~weight c);
   check ctx "input context intact" (Dod.make_context profiles) c
 
+(* Survivors, newcomers and a params change in one call: the fresh build
+   over the final arrangement, and the same as taking the steps one at a
+   time. *)
+let test_keep_add_equals_fresh () =
+  let profiles = synthetic 31 8 in
+  let base = Array.sub profiles 0 5 in
+  let c = Dod.make_context base in
+  let params = { Dod.threshold_pct = 25.0; measure = Dod.Rate } in
+  let keep = [ 0; 2; 3; 4 ] and fresh = [ profiles.(5); profiles.(6) ] in
+  let final = Array.of_list (List.map (fun i -> base.(i)) keep @ fresh) in
+  let once = Dod.rearrange ~params c ~keep ~add:fresh in
+  check ctx "keep + add + params = fresh over the final arrangement"
+    (Dod.make_context ~params final) once;
+  let stepwise =
+    let c = Dod.rearrange c ~keep ~add:[] in
+    let c = Dod.rearrange c ~keep:(all c) ~add:fresh in
+    reparams ~params c
+  in
+  check ctx "one call = the steps in sequence" stepwise once;
+  check ctx "every result new = fresh"
+    (Dod.make_context (Array.of_list fresh))
+    (Dod.rearrange c ~keep:[] ~add:fresh);
+  if not (Dod.rearrange c ~keep:(all c) ~add:[] == c) then
+    Alcotest.fail "same arrangement copied";
+  check ctx "input context intact" (Dod.make_context base) c
+
 let test_delta_errors () =
   let profiles = synthetic 2 4 in
   let c = Dod.make_context profiles in
-  Alcotest.check_raises "remove out of range"
-    (Invalid_argument "Dod.apply: remove index out of range") (fun () ->
-      ignore (remove c 4));
-  Alcotest.check_raises "remove below two"
-    (Invalid_argument "Dod.apply: need at least two results")
-    (fun () -> ignore (remove (Dod.make_context (Array.sub profiles 0 2)) 0))
+  let bad_keep =
+    Invalid_argument "Dod.rearrange: keep is not strictly increasing in range"
+  in
+  let too_few = Invalid_argument "Dod.rearrange: need at least two results" in
+  List.iter
+    (fun (what, keep) ->
+      Alcotest.check_raises what bad_keep (fun () ->
+          ignore (Dod.rearrange c ~keep ~add:[])))
+    [
+      ("keep out of range", [ 0; 1; 4 ]);
+      ("negative keep", [ -1; 0; 1 ]);
+      ("keep decreasing", [ 1; 0; 2 ]);
+      ("keep repeated", [ 0; 0; 1 ]);
+    ];
+  Alcotest.check_raises "one survivor" too_few (fun () ->
+      ignore (Dod.rearrange c ~keep:[ 3 ] ~add:[]));
+  Alcotest.check_raises "one newcomer" too_few (fun () ->
+      ignore (Dod.rearrange c ~keep:[] ~add:[ profiles.(0) ]));
+  check ctx "context intact after failures" (Dod.make_context profiles) c
 
 let test_deadline_mid_delta () =
   let profiles = synthetic 7 6 in
   let base = Array.sub profiles 0 5 in
   let c = Dod.make_context base in
+  let expired = Deadline.of_ms 0. in
   Alcotest.check_raises "expired add raises" Deadline.Expired (fun () ->
-      ignore (Dod.apply ~deadline:(Deadline.of_ms 0.) c [ Dod.Add profiles.(5) ]));
+      ignore
+        (Dod.rearrange ~deadline:expired c ~keep:(all c) ~add:[ profiles.(5) ]));
+  Alcotest.check_raises "expired remove raises" Deadline.Expired (fun () ->
+      ignore (Dod.rearrange ~deadline:expired c ~keep:[ 0; 1 ] ~add:[]));
   Alcotest.check_raises "expired reparams raises" Deadline.Expired (fun () ->
       ignore
-        (reparams ~deadline:(Deadline.of_ms 0.)
+        (reparams ~deadline:expired
            ~params:{ Dod.threshold_pct = 50.0; measure = Dod.Raw }
            c));
   (* the failed deltas left the input context fully intact *)
   check ctx "context intact after expiry" (Dod.make_context base) c
-
-(* ---- Dod.apply: coalesced op batches ------------------------------------ *)
-
-let test_apply_batch_equals_fresh () =
-  let profiles = synthetic 31 8 in
-  let base = Array.sub profiles 0 5 in
-  let c = Dod.make_context base in
-  (* two adds, one remove of an original, an interleaved params change
-     that loses to the final one: bit-identical to the fresh build over
-     the final arrangement under the final params *)
-  let p1 = { Dod.threshold_pct = 50.0; measure = Dod.Raw } in
-  let p2 = { Dod.threshold_pct = 25.0; measure = Dod.Rate } in
-  let ops =
-    [
-      Dod.Reparams { params = Some p1; weight = None };
-      Dod.Add profiles.(5);
-      Dod.Remove 1;
-      Dod.Add profiles.(6);
-      Dod.Reparams { params = Some p2; weight = None };
-    ]
-  in
-  let final =
-    Array.of_list
-      (List.filteri (fun i _ -> i <> 1)
-         (Array.to_list (Array.sub profiles 0 6))
-      @ [ profiles.(6) ])
-  in
-  check ctx "batch = fresh over final arrangement"
-    (Dod.make_context ~params:p2 final)
-    (Dod.apply c ops);
-  check ctx "input context intact" (Dod.make_context base) c;
-  (* fold equivalence: the batch equals applying the ops one at a time *)
-  let folded =
-    List.fold_left (fun c op -> Dod.apply c [ op ]) c ops
-  in
-  check ctx "batch = sequential fold" folded (Dod.apply c ops)
-
-let test_apply_cancelling_pairs () =
-  let profiles = synthetic 33 6 in
-  let base = Array.sub profiles 0 4 in
-  let c = Dod.make_context base in
-  (* an add immediately re-removed never costs a pair computation; the
-     batch lands back on the original bytes *)
-  let cancelling = [ Dod.Add profiles.(4); Dod.Remove 4 ] in
-  check ctx "cancelling pair = original" (Dod.make_context base)
-    (Dod.apply c cancelling);
-  (* same with a second op riding along *)
-  let ops = [ Dod.Add profiles.(4); Dod.Remove 4; Dod.Add profiles.(5) ] in
-  check ctx "cancelling pair + survivor = fresh"
-    (Dod.make_context (Array.append base [| profiles.(5) |]))
-    (Dod.apply c ops);
-  (* the empty batch is the context itself, physically *)
-  if not (Dod.apply c [] == c) then Alcotest.fail "empty batch copied"
-
-let test_apply_errors () =
-  let profiles = synthetic 34 4 in
-  let c = Dod.make_context profiles in
-  Alcotest.check_raises "batch remove out of range"
-    (Invalid_argument "Dod.apply: remove index out of range") (fun () ->
-      ignore (Dod.apply c [ Dod.Add profiles.(0); Dod.Remove 9 ]));
-  Alcotest.check_raises "batch remove below two"
-    (Invalid_argument "Dod.apply: need at least two results") (fun () ->
-      ignore (Dod.apply c [ Dod.Remove 0; Dod.Remove 0; Dod.Remove 0 ]));
-  (* a singleton batch is an ordinary batch, with the same message *)
-  Alcotest.check_raises "singleton remove keeps its message"
-    (Invalid_argument "Dod.apply: remove index out of range") (fun () ->
-      ignore (Dod.apply c [ Dod.Remove 9 ]));
-  Alcotest.check_raises "expired batch raises" Deadline.Expired (fun () ->
-      ignore
-        (Dod.apply ~deadline:(Deadline.of_ms 0.) c
-           [ Dod.Add profiles.(0); Dod.Remove 0 ]));
-  check ctx "context intact after failures" (Dod.make_context profiles) c
 
 let test_approx_bytes_sane () =
   let small = Dod.make_context (synthetic 4 3) in
@@ -276,6 +248,91 @@ let test_session_deadline_intact () =
   check Alcotest.int "undeadlined add lands" 5
     (Array.length (Session.profiles s'))
 
+let apply_ok s ops =
+  match Session.apply s ops with
+  | Ok s -> s
+  | Error e -> Alcotest.fail (Error.to_string e)
+
+let session_context_is what expected s =
+  let cfg = Session.config s in
+  check ctx what
+    (Dod.make_context ~params:cfg.Config.params ~weight:cfg.Config.weight
+       expected)
+    (Session.context s)
+
+(* Sequential index semantics, one context pass: two adds, one remove of
+   an original and an interleaved params change that loses to the final
+   one land on the fresh build over the final arrangement under the
+   final params, and on the same context as the ops one at a time. *)
+let test_apply_batch_equals_fresh () =
+  let profiles = synthetic 31 8 in
+  let base = Array.to_list (Array.sub profiles 0 5) in
+  let s = session_of Config.default base ~size_bound:6 in
+  let p1 = { Dod.threshold_pct = 50.0; measure = Dod.Raw } in
+  let p2 = { Dod.threshold_pct = 25.0; measure = Dod.Rate } in
+  let ops =
+    [
+      Session.Reparams { params = Some p1; weight = None };
+      Session.Add profiles.(5);
+      Session.Remove 1;
+      Session.Add profiles.(6);
+      Session.Reparams { params = Some p2; weight = None };
+    ]
+  in
+  let final =
+    Array.of_list
+      (List.filteri (fun i _ -> i <> 1) (base @ [ profiles.(5) ])
+      @ [ profiles.(6) ])
+  in
+  let batched = apply_ok s ops in
+  check ctx "batch = fresh over final arrangement"
+    (Dod.make_context ~params:p2 final)
+    (Session.context batched);
+  session_context_is "input session intact" (Array.of_list base) s;
+  let folded = List.fold_left (fun s op -> apply_ok s [ op ]) s ops in
+  check ctx "batch = sequential fold" (Session.context folded)
+    (Session.context batched)
+
+let test_apply_cancelling_pairs () =
+  let profiles = synthetic 33 6 in
+  let base = Array.to_list (Array.sub profiles 0 4) in
+  let s = session_of Config.default base ~size_bound:6 in
+  (* an add immediately re-removed never costs a pair computation or a
+     regeneration: the batch returns the input session itself *)
+  if not (apply_ok s [ Session.Add profiles.(4); Session.Remove 4 ] == s) then
+    Alcotest.fail "cancelling pair did work";
+  (* same with a second op riding along *)
+  session_context_is "cancelling pair + survivor = fresh"
+    (Array.of_list (base @ [ profiles.(5) ]))
+    (apply_ok s
+       [ Session.Add profiles.(4); Session.Remove 4; Session.Add profiles.(5) ]);
+  (* the empty batch is the session itself, physically *)
+  if not (apply_ok s [] == s) then Alcotest.fail "empty batch copied"
+
+let test_apply_errors () =
+  let profiles = synthetic 34 4 in
+  let s = session_of Config.default (Array.to_list profiles) ~size_bound:6 in
+  let expect what err ops =
+    match Session.apply s ops with
+    | Error e ->
+      check Alcotest.string what (Error.to_string err) (Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: batch landed" what
+  in
+  (* each op is checked against the arrangement the ops before it left *)
+  expect "batch remove out of range"
+    (Error.Index_out_of_range { index = 9; length = 5 })
+    [ Session.Add profiles.(0); Session.Remove 9 ];
+  expect "batch remove below two" (Error.Too_few_selected 1)
+    [ Session.Remove 0; Session.Remove 0; Session.Remove 0 ];
+  expect "singleton remove out of range"
+    (Error.Index_out_of_range { index = 9; length = 4 })
+    [ Session.Remove 9 ];
+  Alcotest.check_raises "expired batch raises" Deadline.Expired (fun () ->
+      ignore
+        (Session.apply ~deadline:(Deadline.of_ms 0.) s
+           [ Session.Add profiles.(0); Session.Remove 0 ]));
+  session_context_is "session intact after failures" profiles s
+
 (* ---- Random mutation sequences (property) ------------------------------- *)
 
 type op = Add | Remove of int | Resize of int
@@ -300,6 +357,12 @@ let show_case (seed, alg, ops) =
 
 let algorithms = [| Algorithm.Single_swap; Algorithm.Multi_swap;
                     Algorithm.Greedy |]
+
+(* The arrangement a session should hold, kept by the test itself: an
+   oracle that does not go through Session's own simulation. *)
+let holds model s =
+  let got = Array.to_list (Session.profiles s) in
+  List.length got = List.length model && List.for_all2 ( == ) got model
 
 (* After every step of a random mutation sequence, the delta-maintained
    session must agree with (a) a fresh batch make_context over its
@@ -329,8 +392,11 @@ let prop_mutations_bit_identical =
           (session_of (Config.with_incremental false config) initial
              ~size_bound:6)
       in
+      let model = ref initial in
       let agree step =
         let s = !s and m = !m in
+        if not (holds !model s && holds !model m) then
+          QCheck.Test.fail_reportf "step %d: arrangement <> model" step;
         let cfg = Session.config s in
         let fresh =
           Dod.make_context ~params:cfg.Config.params
@@ -373,11 +439,15 @@ let prop_mutations_bit_identical =
                QCheck.Test.fail_reportf "step %d: expired add did not raise"
                  step
              with Deadline.Expired -> ());
-            step_both step "add" (Session.Add p)
+            step_both step "add" (Session.Add p);
+            model := !model @ [ p ]
           | Add -> () (* pool exhausted *)
           | Remove i ->
             let n = Array.length (Session.profiles !s) in
-            if n > 2 then step_both step "remove" (Session.Remove (i mod n))
+            if n > 2 then begin
+              step_both step "remove" (Session.Remove (i mod n));
+              model := List.filteri (fun j _ -> j <> i mod n) !model
+            end
           | Resize k -> step_both step "resize" (Session.Set_size_bound k));
           agree step)
         ops;
@@ -441,8 +511,11 @@ let prop_batches_bit_identical =
           (session_of (Config.with_incremental false config) initial
              ~size_bound:6)
       in
+      let model = ref initial in
       let agree step =
         let s = !s and m = !m in
+        if not (holds !model s && holds !model m) then
+          QCheck.Test.fail_reportf "batch %d: arrangement <> model" step;
         let cfg = Session.config s in
         let fresh =
           Dod.make_context ~params:cfg.Config.params
@@ -467,6 +540,7 @@ let prop_batches_bit_identical =
           let step = step + 1 in
           (* translate to session ops against the running arrangement *)
           let n = ref (Array.length (Session.profiles !s)) in
+          let arranged = ref !model in
           let ops =
             List.concat_map
               (fun bop ->
@@ -475,11 +549,13 @@ let prop_batches_bit_identical =
                   let p = pool.(!next) in
                   incr next;
                   incr n;
+                  arranged := !arranged @ [ p ];
                   [ Session.Add p ]
                 | BAdd -> []
                 | BRemove i when !n > 2 ->
                   let i = i mod !n in
                   decr n;
+                  arranged := List.filteri (fun j _ -> j <> i) !arranged;
                   [ Session.Remove i ]
                 | BRemove _ -> []
                 | BResize k -> [ Session.Set_size_bound k ]
@@ -529,7 +605,8 @@ let prop_batches_bit_identical =
                      "batch %d: expired batch did not raise" step
                  with Deadline.Expired -> ());
               s := a;
-              m := b
+              m := b;
+              model := !arranged
             | (Error e, _ | _, Error e) ->
               QCheck.Test.fail_reportf "batch %d: apply: %s" step
                 (Error.to_string e)
@@ -1053,11 +1130,8 @@ let () =
           Alcotest.test_case "deadline mid-delta" `Quick
             test_deadline_mid_delta;
           Alcotest.test_case "approx_bytes sane" `Quick test_approx_bytes_sane;
-          Alcotest.test_case "apply batch = fresh" `Quick
-            test_apply_batch_equals_fresh;
-          Alcotest.test_case "apply cancelling pairs" `Quick
-            test_apply_cancelling_pairs;
-          Alcotest.test_case "apply errors" `Quick test_apply_errors;
+          Alcotest.test_case "keep + add = fresh" `Quick
+            test_keep_add_equals_fresh;
           Alcotest.test_case "approx_bytes accounting" `Quick
             test_approx_bytes_accounting;
         ] );
@@ -1067,6 +1141,11 @@ let () =
             test_shrink_deterministic;
           Alcotest.test_case "deadline leaves session intact" `Quick
             test_session_deadline_intact;
+          Alcotest.test_case "apply batch = fresh" `Quick
+            test_apply_batch_equals_fresh;
+          Alcotest.test_case "apply cancelling pairs" `Quick
+            test_apply_cancelling_pairs;
+          Alcotest.test_case "apply errors" `Quick test_apply_errors;
           qtest prop_mutations_bit_identical;
           qtest prop_batches_bit_identical;
         ] );

@@ -521,6 +521,81 @@ let test_handle_duplicate_ranks () =
   check Alcotest.string "same body on both routes" created.Http.resp_body
     compared.Http.resp_body
 
+let error_code body =
+  match Json.member "code" (member_exn "error" body) with
+  | Some (Json.String code) -> code
+  | _ -> Alcotest.failf "no error code in %s" body
+
+(* The size bound is the client's, so the engine sizes nothing by it: a
+   bound no result can fill is the same comparison as the largest
+   result's feature count. *)
+let test_handle_huge_size_bound () =
+  let resp =
+    handle ~meth:"POST"
+      ~body:
+        {|{"dataset":"product-reviews","q":"gps","top":3,"size_bound":4611686018427387903}|}
+      "/compare"
+  in
+  check Alcotest.int "max_int bound answers" 200 resp.Http.status
+
+(* A selection as long as the body allows is checked in O(n log n): a
+   200,000-rank select answers its 422 within seconds on both routes,
+   and the duplicate message still names the first rank that repeats an
+   earlier one. *)
+let test_handle_long_selection () =
+  let select ranks =
+    Printf.sprintf {|{"dataset":"product-reviews","q":"gps","select":[%s]}|}
+      (String.concat "," (List.map string_of_int ranks))
+  in
+  let long = List.init 200_000 (fun i -> i + 1) in
+  let timed what expected_code body =
+    List.iter
+      (fun route ->
+        let t0 = Unix.gettimeofday () in
+        let resp = handle ~meth:"POST" ~body route in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        check Alcotest.int (what ^ " on " ^ route) 422 resp.Http.status;
+        check Alcotest.string (what ^ " code on " ^ route) expected_code
+          (error_code resp.Http.resp_body);
+        if elapsed > 10. then
+          Alcotest.failf "%s on %s took %.1f s" what route elapsed)
+      [ "/compare"; "/session" ]
+  in
+  timed "200,000 distinct ranks" "rank_out_of_range" (select long);
+  timed "200,000 ranks and a repeat" "unprocessable" (select (long @ [ 7 ]));
+  let resp = handle ~meth:"POST" ~body:(select [ 3; 1; 2; 1; 3 ]) "/session" in
+  check Alcotest.string "first repeat in list order"
+    {|{"error":{"code":"unprocessable","message":"duplicate rank 1 in \"select\""}}|}
+    resp.Http.resp_body
+
+(* Decodable requests the engine would refuse answer the 4xx their
+   sibling routes already answer, never a 500: a negative weight is a
+   bad request naming its pattern (as PATCH /params rejects it), and a
+   negative top selects nothing (as on /compare). *)
+let negative_weight route () =
+  let resp =
+    handle ~meth:"POST"
+      ~body:{|{"dataset":"product-reviews","q":"gps","weights":{"price":-2}}|}
+      route
+  in
+  check Alcotest.int "negative weight" 400 resp.Http.status;
+  check Alcotest.string "negative weight body"
+    {|{"error":{"code":"bad_request","message":"negative weight -2 for pattern \"price\""}}|}
+    resp.Http.resp_body
+
+let test_handle_negative_top () =
+  List.iter
+    (fun route ->
+      let resp =
+        handle ~meth:"POST"
+          ~body:{|{"dataset":"product-reviews","q":"gps","top":-1}|} route
+      in
+      check Alcotest.int ("negative top on " ^ route) 422 resp.Http.status;
+      check Alcotest.string ("negative top code on " ^ route)
+        "too_few_selected"
+        (error_code resp.Http.resp_body))
+    [ "/session"; "/compare" ]
+
 let test_handle_metrics () =
   let resp = handle "/metrics" in
   check Alcotest.int "metrics status" 200 resp.Http.status;
@@ -796,6 +871,16 @@ let () =
             test_handle_domains_ignored;
           Alcotest.test_case "duplicate ranks rejected" `Quick
             test_handle_duplicate_ranks;
+          Alcotest.test_case "huge size bound" `Quick
+            test_handle_huge_size_bound;
+          Alcotest.test_case "long selections" `Quick
+            test_handle_long_selection;
+          Alcotest.test_case "negative weight on /compare" `Quick
+            (negative_weight "/compare");
+          Alcotest.test_case "negative weight on /session" `Quick
+            (negative_weight "/session");
+          Alcotest.test_case "negative top on /session" `Quick
+            test_handle_negative_top;
           Alcotest.test_case "metrics" `Quick test_handle_metrics;
         ] );
       ( "e2e",
