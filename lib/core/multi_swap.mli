@@ -32,16 +32,18 @@ type stats = {
           tripped first and the output is the (valid) best-so-far *)
 }
 
-val compute_thresholds : Dod.context -> Dfs.t array -> int -> int array array
-(** [compute_thresholds context dfss i] is, per type of result [i], the
-    sorted array of minimal prefix lengths at which each linked pair
-    becomes differentiable given the other results' current selections
-    ({!Dod.threshold_q} with infinite entries dropped) — the per-type gain
-    curves the DP maximizes over. Depends only on the {e other} results'
-    DFSs. *)
+val compute_curves : Dod.context -> Dfs.t array -> int -> int array array
+(** [compute_curves context dfss i] is, per type [gi] of result [i], the
+    cumulative gain curve [c]: for every prefix length [q] from 0 to the
+    type's feature count, [c.(q)] is the number of linked pairs
+    differentiable on the type at [q] given the other results' current
+    selections — the links whose {!Dod.threshold_q} is at most [q]. These
+    are the per-type gain curves the DP maximizes over, built in one
+    bucket pass over the links. Depends only on the {e other} results'
+    DFSs, not on the weights or the spread tie-break. *)
 
 val best_response :
-  ?spread:bool -> ?thresholds:int array array -> Dod.context -> limit:int ->
+  ?spread:bool -> ?curves:int array array -> Dod.context -> limit:int ->
   Dfs.t array -> int -> Dfs.t
 (** [best_response context ~limit dfss i] is an optimal valid DFS for result
     [i] holding the other DFSs fixed. DoD ties are resolved toward more
@@ -53,9 +55,10 @@ val best_response :
     on the packed potential Φ; termination is still guaranteed). Exposed for
     tests, which compare its packed gain against exhaustive enumeration.
 
-    [thresholds] supplies precomputed gain curves (from
-    {!compute_thresholds} against the same [dfss]); without it they are
-    recomputed, which is exact but wasteful inside the iteration. *)
+    The curves are turned into a table of packed gains per (type, prefix
+    length) once per call; every knapsack cell then reads one entry.
+    [curves] supplies precomputed curves (from {!compute_curves} against
+    the same [dfss]); without it they are recomputed. *)
 
 val generate :
   ?init:Dfs.t array -> ?spread:bool -> ?cache:bool ->
@@ -73,12 +76,12 @@ val generate :
     bit-identical to an undeadlined run. Carries the ["compare.round"]
     {!Xsact_util.Failpoint} at every round start.
 
-    [cache] (default [true]) shares each result's threshold arrays between
-    its best response and both adoption-check evaluations, and keeps them
-    across rounds until another result adopts a new DFS — every use is
-    provably identical to a fresh computation, so the output never changes;
-    [~cache:false] is the recompute-everything baseline kept for the
-    micro-bench and the exactness property (see EXPERIMENTS.md). *)
+    [cache] (default [true]) keeps each result's curves across rounds
+    until another result adopts a new DFS — every use is provably
+    identical to a fresh computation, so the output never changes;
+    [~cache:false] recomputes them before every best response, the
+    baseline kept for the micro-bench and the exactness property (see
+    EXPERIMENTS.md). *)
 
 val generate_with_stats :
   ?init:Dfs.t array -> ?spread:bool -> ?cache:bool ->

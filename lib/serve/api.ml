@@ -78,6 +78,10 @@ let decode_compare json =
   let* threshold_pct =
     optional json "threshold_pct" ~default:10.0 Json.to_float
   in
+  let* () =
+    if Float.is_finite threshold_pct then Ok ()
+    else Error "field \"threshold_pct\" must be finite"
+  in
   let* measure =
     optional json "measure" ~default:Dod.Raw (fun j ->
         match Json.to_str j with
@@ -161,7 +165,9 @@ let decode_params_patch json =
       match Json.to_float v with
       | None -> Error (Malformed "field \"threshold_pct\" has the wrong type")
       | Some thr ->
-        if thr < 0. then
+        if not (Float.is_finite thr) then
+          Error (Malformed "field \"threshold_pct\" must be finite")
+        else if thr < 0. then
           Error (Unprocessable "field \"threshold_pct\" must be non-negative")
         else Ok (Some thr))
   in
@@ -334,7 +340,8 @@ let canonical_key ~scope r =
   | Full ->
     add "&k=%d&alg=%s" r.size_bound (Algorithm.to_string r.algorithm)
   | Context -> ());
-  add "&thr=%g&measure=%s&w=%s" r.threshold_pct
+  add "&thr=%s&measure=%s&w=%s"
+    (Json.shortest_g ~digits:6 r.threshold_pct)
     (match r.measure with Dod.Raw -> "raw" | Dod.Rate -> "rate")
     (String.concat ","
        (List.map (fun (pat, w) -> Printf.sprintf "%s:%d" pat w) r.weights));

@@ -28,7 +28,9 @@ val decode_compare : Json.t -> (compare_request, string) result
     {!Xsact_search.Token.normalize_query}, so requests differing only in
     case/whitespace decode identically; more than
     {!Xsact_search.Slca.max_keywords} distinct keywords is an error, and
-    so is a negative weight (the message names its pattern). *)
+    so are a negative weight (the message names its pattern) and a
+    non-finite ["threshold_pct"] (e.g. [1e400], which parses to
+    infinity). *)
 
 val decode_keywords : string -> (string, string) result
 (** The keyword normalization used by {!decode_compare}, exposed so
@@ -38,7 +40,9 @@ val decode_keywords : string -> (string, string) result
 
 val json_of_compare : compare_request -> Json.t
 (** Inverse of {!decode_compare}: [decode_compare (json_of_compare r) =
-    Ok r]. The durability journal stores session requests in exactly the
+    Ok r], through the printed text too — {!Json.to_string} prints every
+    finite threshold in a form that parses back to the same float. The
+    durability journal stores session requests in exactly the
     request-body format, so journal dumps read like curl transcripts. *)
 
 (** Key scopes for {!canonical_key}: [Full] covers every field that
@@ -54,7 +58,10 @@ val canonical_key : scope:key_scope -> compare_request -> string
     and pinned by a golden test:
     [ds, q, sel, [k, alg,] thr, measure, w] — the bracketed
     fields appear only at [Full] scope. [sel] is the explicit rank list
-    ("1,3,4") or ["top<k>"] when the request selects by prefix. Equal
+    ("1,3,4") or ["top<k>"] when the request selects by prefix. [thr]
+    is [Json.shortest_g ~digits:6] of the threshold — ["%g"] wherever
+    that reads back as the same float, more digits otherwise — so
+    distinct thresholds never share a key. Equal
     requests (after keyword normalization and weight-rule sorting) have
     equal keys; requests sharing a [Context] key can share one physical
     warm context across resizes and algorithm switches. *)
@@ -99,7 +106,8 @@ val code_of_op_error : op_error -> string
 val decode_params_patch : Json.t -> (params_patch, op_error) result
 (** Decode ["threshold_pct"] / ["measure"] / ["weights"] — each optional,
     at least one required. Rejects negative thresholds, unknown measures
-    and negative weights as [Unprocessable]. *)
+    and negative weights as [Unprocessable], and a non-finite threshold
+    as [Malformed]. *)
 
 val decode_ops : Json.t -> (session_op list, op_error) result
 (** Decode the ["ops"] list of an apply body. Each element carries a

@@ -25,10 +25,17 @@ let escape_into buf s =
     s;
   Buffer.add_char buf '"'
 
+let shortest_g ~digits f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || Float.equal (float_of_string s) f then s else go (p + 1)
+  in
+  go digits
+
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  else shortest_g ~digits:12 f
 
 let rec print_into buf = function
   | Null -> Buffer.add_string buf "null"

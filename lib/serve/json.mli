@@ -18,7 +18,14 @@ type t =
 
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace), RFC 8259 string
-    escaping, UTF-8 passed through verbatim. *)
+    escaping, UTF-8 passed through verbatim. A finite [Float] prints in
+    a form that parses back to the same float: integral values below
+    1e15 as ["%.1f"], the rest as [shortest_g ~digits:12]. *)
+
+val shortest_g : digits:int -> float -> string
+(** [shortest_g ~digits f] is [Printf.sprintf "%.*g" p f] for the
+    smallest [p >= digits] (at most 17) whose text reads back as [f] —
+    today's [%.<digits>g] text wherever that already round-trips. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. The message

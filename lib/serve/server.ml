@@ -9,18 +9,24 @@ type session_entry = {
 }
 
 (* A stored session is either warm — the resident [Session.t] with its
-   live pair-table context — or cold: just the deterministic recipe
-   (originating request, current selection, current bound) that
-   [build_session_entry] rebuilds the same bytes from. Recovery restores
-   cold cells and the first touch rewarms them (so recovery latency no
-   longer pays for sessions nobody asks for), and the warm-context memory
-   budget demotes least-recently-used cells back to cold. The [state]
-   field is only ever mutated under [session_update]; concurrent readers
-   observe one atomic word. *)
+   live pair-table context — or cold: the recipe (originating request,
+   current selection, current bound) that [build_session_entry] rebuilds
+   the context from. Recovery restores cold cells and the first touch
+   rewarms them (so recovery latency no longer pays for sessions nobody
+   asks for), and the warm-context memory budget demotes least-recently-
+   used cells back to cold. A demoted cell also keeps, in memory only,
+   the DFS q-vectors and run count it served: a mutated session's DFSs
+   are a warm-started fixpoint that a fresh generation need not reach, so
+   its rewarm restores them and demotion stays invisible in response
+   bytes. The [state] field is only ever mutated under [session_update];
+   concurrent readers observe one atomic word. *)
 type cold_session = {
   c_request : Api.compare_request;
   c_ranks : int list;
   c_size_bound : int;
+  c_resume : (int array array * int) option;
+      (* a demoted cell's DFS q-vectors and runs; [None] when recovered
+         from the journal, which regenerates them *)
 }
 
 type session_state = Warm of session_entry | Cold of cold_session
@@ -43,6 +49,10 @@ let cold_of_entry se =
     c_request = se.s_request;
     c_ranks = se.s_ranks;
     c_size_bound = Session.size_bound se.s_session;
+    c_resume =
+      Some
+        ( Array.map Dfs.to_q_array (Session.dfss se.s_session),
+          Session.stats se.s_session );
   }
 
 type t = {
@@ -668,12 +678,15 @@ let session_ctx_key se = ctx_key se.s_request se.s_ranks
    selected ([None] → the first [top]) at [size_bound]. Shared by
    POST /session, lazy recovery rewarming and budget re-promotion, so a
    recovered session is exactly what creating it fresh from its journaled
-   request would produce. Returns the entry plus whether it holds an
-   intern-table reference on its context key: on an incremental server a
-   hit adopts the interned (profiles, context) pair — skipping extraction
-   and the O(n²) pair-table build — and a miss publishes the fresh build;
-   the ablation server never interns. *)
-let build_session_entry t creq ~ranks ~size_bound =
+   request would produce. [resume] (a demoted cell's DFS q-vectors and
+   run count) replaces the generation: the DFSs are restored over the
+   context through [Session.restore], which re-validates them, and a
+   failed validation falls back to generating. Returns the entry plus
+   whether it holds an intern-table reference on its context key: on an
+   incremental server a hit adopts the interned (profiles, context) pair
+   — skipping extraction and the O(n²) pair-table build — and a miss
+   publishes the fresh build; the ablation server never interns. *)
+let build_session_entry ?resume t creq ~ranks ~size_bound =
   match find_entry t creq.Api.dataset with
   | None ->
     Error
@@ -703,6 +716,27 @@ let build_session_entry t creq ~ranks ~size_bound =
           Error (core_error (Error.Rank_out_of_range { rank = bad; available }))
         | None -> (
           let config = request_config t creq in
+          let session_of ?context profiles =
+            match resume with
+            | None -> Session.create ~config ?context ~size_bound profiles
+            | Some (qs, runs) -> (
+              let context =
+                match context with
+                | Some c -> c
+                | None ->
+                  Dod.make_context ~params:config.Config.params
+                    ~weight:config.Config.weight (Array.of_list profiles)
+              in
+              let rs = Dod.results context in
+              match
+                Session.restore ~runs ~config ~size_bound ~context
+                  ~dfss:(Array.mapi (fun i q -> Dfs.of_q_array rs.(i) q) qs)
+                  ()
+              with
+              | exception Invalid_argument _ ->
+                Session.create ~config ~context ~size_bound profiles
+              | restored -> restored)
+          in
           let entry_of session =
             {
               s_dataset = creq.Api.dataset;
@@ -718,10 +752,7 @@ let build_session_entry t creq ~ranks ~size_bound =
           with
           | Some (profiles, context) -> (
             Metrics.incr_counter t.metrics "context_builds_reused";
-            match
-              Session.create ~config ~context ~size_bound
-                (Array.to_list profiles)
-            with
+            match session_of ~context (Array.to_list profiles) with
             | Error e ->
               Intern.release t.intern ctx_key;
               Error (core_error e)
@@ -734,7 +765,7 @@ let build_session_entry t creq ~ranks ~size_bound =
                   Pipeline.profile_of ~keywords entry.pipeline r)
                 ranks
             in
-            match Session.create ~config ~size_bound profiles with
+            match session_of profiles with
             | Error e -> Error (core_error e)
             | Ok session ->
               (* the one place a session context is built from scratch *)
@@ -808,18 +839,20 @@ let enforce_context_budget t ~keep =
     end
 
 (* Rebuild a cold session's resident state on first touch — the exact
-   [build_session_entry] path POST /session took, so the rewarmed session
-   is deterministically what was journaled (durability semantics are
-   unchanged by laziness). An unrecoverable cold cell (e.g. its dataset is
-   no longer loaded) surfaces its error and stays cold: a later restart
-   with the dataset back still serves it. Called under [session_update]. *)
+   [build_session_entry] path POST /session took. A demoted cell resumes
+   the DFSs it served, so it answers what it answered before demotion; a
+   cell recovered from the journal regenerates them, deterministically
+   what a fresh create over its recipe serves (DESIGN.md §10). An
+   unrecoverable cold cell (e.g. its dataset is no longer loaded)
+   surfaces its error and stays cold: a later restart with the dataset
+   back still serves it. Called under [session_update]. *)
 let warm_session t id st =
   match st.state with
   | Warm se -> Ok se
   | Cold c -> (
     match
-      build_session_entry t c.c_request ~ranks:(Some c.c_ranks)
-        ~size_bound:c.c_size_bound
+      build_session_entry ?resume:c.c_resume t c.c_request
+        ~ranks:(Some c.c_ranks) ~size_bound:c.c_size_bound
     with
     | Ok (se, owns) ->
       (* state first, ownership second: a removal event racing into the
@@ -1329,7 +1362,13 @@ let cold_of_journal entry_json =
       in
       match (ranks, size_bound) with
       | Some ranks, Some size_bound ->
-        Ok { c_request = creq; c_ranks = ranks; c_size_bound = size_bound }
+        Ok
+          {
+            c_request = creq;
+            c_ranks = ranks;
+            c_size_bound = size_bound;
+            c_resume = None;
+          }
       | _ -> Error "malformed entry (ranks/size_bound)"))
 
 let drop_session t id =

@@ -102,32 +102,43 @@ let prop_multi_swap_is_single_swap_optimal =
 
 (* ---- Multi-swap best response vs. brute force ------------------------------- *)
 
-(* The DP maximizes gain = type_tie_base * DoD-vs-others + spread bonus,
-   where a selected type's bonus is 1 plus the number of other results
-   sharing it. Enumerate all valid DFSs of result 0 and verify none beats
-   the DP's answer on that packed objective. *)
+(* A random non-negative weight per type, zero included. *)
+let random_weight seed (t : Feature.ftype) =
+  Hashtbl.hash (seed, t.entity, t.attribute) mod 4
+
+(* The DP maximizes gain = type_tie_base * weighted DoD-vs-others + spread
+   bonus, where a selected type's bonus is 1 plus the number of other
+   results sharing it. Enumerate all valid DFSs of result 0 and verify none
+   beats the DP's answer on that packed objective. With 3-6 results a type
+   carries several thresholds, some of them infinite. *)
 let prop_best_response_exact =
   QCheck.Test.make ~name:"best_response matches brute-force enumeration"
     ~count:120
-    QCheck.(make Gen.(pair (int_range 0 1000000) (int_range 1 5)))
-    (fun (seed, limit) ->
-      let profiles = tiny ~seed ~results:3 in
-      let c = Dod.make_context profiles in
+    QCheck.(
+      make
+        Gen.(
+          quad (int_range 0 1000000) (int_range 1 5) (int_range 3 6) bool))
+    (fun (seed, limit, results, weighted) ->
+      let profiles = tiny ~seed ~results in
+      let c =
+        if weighted then Dod.make_context ~weight:(random_weight seed) profiles
+        else Dod.make_context profiles
+      in
       let dfss = Topk.generate c ~limit in
       let response = Multi_swap.best_response c ~limit dfss 0 in
       let packed d =
         let with_d = Array.copy dfss in
         with_d.(0) <- d;
-        let dod =
-          Dod.dod_pair c ~i:0 ~j:1 with_d.(0) with_d.(1)
-          + Dod.dod_pair c ~i:0 ~j:2 with_d.(0) with_d.(2)
-        in
+        let dod = ref 0 in
+        for j = 1 to results - 1 do
+          dod := !dod + Dod.dod_pair c ~i:0 ~j with_d.(0) with_d.(j)
+        done;
         let bonus =
           List.fold_left
             (fun acc gi -> acc + 1 + List.length (Dod.links c ~i:0 ~gi))
             0 (Dfs.selected_types d)
         in
-        (dod * 4096) + bonus
+        (!dod * 4096) + bonus
       in
       let best_enum =
         List.fold_left
@@ -137,18 +148,58 @@ let prop_best_response_exact =
       in
       packed response = best_enum)
 
-(* ---- Multi-swap threshold cache --------------------------------------------- *)
+(* ---- Multi-swap curve cache ------------------------------------------------ *)
 
-(* The threshold cache never changes an answer: gain curves read from it
-   equal a fresh computation, and a whole generation with it equals the
+(* The curve cache never changes an answer: curves read from it equal a
+   fresh computation, and a whole generation with it equals the
    ~cache:false baseline. *)
 let wide ~seed ~results =
   Xsact_workload.Workload.synthetic_profiles ~seed ~results ~entities:2
     ~types_per_entity:4 ~values_per_type:3 ~max_count:5
 
+(* Every curve cell against a reference built from the public link API
+   only: the number of links whose threshold is at most q. The other
+   results' selections come from top-k at a random bound, zero included,
+   so some links have an unselected other side. *)
+let prop_curves_reference =
+  QCheck.Test.make ~name:"curve cells = links with threshold_q <= q" ~count:80
+    QCheck.(
+      make Gen.(triple (int_range 0 1000000) (int_range 2 6) (int_range 0 8)))
+    (fun (seed, results, limit) ->
+      let c = Dod.make_context (wide ~seed ~results) in
+      let dfss = Topk.generate c ~limit in
+      List.for_all
+        (fun i ->
+          let curves = Multi_swap.compute_curves c dfss i in
+          let profile = (Dod.results c).(i) in
+          Array.length curves = Result_profile.num_types profile
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun gi curve ->
+                    let qmax =
+                      Array.length (Result_profile.type_info profile gi).features
+                    in
+                    let thresholds =
+                      List.map
+                        (fun (l : Dod.link) ->
+                          Dod.threshold_q l
+                            ~q_other:(Dfs.q dfss.(l.other) l.gi_other))
+                        (Dod.links c ~i ~gi)
+                    in
+                    Array.length curve = qmax + 1
+                    && Array.for_all Fun.id
+                         (Array.mapi
+                            (fun q cell ->
+                              cell
+                              = List.length
+                                  (List.filter (fun a -> a <= q) thresholds))
+                            curve))
+                  curves))
+        (List.init results Fun.id))
+
 let prop_best_response_cache_exact =
   QCheck.Test.make
-    ~name:"precomputed thresholds = per-call recomputation in best_response"
+    ~name:"precomputed curves = per-call recomputation in best_response"
     ~count:60
     QCheck.(make Gen.(int_range 0 1000000))
     (fun seed ->
@@ -156,8 +207,8 @@ let prop_best_response_cache_exact =
       let dfss = Topk.generate c ~limit:5 in
       List.for_all
         (fun i ->
-          let thresholds = Multi_swap.compute_thresholds c dfss i in
-          Dfs.to_q_array (Multi_swap.best_response ~thresholds c ~limit:5 dfss i)
+          let curves = Multi_swap.compute_curves c dfss i in
+          Dfs.to_q_array (Multi_swap.best_response ~curves c ~limit:5 dfss i)
           = Dfs.to_q_array (Multi_swap.best_response c ~limit:5 dfss i))
         [ 0; 1; 2 ])
 
@@ -312,6 +363,107 @@ let test_multi_vs_single_statistics () =
     true
     (!wins > !losses)
 
+(* ---- Exact-output goldens -------------------------------------------------- *)
+
+(* Figure 4(a): per-query DoD of the four reported methods on QM1..QM8
+   (IMDB, top 5, L = 8) — the table EXPERIMENTS.md reproduces. *)
+let fig4a_golden =
+  [
+    ("QM1", [ 30; 30; 64; 64 ]);
+    ("QM2", [ 10; 10; 64; 64 ]);
+    ("QM3", [ 19; 19; 51; 51 ]);
+    ("QM4", [ 25; 25; 63; 63 ]);
+    ("QM5", [ 30; 30; 63; 63 ]);
+    ("QM6", [ 28; 28; 67; 67 ]);
+    ("QM7", [ 22; 22; 57; 58 ]);
+    ("QM8", [ 28; 28; 61; 61 ]);
+  ]
+
+let test_fig4a_golden () =
+  let algs =
+    Algorithm.[ Topk; Greedy; Single_swap; Multi_swap ]
+  in
+  let got =
+    List.map
+      (fun (inst : Xsact_workload.Workload.instance) ->
+        let c = Dod.make_context inst.profiles in
+        let dod a = Dod.total c (Algorithm.generate a c ~limit:8) in
+        (inst.label, List.map dod algs))
+      (Xsact_workload.Workload.imdb_qm ~top:5 ()).queries
+  in
+  check
+    Alcotest.(list (pair string (list int)))
+    "per-query DoD: topk, greedy, single-swap, multi-swap" fig4a_golden got;
+  let total k = List.fold_left (fun acc (_, d) -> acc + List.nth d k) 0 got in
+  check Alcotest.(list int) "totals" [ 192; 192; 490; 491 ]
+    (List.init 4 total)
+
+(* The exact DFS q-vectors of every variant over a seeded sweep (2-30
+   results, L from 1 to past every result's size, uniform and a
+   zero-including weighting), one MD5 per variant. A value-only oracle
+   cannot see a kernel change that picks a different optimum of equal
+   packed gain; these digests can. *)
+let sweep_variants =
+  [
+    ("topk", Topk.generate);
+    ("greedy", Greedy.generate);
+    ("single-swap", fun c ~limit -> Single_swap.generate c ~limit);
+    ("multi-swap", fun c ~limit -> Multi_swap.generate c ~limit);
+    ( "multi-swap spread:false",
+      fun c ~limit -> Multi_swap.generate ~spread:false c ~limit );
+    ( "multi-swap cache:false",
+      fun c ~limit -> Multi_swap.generate ~cache:false c ~limit );
+  ]
+
+let sweep_digests =
+  [
+    ("topk", "cd4001b4c57e62ab9d0f662986a3e36d");
+    ("greedy", "5205aeb8c1cd9940297097640da69ba5");
+    ("single-swap", "61c9cbad463ca6de3b349b4e487a2e96");
+    ("multi-swap", "6ab009c9bdc005359647a7f7ef321fb4");
+    ("multi-swap spread:false", "0cd4b7311e077b2cd5946c91983fd2ec");
+    ("multi-swap cache:false", "6ab009c9bdc005359647a7f7ef321fb4");
+  ]
+
+let test_sweep_digest () =
+  let bufs =
+    List.map (fun (name, _) -> (name, Buffer.create 4096)) sweep_variants
+  in
+  let skewed (t : Feature.ftype) = Hashtbl.hash (t.entity, t.attribute) mod 4 in
+  List.iter
+    (fun results ->
+      let profiles =
+        Xsact_workload.Workload.synthetic_profiles ~seed:(1000 + results)
+          ~results ~entities:3 ~types_per_entity:4 ~values_per_type:4
+          ~max_count:3
+      in
+      List.iter
+        (fun c ->
+          List.iter
+            (fun limit ->
+              List.iter
+                (fun (name, gen) ->
+                  let buf = List.assoc name bufs in
+                  Array.iter
+                    (fun d ->
+                      Array.iter
+                        (fun q -> Buffer.add_string buf (string_of_int q ^ ","))
+                        (Dfs.to_q_array d);
+                      Buffer.add_char buf ';')
+                    (gen c ~limit);
+                  Buffer.add_char buf '\n')
+                sweep_variants)
+            [ 1; 2; 3; 5; 8; 13; 40 ])
+        [ Dod.make_context profiles; Dod.make_context ~weight:skewed profiles ])
+    [ 2; 3; 4; 5; 6; 8; 10; 13; 16; 20; 25; 30 ];
+  check
+    Alcotest.(list (pair string string))
+    "q-vector digest per variant" sweep_digests
+    (List.map
+       (fun (name, buf) ->
+         (name, Digest.to_hex (Digest.string (Buffer.contents buf))))
+       bufs)
+
 let () =
   Alcotest.run "xsact_algorithms"
     [
@@ -328,6 +480,7 @@ let () =
           qtest prop_bounded_by_optimum;
           qtest prop_best_response_exact;
           qtest prop_best_response_cache_exact;
+          qtest prop_curves_reference;
           qtest prop_cache_matches_nocache;
           Alcotest.test_case "pinned seeds: multi beats single" `Quick
             test_multi_beats_single_on_pinned_instance;
@@ -345,5 +498,10 @@ let () =
           Alcotest.test_case "enumerate_valid" `Quick test_enumerate_valid_small;
           Alcotest.test_case "limit past every result's features" `Quick
             test_limit_past_features;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "Fig. 4(a) DoD table" `Quick test_fig4a_golden;
+          Alcotest.test_case "sweep q-vector digests" `Quick test_sweep_digest;
         ] );
     ]

@@ -776,6 +776,45 @@ let test_server_demote_rewarm () =
           .Http.status)
     [ a; b ]
 
+(* A mutated session's DFSs are a warm-started fixpoint, which a fresh
+   generation over the same recipe need not reach: gps, top 4, created at
+   bound 7 and resized to 5 serves DoD 23, where a fresh create at 5
+   serves 11 (38 against 24 at 11). A demotion keeps the DFSs, so the GET
+   after it equals the GET before it, runs included. *)
+let test_server_demote_after_resize () =
+  let _, handle = session_server ~max_context_bytes:1 () in
+  let session () =
+    let created =
+      handle ~meth:"POST"
+        ~body:{|{"dataset":"product-reviews","q":"gps","top":4,"size_bound":7}|}
+        "/session"
+    in
+    check Alcotest.int "created" 201 created.Http.status;
+    match member_exn "id" created.Http.resp_body with
+    | Json.String id -> id
+    | _ -> Alcotest.fail "no session id"
+  in
+  List.iter
+    (fun (bound, dod) ->
+      let label what = Printf.sprintf "%s (bound %d)" what bound in
+      let a = session () in
+      let resized =
+        handle ~meth:"POST"
+          ~body:(Printf.sprintf {|{"size_bound":%d}|} bound)
+          ("/session/" ^ a ^ "/size")
+      in
+      check Alcotest.int (label "resize") 200 resized.Http.status;
+      let before = (handle ("/session/" ^ a)).Http.resp_body in
+      check Alcotest.int (label "warm-started DoD") dod
+        (int_exn "dod" before);
+      let demoted = int_exn "contexts_demoted" (handle "/metrics").Http.resp_body in
+      ignore (session ());
+      check Alcotest.int (label "creating another demotes it") (demoted + 1)
+        (int_exn "contexts_demoted" (handle "/metrics").Http.resp_body);
+      check Alcotest.string (label "GET after demotion = GET before") before
+        (handle ("/session/" ^ a)).Http.resp_body)
+    [ (5, 23); (11, 38) ]
+
 (* ---- Intern-table lifecycle --------------------------------------------- *)
 
 let intern_stat name metrics =
@@ -1157,6 +1196,8 @@ let () =
             test_server_ablation_identical;
           Alcotest.test_case "compare context reuse" `Quick
             test_compare_context_reuse;
+          Alcotest.test_case "demote after resize keeps the table" `Quick
+            test_server_demote_after_resize;
           Alcotest.test_case "demote and rewarm" `Quick
             test_server_demote_rewarm;
           Alcotest.test_case "intern sharing across sessions" `Quick

@@ -203,8 +203,8 @@ let decode_exn body =
 
 (* The canonical key format is a wire contract (journals and caches
    compare keys across releases), so the goldens pin the exact rendering
-   — field order, separators, %g floats, sorted weight rules — not just
-   equality relations. *)
+   — field order, separators, floats as %g wherever that reads back as
+   the same float, sorted weight rules — not just equality relations. *)
 let test_canonical_key_normalization () =
   let a =
     decode_exn
@@ -275,6 +275,44 @@ let test_decode_errors () =
        (decode_exn {|{"dataset":"product-reviews","q":"gps"}|}))
     (Api.canonical_key ~scope:Api.Full
        (decode_exn {|{"dataset":"product-reviews","q":"gps","domains":0}|}))
+
+(* A threshold survives the request's text form: decode ∘ print ∘
+   json_of_compare is the identity on every finite float. 9.99999999999999
+   once printed as "10" (%.12g) — a journaled session came back at a
+   different threshold. *)
+let prop_threshold_roundtrip =
+  QCheck.Test.make ~name:"every finite threshold survives print and decode"
+    ~count:500
+    QCheck.(
+      make
+        Gen.(oneof [ float; float_range 0. 100.; return 9.99999999999999 ]))
+    (fun thr ->
+      QCheck.assume (Float.is_finite thr);
+      let r =
+        { (decode_exn {|{"dataset":"product-reviews","q":"gps"}|}) with
+          Api.threshold_pct = thr }
+      in
+      match
+        Result.bind
+          (Json.of_string (Json.to_string (Api.json_of_compare r)))
+          Api.decode_compare
+      with
+      | Ok r' -> Float.equal r'.Api.threshold_pct thr && r' = r
+      | Error _ -> false)
+
+let test_threshold_keys () =
+  let key thr =
+    Api.canonical_key ~scope:Api.Context
+      { (decode_exn {|{"dataset":"product-reviews","q":"gps"}|}) with
+        Api.threshold_pct = thr }
+  in
+  check Alcotest.string "%g where it round-trips"
+    "ds=product-reviews&q=gps&sel=top4&thr=12.5&measure=raw&w=" (key 12.5);
+  check Alcotest.string "more digits where it does not"
+    "ds=product-reviews&q=gps&sel=top4&thr=9.9999999&measure=raw&w="
+    (key 9.9999999);
+  if key 9.99999999999999 = key 10. then
+    Alcotest.fail "9.99999999999999 and 10 share a key"
 
 (* ---- Server.handle (no sockets) --------------------------------------------- *)
 
@@ -596,6 +634,60 @@ let test_handle_negative_top () =
         (error_code resp.Http.resp_body))
     [ "/session"; "/compare" ]
 
+(* Thresholds that print alike under %g once shared a cache key: after a
+   /compare at 9.9999999 %, one at 10 % was a cache hit serving the
+   first body, although counts 10 and 11 differ at the first threshold
+   and not at the second (gps, top 16, L 12 has such a pair in its
+   table). *)
+let test_handle_threshold_key () =
+  let body thr =
+    Printf.sprintf
+      {|{"dataset":"product-reviews","q":"gps","top":16,"size_bound":12,"threshold_pct":%s}|}
+      thr
+  in
+  let timeless resp =
+    match Json.of_string resp.Http.resp_body with
+    | Ok (Json.Obj fields) ->
+      Json.to_string
+        (Json.Obj (List.filter (fun (k, _) -> k <> "elapsed_s") fields))
+    | _ -> Alcotest.failf "bad compare body %s" resp.Http.resp_body
+  in
+  let post t thr =
+    Server.handle t (request ~meth:"POST" ~body:(body thr) "/compare")
+  in
+  let t = Server.create ~datasets:[ "product-reviews" ] () in
+  let first = post t "9.9999999" in
+  let second = post t "10" in
+  check Alcotest.int "first ok" 200 first.Http.status;
+  check Alcotest.(option string) "10 after 9.9999999 is a miss" (Some "miss")
+    (List.assoc_opt "X-Cache" second.Http.resp_headers);
+  if timeless first = timeless second then
+    Alcotest.fail "9.9999999 and 10 should compare differently here";
+  let fresh = post (Server.create ~datasets:[ "product-reviews" ] ()) "10" in
+  check Alcotest.string "10 answers what a fresh server answers"
+    (timeless fresh) (timeless second)
+
+(* 1e400 parses to infinity; a non-finite threshold is a bad request on
+   every route that takes one, never a journaled "inf" that no later
+   parse accepts. *)
+let test_handle_infinite_threshold () =
+  let body = {|{"dataset":"product-reviews","q":"gps","threshold_pct":1e400}|} in
+  List.iter
+    (fun route ->
+      check Alcotest.int ("1e400 on " ^ route) 400
+        (handle ~meth:"POST" ~body route).Http.status)
+    [ "/compare"; "/session" ];
+  let created = handle ~meth:"POST" ~body:compare_body "/session" in
+  let id =
+    match member_exn "id" created.Http.resp_body with
+    | Json.String id -> id
+    | _ -> Alcotest.fail "no session id"
+  in
+  check Alcotest.int "1e400 on PATCH params" 400
+    (handle ~meth:"PATCH" ~body:{|{"threshold_pct":1e400}|}
+       ("/session/" ^ id ^ "/params"))
+      .Http.status
+
 let test_handle_metrics () =
   let resp = handle "/metrics" in
   check Alcotest.int "metrics status" 200 resp.Http.status;
@@ -857,6 +949,8 @@ let () =
           Alcotest.test_case "cache-key normalization" `Quick
             test_canonical_key_normalization;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
+          Alcotest.test_case "threshold keys" `Quick test_threshold_keys;
+          QCheck_alcotest.to_alcotest prop_threshold_roundtrip;
         ] );
       ( "handle",
         [
@@ -881,6 +975,10 @@ let () =
             (negative_weight "/session");
           Alcotest.test_case "negative top on /session" `Quick
             test_handle_negative_top;
+          Alcotest.test_case "threshold key after 9.9999999" `Quick
+            test_handle_threshold_key;
+          Alcotest.test_case "infinite threshold" `Quick
+            test_handle_infinite_threshold;
           Alcotest.test_case "metrics" `Quick test_handle_metrics;
         ] );
       ( "e2e",
