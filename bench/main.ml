@@ -483,8 +483,7 @@ let quick = ref false
 let cores () = Domain.recommended_domain_count ()
 
 (* n results, timing the two engine phases: pair-table construction
-   (Dod.make_context) and multi-swap generation, plus the threshold-cache
-   ablation (multi-swap with ~cache:false). Emits machine-readable
+   (Dod.make_context) and multi-swap generation. Emits machine-readable
    BENCH_dod.json so later changes can track the perf trajectory; its
    n = 256 row is the large-n baseline. *)
 let scale () =
@@ -498,11 +497,7 @@ let scale () =
   (* (n, phase, median_s) in sweep order *)
   let entries = ref [] in
   let record n phase median_s = entries := (n, phase, median_s) :: !entries in
-  (* The bench checks what it times: the curve cache must not change a
-     single q-vector at any n, sizes the QCheck properties never reach. *)
-  let diverged = ref [] in
-  Printf.printf "%6s | %14s %14s %20s %8s %6s\n" "n" "make_context" "multi_swap"
-    "multi_swap(nocache)" "cache x" "exact";
+  Printf.printf "%6s | %14s %14s\n" "n" "make_context" "multi_swap";
   List.iter
     (fun n ->
       let profiles =
@@ -514,25 +509,11 @@ let scale () =
         (v, stats.Timing.median_s)
       in
       let context, ctx_s = timed (fun () -> Dod.make_context profiles) in
-      let cached, swap_s = timed (fun () -> Multi_swap.generate context ~limit) in
-      let uncached, nocache_s =
-        timed (fun () -> Multi_swap.generate ~cache:false context ~limit)
-      in
-      let exact =
-        Array.map Dfs.to_q_array cached = Array.map Dfs.to_q_array uncached
-      in
-      if not exact then diverged := n :: !diverged;
+      let _, swap_s = timed (fun () -> Multi_swap.generate context ~limit) in
       record n "make_context" ctx_s;
       record n "multi_swap" swap_s;
-      record n "multi_swap_nocache" nocache_s;
-      Printf.printf "%6d | %13.6fs %13.6fs %19.6fs %7.2fx %6s\n" n ctx_s swap_s
-        nocache_s (nocache_s /. swap_s) (if exact then "yes" else "NO"))
+      Printf.printf "%6d | %13.6fs %13.6fs\n" n ctx_s swap_s)
     ns;
-  if !diverged <> [] then begin
-    Printf.eprintf "scale: cached and uncached multi-swap differ at n = %s\n"
-      (String.concat ", " (List.rev_map string_of_int !diverged));
-    exit 1
-  end;
   (* Machine-readable output, one object per (n, phase) median. *)
   let json = Buffer.create 1024 in
   Buffer.add_string json "{\n";

@@ -11,7 +11,6 @@ let all =
   [ Topk; Greedy; Single_swap; Multi_swap; Annealing; Restarts; Exhaustive ]
 
 let practical = [ Topk; Greedy; Single_swap; Multi_swap; Annealing; Restarts ]
-let paper = [ Single_swap; Multi_swap ]
 
 let to_string = function
   | Topk -> "topk"

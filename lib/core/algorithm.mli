@@ -15,9 +15,6 @@ val all : t list
 val practical : t list
 (** Everything except [Exhaustive]. *)
 
-val paper : t list
-(** The two methods of the paper: [Single_swap; Multi_swap]. *)
-
 val to_string : t -> string
 (** Registry key: ["topk"], ["greedy"], ["single-swap"], ["multi-swap"],
     ["annealing"], ["restarts"], ["exhaustive"]. *)

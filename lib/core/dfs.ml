@@ -119,9 +119,3 @@ let to_q_array d = Array.copy d.q
 
 let equal a b = a.profile == b.profile && a.q = b.q
 
-let pp ppf d =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (f, count) -> Format.fprintf ppf "%s (%d)@ " (Feature.to_string f) count)
-    (features d);
-  Format.fprintf ppf "@]"

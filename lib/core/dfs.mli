@@ -62,5 +62,3 @@ val to_q_array : t -> int array
 val equal : t -> t -> bool
 (** Same profile (physically) and same selection. *)
 
-val pp : Format.formatter -> t -> unit
-(** Debug rendering: the selected features with counts. *)

@@ -20,5 +20,3 @@ let to_string = function
   | Unsupported_algorithm name ->
     Printf.sprintf "algorithm %s is not supported by this operation" name
   | Timeout -> "deadline exceeded before any complete comparison was available"
-
-let equal (a : t) (b : t) = a = b

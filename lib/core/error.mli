@@ -30,5 +30,3 @@ type t =
 val to_string : t -> string
 (** The human-readable message ("no results for ...", "size bound must be
     at least 1", ...) — what the pre-typed API returned as [Error msg]. *)
-
-val equal : t -> t -> bool

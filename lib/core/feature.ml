@@ -18,8 +18,6 @@ let equal_ftype a b = compare_ftype a b = 0
 let ftype_to_string t = t.entity ^ "." ^ t.attribute
 let to_string f = ftype_to_string f.ftype ^ " = " ^ f.value
 
-let pp ppf f = Format.pp_print_string ppf (to_string f)
-let pp_ftype ppf t = Format.pp_print_string ppf (ftype_to_string t)
 
 module Ftype_map = Map.Make (struct
   type t = ftype

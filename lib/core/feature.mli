@@ -31,8 +31,6 @@ val ftype_to_string : ftype -> string
 val to_string : t -> string
 (** ["entity.attribute = value"]. *)
 
-val pp : Format.formatter -> t -> unit
-val pp_ftype : Format.formatter -> ftype -> unit
 
 module Ftype_map : Map.S with type key = ftype
 module Map : Map.S with type key = t

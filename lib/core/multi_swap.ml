@@ -286,38 +286,9 @@ let prepare ?init context ~limit =
     Array.copy dfss
   | None -> Topk.generate context ~limit
 
-let generate_with_stats ?init ?(spread = true) ?(cache = true) ?deadline
-    context ~limit =
+let generate_with_stats ?init ?(spread = true) ?deadline context ~limit =
   let dfss = prepare ?init context ~limit in
   let n = Array.length dfss in
-  (* Curve cache. Result [i]'s curves depend only on the OTHER results'
-     current selections, so an entry stays exact until some j <> i adopts
-     a new response: each adoption bumps [version] and stamps
-     [adopted_at], and an entry computed at stamp [s] is valid while
-     [adopted_at.(j) <= s] for every other [j]. In particular result i's
-     own adoption never invalidates its own entry, and once a round stops
-     adopting, the fixpoint check reuses every entry. *)
-  let version = ref 0 in
-  let adopted_at = Array.make n 0 in
-  let cached = Array.make n ([||] : int array array) in
-  let cached_at = Array.make n (-1) in
-  let curves_of i =
-    let valid =
-      cached_at.(i) >= 0
-      &&
-      let s = cached_at.(i) in
-      let ok = ref true in
-      for j = 0 to n - 1 do
-        if j <> i && adopted_at.(j) > s then ok := false
-      done;
-      !ok
-    in
-    if not valid then begin
-      cached.(i) <- compute_curves context dfss i;
-      cached_at.(i) <- !version
-    end;
-    cached.(i)
-  in
   let iterations = ref 0 in
   let rounds = ref 0 in
   (* Anytime loop: [dfss] is a valid configuration after every adopted
@@ -336,20 +307,17 @@ let generate_with_stats ?init ?(spread = true) ?(cache = true) ?deadline
       if not !stopped then begin
         if Deadline.over deadline then stopped := true
         else begin
-          let curves =
-            if cache then curves_of i else compute_curves context dfss i
-          in
           (* One gain table serves the response and both sides of the
              adoption check. *)
-          let g = packed_gains ~spread context curves i in
+          let g =
+            packed_gains ~spread context (compute_curves context dfss i) i
+          in
           (* Pad the response to the full budget: extra features never reduce
              the packed objective (gains and the type bonus are monotone) and
              keep the summaries budget-filling like every other method. *)
           let candidate = Topk.fill ~limit (respond context ~limit g i) in
           if packed_sum g candidate > packed_sum g dfss.(i) then begin
             dfss.(i) <- candidate;
-            incr version;
-            adopted_at.(i) <- !version;
             incr iterations;
             improved_in_round := true
           end
@@ -360,5 +328,5 @@ let generate_with_stats ?init ?(spread = true) ?(cache = true) ?deadline
   (dfss, { iterations = !iterations; rounds = !rounds;
            converged = not !stopped })
 
-let generate ?init ?spread ?cache ?deadline context ~limit =
-  fst (generate_with_stats ?init ?spread ?cache ?deadline context ~limit)
+let generate ?init ?spread ?deadline context ~limit =
+  fst (generate_with_stats ?init ?spread ?deadline context ~limit)

@@ -61,8 +61,7 @@ val best_response :
     the same [dfss]); without it they are recomputed. *)
 
 val generate :
-  ?init:Dfs.t array -> ?spread:bool -> ?cache:bool ->
-  ?deadline:Xsact_util.Deadline.t ->
+  ?init:Dfs.t array -> ?spread:bool -> ?deadline:Xsact_util.Deadline.t ->
   Dod.context -> limit:int -> Dfs.t array
 (** Iterate best responses from {!Topk.generate} (or [init]) to a multi-swap
     optimum. [spread] (default [true]) enables the type-spreading
@@ -76,14 +75,9 @@ val generate :
     bit-identical to an undeadlined run. Carries the ["compare.round"]
     {!Xsact_util.Failpoint} at every round start.
 
-    [cache] (default [true]) keeps each result's curves across rounds
-    until another result adopts a new DFS — every use is provably
-    identical to a fresh computation, so the output never changes;
-    [~cache:false] recomputes them before every best response, the
-    baseline kept for the micro-bench and the exactness property (see
-    EXPERIMENTS.md). *)
+    Every best response computes its curves once ({!compute_curves});
+    nothing is kept across responses. *)
 
 val generate_with_stats :
-  ?init:Dfs.t array -> ?spread:bool -> ?cache:bool ->
-  ?deadline:Xsact_util.Deadline.t ->
+  ?init:Dfs.t array -> ?spread:bool -> ?deadline:Xsact_util.Deadline.t ->
   Dod.context -> limit:int -> Dfs.t array * stats

@@ -147,10 +147,6 @@ let type_info t gi =
   let ei, ti = t.type_index.(gi) in
   t.entities.(ei).types.(ti)
 
-let entity_of_type t gi =
-  let ei, _ = t.type_index.(gi) in
-  t.entities.(ei)
-
 let entity_index_of_type t gi = fst t.type_index.(gi)
 
 let find_type t ftype =

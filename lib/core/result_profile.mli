@@ -61,7 +61,6 @@ val make :
 
 val num_types : t -> int
 val type_info : t -> int -> type_info
-val entity_of_type : t -> int -> entity_info
 val entity_index_of_type : t -> int -> int
 
 val find_type : t -> Feature.ftype -> int option

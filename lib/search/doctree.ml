@@ -81,7 +81,6 @@ let node t id =
     invalid_arg "Doctree.node: id out of range";
   t.table.(id)
 
-let root t = t.table.(0)
 let nodes t = t.table
 let parent_ids t = t.parents
 let max_depth t = t.max_depth

@@ -32,8 +32,6 @@ val size : t -> int
 val node : t -> int -> node
 (** @raise Invalid_argument on an out-of-range id. *)
 
-val root : t -> node
-
 val nodes : t -> node array
 (** The underlying table (do not mutate). *)
 

@@ -1,10 +1,5 @@
 type mode = Full | Matched_entities | Attributes_only
 
-let mode_to_string = function
-  | Full -> "full"
-  | Matched_entities -> "matched"
-  | Attributes_only -> "attributes"
-
 let mode_of_string = function
   | "full" -> Some Full
   | "matched" -> Some Matched_entities

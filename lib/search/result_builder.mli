@@ -18,10 +18,8 @@
 
 type mode = Full | Matched_entities | Attributes_only
 
-val mode_to_string : mode -> string
-(** ["full"], ["matched"], ["attributes"]. *)
-
 val mode_of_string : string -> mode option
+(** ["full"], ["matched"], ["attributes"]. *)
 
 val matches : keywords:string list -> Xml.element -> bool
 (** Does the subtree contain {e every} one of the (already-normalized)

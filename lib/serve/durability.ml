@@ -6,7 +6,7 @@ type t = {
   mutex : Mutex.t;
   store : Store.t;
   (* id -> (last mutation stamp, entry json): the replay fold, maintained
-     live so compaction never needs the session store's lock *)
+     live so compaction never reads the session store *)
   mirror : (string, float * Json.t) Hashtbl.t;
   snapshot_every : int;
   mutable since_snapshot : int;

@@ -23,10 +23,10 @@
 
     The module keeps an in-memory mirror of that fold. Compaction
     serializes the mirror instead of re-reading the session store, so it
-    can run inline inside the store's event hook (which holds the store
-    lock) without lock-order inversion. Lock order is strictly
-    [Session_store.mutex → Durability.mutex]; nothing here calls back
-    into the session store. *)
+    can run inline inside the store's event hook (which runs under the
+    server's session lock) without lock-order inversion. Lock order is
+    strictly [Server.session_update → Durability.mutex]; nothing here
+    calls back into the session store. *)
 
 type t
 

@@ -15,8 +15,8 @@
    whose releases turn entries unpinned and re-enter them here.
 
    Locking: [mutex] is a leaf. Every operation is O(entries) bookkeeping
-   under it and calls nothing back — callers may hold the session-update
-   or store lock; this module never acquires either. *)
+   under it and calls nothing back — callers may hold the server's
+   session lock; this module never acquires it. *)
 
 type entry = {
   e_profiles : Result_profile.t array;
@@ -156,7 +156,8 @@ let release t key =
         shed t
       | Some _ | None ->
         (* a ref was released twice, or for a key never published — the
-           CAS ownership guards upstream make this unreachable *)
+           serve layer's one-reference-per-warm-cell invariant makes this
+           unreachable *)
         assert false)
 
 let peek t key =
@@ -206,11 +207,5 @@ let stats t =
         misses = t.misses;
         evictions = t.evictions;
       })
-
-let fold t ~init ~f =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun key e acc -> f key ~context:e.e_context ~refs:e.refs acc)
-        t.table init)
 
 let cache_capacity t = t.cache_capacity

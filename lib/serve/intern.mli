@@ -17,7 +17,7 @@
     thus evictable.
 
     Thread-safe; the internal mutex is a leaf (no operation calls out of
-    the module), so callers may hold the session-update or store lock. *)
+    the module), so callers may hold the server's session lock. *)
 
 type t
 
@@ -53,8 +53,8 @@ val release : t -> string -> unit
 (** Drop one reference. The entry stays as an unpinned reuse-cache entry
     (the interactive undo: re-adding the result a session just removed is
     an {!acquire} hit), subject to eviction. Callers release exactly the
-    references they hold — the serve layer's per-cell ownership guard
-    makes double release impossible. *)
+    references they hold — in the serve layer, a session cell holds one
+    exactly while it is warm, and every transition runs under one lock. *)
 
 val peek : t -> string -> (Result_profile.t array * Dod.context) option
 (** Read without pinning — the [/compare] warm path. Refreshes recency
@@ -84,13 +84,5 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val fold :
-  t ->
-  init:'a ->
-  f:(string -> context:Dod.context -> refs:int -> 'a -> 'a) ->
-  'a
-(** Read-only fold over the entries under the lock; [f] must not call
-    back into the table. *)
 
 val cache_capacity : t -> int

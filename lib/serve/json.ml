@@ -301,6 +301,5 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List items -> Some items | _ -> None
 let obj_fields = function Obj fields -> Some fields | _ -> None

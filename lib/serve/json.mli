@@ -41,6 +41,5 @@ val to_int : t -> int option
 
 val to_float : t -> float option
 val to_str : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option
 val obj_fields : t -> (string * t) list option

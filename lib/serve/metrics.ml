@@ -49,8 +49,6 @@ let record t ~route ~status ~elapsed_s =
       let i = bucket_index (1000. *. elapsed_s) in
       t.buckets.(i) <- t.buckets.(i) + 1)
 
-let requests_total t = locked t (fun () -> t.total)
-
 let incr_counter ?(by = 1) t name =
   locked t (fun () ->
       Hashtbl.replace t.events name

@@ -19,8 +19,6 @@ val snapshot : t -> extra:(string * Json.t) list -> Json.t
 (** Consistent snapshot as the [/metrics] response body. [extra] appends
     server-owned gauges (cache hit rate, pool size, ...). *)
 
-val requests_total : t -> int
-
 val incr_counter : ?by:int -> t -> string -> unit
 (** Bump the named event counter (created at 0 on first use). The overload
     path uses ["requests_shed"], ["requests_timed_out"],

@@ -237,7 +237,7 @@ let probe_after_s = 0.75
 exception Reconnect
 exception Stale_primary
 
-let connect ~host ~port c =
+let connect ~host ~port =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (try
@@ -247,7 +247,6 @@ let connect ~host ~port c =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  ignore c;
   fd
 
 let request_line ~host ~port c =
@@ -405,7 +404,7 @@ let client_loop c =
       | None -> `Down
       | Some (host, port) -> (
         try
-          let fd = connect ~host ~port c in
+          let fd = connect ~host ~port in
           Mutex.lock c.sock_mutex;
           c.sock <- Some fd;
           Mutex.unlock c.sock_mutex;

@@ -18,8 +18,7 @@ type session_entry = {
    the DFS q-vectors and run count it served: a mutated session's DFSs
    are a warm-started fixpoint that a fresh generation need not reach, so
    its rewarm restores them and demotion stays invisible in response
-   bytes. The [state] field is only ever mutated under [session_update];
-   concurrent readers observe one atomic word. *)
+   bytes. Every read and write of [state] runs under [session_update]. *)
 type cold_session = {
   c_request : Api.compare_request;
   c_ranks : int list;
@@ -31,18 +30,11 @@ type cold_session = {
 
 type session_state = Warm of session_entry | Cold of cold_session
 
-(* [owns] is the cell's claim on one intern-table reference for its
-   context key — set iff the cell is warm on an incremental server. It is
-   atomic because ownership is contended across two locks: every state
-   transition (create, rewarm, demote, mutate) happens under
-   [session_update], but the store's removal events (delete, TTL expiry,
-   LRU eviction) fire under the store lock — so giving up the reference
-   goes through a compare-and-set, and exactly one of the racing paths
-   performs the one [Intern.release]. *)
-type stored_session = {
-  mutable state : session_state;
-  owns : bool Atomic.t;
-}
+(* A cell holds exactly one intern-table reference, on its context key,
+   exactly when it is [Warm] on an incremental server. Every transition
+   (create, rewarm, demote, mutate, remove) runs under [session_update],
+   so each one moves that reference with nothing racing it. *)
+type stored_session = { mutable state : session_state }
 
 let cold_of_entry se =
   {
@@ -65,10 +57,10 @@ type t = {
   lock : Mutex.t;  (* guards [cache] and [inflight] — O(1) sections only *)
   inflight : (string, unit) Hashtbl.t;  (* compare keys being computed *)
   inflight_done : Condition.t;  (* signalled when an inflight key retires *)
-  session_update : Mutex.t;  (* serializes session read-modify-write,
-                                including Warm/Cold state transitions *)
+  session_update : Mutex.t;  (* the one lock over session state: every
+                                store call, every Warm/Cold transition *)
   metrics : Metrics.t;
-  sessions : stored_session Session_store.t;
+  sessions : stored_session Session_store.t;  (* read by [with_sessions] *)
   incremental : bool;  (* delta context maintenance (false = ablation) *)
   max_context_bytes : int option;  (* unified live-context memory budget *)
   default_deadline_ms : int option;  (* per-request compare budget *)
@@ -118,7 +110,12 @@ let with_lock m f =
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let locked t f = with_lock t.lock f
-let with_session_update t f = with_lock t.session_update f
+
+(* The only reader of [t.sessions]: [f] gets the store under
+   [session_update]. Code running inside takes the store as an argument
+   rather than locking again — OCaml's mutexes raise on a re-lock. *)
+let with_sessions t f = with_lock t.session_update (fun () -> f t.sessions)
+
 let cluster t = Atomic.get t.cluster
 
 (* ---- Response helpers -------------------------------------------------- *)
@@ -681,11 +678,13 @@ let session_ctx_key se = ctx_key se.s_request se.s_ranks
    request would produce. [resume] (a demoted cell's DFS q-vectors and
    run count) replaces the generation: the DFSs are restored over the
    context through [Session.restore], which re-validates them, and a
-   failed validation falls back to generating. Returns the entry plus
-   whether it holds an intern-table reference on its context key: on an
-   incremental server a hit adopts the interned (profiles, context) pair
-   — skipping extraction and the O(n²) pair-table build — and a miss
-   publishes the fresh build; the ablation server never interns. *)
+   failed validation falls back to generating. On an incremental server
+   the entry comes with one intern-table reference on its context key,
+   which the caller's cell then holds: a hit adopts the interned
+   (profiles, context) pair — skipping extraction and the O(n²)
+   pair-table build — and a miss publishes the fresh build. The ablation
+   server never interns. Touches no session cell, so it runs outside
+   [session_update] on create. *)
 let build_session_entry ?resume t creq ~ranks ~size_bound =
   match find_entry t creq.Api.dataset with
   | None ->
@@ -756,7 +755,7 @@ let build_session_entry ?resume t creq ~ranks ~size_bound =
             | Error e ->
               Intern.release t.intern ctx_key;
               Error (core_error e)
-            | Ok session -> Ok (entry_of session, true))
+            | Ok session -> Ok (entry_of session))
           | None -> (
             let profiles =
               List.map
@@ -770,7 +769,7 @@ let build_session_entry ?resume t creq ~ranks ~size_bound =
             | Ok session ->
               (* the one place a session context is built from scratch *)
               Metrics.incr_counter t.metrics "context_builds_full";
-              if not t.incremental then Ok (entry_of session, false)
+              if not t.incremental then Ok (entry_of session)
               else
                 (* Publish under the key; a racing builder may have won —
                    adopt the canonical pair so both sessions share one
@@ -784,22 +783,31 @@ let build_session_entry ?resume t creq ~ranks ~size_bound =
                   if context == Session.context session then session
                   else Session.intern session ~context
                 in
-                Ok (entry_of session, true)))))
+                Ok (entry_of session)))))
+
+(* Drop the intern reference a cell holds, as it goes cold or leaves the
+   store: by the invariant on [stored_session], a warm cell on an
+   incremental server holds one. *)
+let release_cell ~incremental intern st =
+  match st.state with
+  | Warm se when incremental -> Intern.release intern (session_ctx_key se)
+  | Warm _ | Cold _ -> ()
 
 (* The unified memory ledger (DESIGN.md §13): the intern table's bytes —
    warm-session contexts and the /compare reuse cache are one
-   deduplicated population there — plus the contexts of warm sessions
-   holding no intern reference (the ablation server's). N sessions over
-   one corpus cost one context's bytes, and the ledger says so. *)
-let live_context_bytes t =
-  let unowned =
-    Session_store.fold t.sessions ~init:0 ~f:(fun _ st ~last_used:_ acc ->
-        match st.state with
-        | Warm se when not (Atomic.get st.owns) ->
-          acc + Dod.approx_bytes (Session.context se.s_session)
-        | Warm _ | Cold _ -> acc)
+   deduplicated population there — plus, on the ablation server, which
+   interns nothing, the private contexts of its warm sessions. N sessions
+   over one corpus cost one context's bytes, and the ledger says so. *)
+let live_context_bytes t sessions =
+  let private_bytes =
+    if t.incremental then 0
+    else
+      Session_store.fold sessions ~init:0 ~f:(fun _ st ~last_used:_ acc ->
+          match st.state with
+          | Warm se -> acc + Dod.approx_bytes (Session.context se.s_session)
+          | Cold _ -> acc)
   in
-  Intern.bytes_live t.intern + unowned
+  Intern.bytes_live t.intern + private_bytes
 
 (* Demote least-recently-used warm sessions to cold until the ledger fits
    the byte budget, sparing [keep] (the session the current request is
@@ -810,13 +818,13 @@ let live_context_bytes t =
    mutation, no store event: hot/cold residency is not durable state, and
    the journal entry for a cold cell is identical anyway. Called under
    [session_update]. *)
-let enforce_context_budget t ~keep =
+let enforce_context_budget t sessions ~keep =
   match t.max_context_bytes with
   | None -> ()
   | Some budget ->
-    if live_context_bytes t > budget then begin
+    if live_context_bytes t sessions > budget then begin
       let warm =
-        Session_store.fold t.sessions ~init:[] ~f:(fun id st ~last_used acc ->
+        Session_store.fold sessions ~init:[] ~f:(fun id st ~last_used acc ->
             match st.state with
             | Warm se -> (id, st, se, last_used) :: acc
             | Cold _ -> acc)
@@ -829,9 +837,8 @@ let enforce_context_budget t ~keep =
       in
       List.iter
         (fun (id, st, se, _) ->
-          if id <> keep && live_context_bytes t > budget then begin
-            if Atomic.compare_and_set st.owns true false then
-              Intern.release t.intern (session_ctx_key se);
+          if id <> keep && live_context_bytes t sessions > budget then begin
+            release_cell ~incremental:t.incremental t.intern st;
             st.state <- Cold (cold_of_entry se);
             Metrics.incr_counter t.metrics "contexts_demoted"
           end)
@@ -846,7 +853,7 @@ let enforce_context_budget t ~keep =
    unrecoverable cold cell (e.g. its dataset is no longer loaded)
    surfaces its error and stays cold: a later restart with the dataset
    back still serves it. Called under [session_update]. *)
-let warm_session t id st =
+let warm_session t sessions id st =
   match st.state with
   | Warm se -> Ok se
   | Cold c -> (
@@ -854,15 +861,10 @@ let warm_session t id st =
       build_session_entry ?resume:c.c_resume t c.c_request
         ~ranks:(Some c.c_ranks) ~size_bound:c.c_size_bound
     with
-    | Ok (se, owns) ->
-      (* state first, ownership second: a removal event racing into the
-         window between the two stores loses the CAS and skips the
-         release — leaking one reference to the reuse cache is the
-         accepted cost of never double-releasing (DESIGN.md §13). *)
+    | Ok se ->
       st.state <- Warm se;
-      Atomic.set st.owns owns;
       Metrics.incr_counter t.metrics "sessions_rewarmed";
-      enforce_context_budget t ~keep:id;
+      enforce_context_budget t sessions ~keep:id;
       Ok se
     | Error resp -> Error resp)
 
@@ -875,12 +877,13 @@ let handle_session_create t req _params =
         ~size_bound:creq.Api.size_bound
     with
     | Error resp -> resp
-    | Ok (se, owns) ->
+    | Ok se ->
       let id =
-        Session_store.add t.sessions
-          { state = Warm se; owns = Atomic.make owns }
+        with_sessions t (fun sessions ->
+            let id = Session_store.add sessions { state = Warm se } in
+            enforce_context_budget t sessions ~keep:id;
+            id)
       in
-      with_session_update t (fun () -> enforce_context_budget t ~keep:id);
       json_response ~status:201 (session_summary id se))
 
 let handle_session_list t _req _params =
@@ -891,7 +894,7 @@ let handle_session_list t _req _params =
            Json.List
              (List.map
                 (fun id -> Json.String id)
-                (Session_store.ids t.sessions)) );
+                (with_sessions t Session_store.ids)) );
        ])
 
 (* Every per-id session handler — reads included — runs under
@@ -900,26 +903,25 @@ let handle_session_list t _req _params =
    lock is cheap next to the mutations it shares the lock with. *)
 let with_session t params f =
   let id = Option.value ~default:"" (List.assoc_opt "id" params) in
-  match Session_store.find t.sessions id with
-  | None ->
-    error_response ~status:404 ~code:"unknown_session" ("unknown session " ^ id)
-  | Some st -> (
-    match warm_session t id st with
-    | Error resp -> resp
-    | Ok se -> f id st se)
+  with_sessions t (fun sessions ->
+      match Session_store.find sessions id with
+      | None ->
+        error_response ~status:404 ~code:"unknown_session"
+          ("unknown session " ^ id)
+      | Some st -> (
+        match warm_session t sessions id st with
+        | Error resp -> resp
+        | Ok se -> f sessions id se))
 
 let handle_session_get t _req params =
-  with_session_update t (fun () ->
-      with_session t params (fun id _st se ->
-          let fields =
-            match session_summary id se with
-            | Json.Obj fields -> fields
-            | _ -> []
-          in
-          json_response ~status:200
-            (Json.Obj
-               (fields
-               @ [ ("table", Api.json_of_table (Session.table se.s_session)) ]))))
+  with_session t params (fun _ id se ->
+      let fields =
+        match session_summary id se with Json.Obj fields -> fields | _ -> []
+      in
+      json_response ~status:200
+        (Json.Obj
+           (fields
+           @ [ ("table", Api.json_of_table (Session.table se.s_session)) ])))
 
 let timed_out_response t =
   Metrics.incr_counter t.metrics "requests_timed_out";
@@ -953,32 +955,25 @@ let book_mutation_build t sops =
    preserving mutation (a resize, a reparams to the same values) never
    lets the entry go unpinned mid-handoff; adopting the canonical pair
    that [publish] returns keeps every holder of a key on one physical
-   context. The CAS covers the race with a concurrent removal event: if
-   the event won, the old reference is already gone and only the new one
-   is taken. *)
-let store_mutated t ~origin id st old_se se =
-  let se, owns =
-    if not t.incremental then (se, false)
+   context. Called under [session_update], which the whole mutation
+   holds from its lookup on: no DELETE, expiry or eviction can remove
+   the cell in between. *)
+let store_mutated t sessions ~origin id old_se se =
+  let se =
+    if not t.incremental then se
     else begin
-      let old_key = session_ctx_key old_se in
-      let new_key = session_ctx_key se in
-      let owned = Atomic.compare_and_set st.owns true false in
       let _, context =
-        Intern.publish t.intern new_key
+        Intern.publish t.intern (session_ctx_key se)
           ~profiles:(Session.profiles se.s_session)
           ~context:(Session.context se.s_session)
       in
-      if owned then Intern.release t.intern old_key;
-      let session =
-        if context == Session.context se.s_session then se.s_session
-        else Session.intern se.s_session ~context
-      in
-      ({ se with s_session = session }, true)
+      Intern.release t.intern (session_ctx_key old_se);
+      if context == Session.context se.s_session then se
+      else { se with s_session = Session.intern se.s_session ~context }
     end
   in
-  Session_store.set ~origin t.sessions id
-    { state = Warm se; owns = Atomic.make owns };
-  enforce_context_budget t ~keep:id;
+  Session_store.set ~origin sessions id { state = Warm se };
+  enforce_context_budget t sessions ~keep:id;
   json_response ~status:200 (session_summary id se)
 
 (* The one mutation handler. Every endpoint — the single-op wrappers and
@@ -996,40 +991,38 @@ let mutate t req params ~origin decode =
     | Error e -> op_error_response e
     | Ok ops ->
       let deadline = deadline_of_req t req in
-      with_session_update t (fun () ->
-          with_session t params (fun id st se ->
-              let entry = Option.get (find_entry t se.s_dataset) in
-              let keywords = se.s_request.Api.keywords in
-              match
-                Api.translate_ops ~request:se.s_request ~ranks:se.s_ranks
-                  ~available:(List.length se.s_results)
-                  ~profile_of:(fun rank ->
-                    let r = Option.get (result_with_rank se.s_results rank) in
-                    Pipeline.profile_of ~keywords entry.pipeline r)
-                  ~config_of:(request_config t) ops
-              with
-              | Error (`Op e) -> op_error_response e
-              | Error (`Core e) -> core_error e
-              | Ok (sops, ranks, creq) -> (
-                match Session.apply ?deadline se.s_session sops with
-                | exception Xsact_util.Deadline.Expired ->
-                  (* the delta never landed; the stored session (and its
-                     context) is exactly as before *)
-                  timed_out_response t
-                | Error e -> core_error e
-                | Ok session ->
-                  if String.equal origin "apply" then
-                    Metrics.incr_counter ~by:(List.length ops) t.metrics
-                      "ops_batched";
-                  if session != se.s_session then
-                    book_mutation_build t sops;
-                  store_mutated t ~origin id st se
-                    {
-                      se with
-                      s_request = creq;
-                      s_ranks = ranks;
-                      s_session = session;
-                    }))))
+      with_session t params (fun sessions id se ->
+          let entry = Option.get (find_entry t se.s_dataset) in
+          let keywords = se.s_request.Api.keywords in
+          match
+            Api.translate_ops ~request:se.s_request ~ranks:se.s_ranks
+              ~available:(List.length se.s_results)
+              ~profile_of:(fun rank ->
+                let r = Option.get (result_with_rank se.s_results rank) in
+                Pipeline.profile_of ~keywords entry.pipeline r)
+              ~config_of:(request_config t) ops
+          with
+          | Error (`Op e) -> op_error_response e
+          | Error (`Core e) -> core_error e
+          | Ok (sops, ranks, creq) -> (
+            match Session.apply ?deadline se.s_session sops with
+            | exception Xsact_util.Deadline.Expired ->
+              (* the delta never landed; the stored session (and its
+                 context) is exactly as before *)
+              timed_out_response t
+            | Error e -> core_error e
+            | Ok session ->
+              if String.equal origin "apply" then
+                Metrics.incr_counter ~by:(List.length ops) t.metrics
+                  "ops_batched";
+              if session != se.s_session then book_mutation_build t sops;
+              store_mutated t sessions ~origin id se
+                {
+                  se with
+                  s_request = creq;
+                  s_ranks = ranks;
+                  s_session = session;
+                })))
 
 (* POST /session/:id/add, /remove, /size — thin wrappers building a
    singleton batch through the op path; observably identical to the
@@ -1066,7 +1059,7 @@ let handle_session_apply t req params =
 
 let handle_session_delete t _req params =
   let id = Option.value ~default:"" (List.assoc_opt "id" params) in
-  if Session_store.remove t.sessions id then
+  if with_sessions t (fun sessions -> Session_store.remove sessions id) then
     json_response ~status:200 (Json.Obj [ ("deleted", Json.String id) ])
   else
     error_response ~status:404 ~code:"unknown_session" ("unknown session " ^ id)
@@ -1082,24 +1075,34 @@ let handle_metrics t _req _params =
   let hit_rate =
     if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
   in
-  let istats = Intern.stats t.intern in
-  (* Racy-but-atomic observation of the warm/cold split: each cell's
-     state is one word, and the gauges are diagnostics, not invariants.
-     Pair tables are deduplicated by physical context, so k sessions
-     sharing one interned context report one context's tables. *)
-  let shared_ctxs, warm_n, cold_n =
-    Session_store.fold t.sessions ~init:([], 0, 0)
-      ~f:(fun _ st ~last_used:_ (ctxs, w, c) ->
-        match st.state with
-        | Warm se ->
-          let ctx = Session.context se.s_session in
-          ((if List.memq ctx ctxs then ctxs else ctx :: ctxs), w + 1, c)
-        | Cold _ -> (ctxs, w, c + 1))
+  (* One consistent view of the session gauges and the intern table, read
+     under [session_update] between mutations. Pair tables are
+     deduplicated by physical context, so k sessions sharing one interned
+     context report one context's tables. *)
+  let live, expired, evicted, (shared_ctxs, warm_n, cold_n), ctx_bytes, istats
+      =
+    with_sessions t (fun sessions ->
+        (* [count] purges expired cells first, so the rest sees the live *)
+        let live = Session_store.count sessions in
+        let split =
+          Session_store.fold sessions ~init:([], 0, 0)
+            ~f:(fun _ st ~last_used:_ (ctxs, w, c) ->
+              match st.state with
+              | Warm se ->
+                let ctx = Session.context se.s_session in
+                ((if List.memq ctx ctxs then ctxs else ctx :: ctxs), w + 1, c)
+              | Cold _ -> (ctxs, w, c + 1))
+        in
+        ( live,
+          Session_store.expired_total sessions,
+          Session_store.evicted_total sessions,
+          split,
+          live_context_bytes t sessions,
+          Intern.stats t.intern ))
   in
   let ctx_tables =
     List.fold_left (fun a ctx -> a + Dod.num_pair_tables ctx) 0 shared_ctxs
   in
-  let ctx_bytes = live_context_bytes t in
   json_response ~status:200
     (Metrics.snapshot t.metrics
        ~extra:
@@ -1148,11 +1151,9 @@ let handle_metrics t _req _params =
                  ("misses", Json.Int istats.Intern.misses);
                  ("evictions", Json.Int istats.Intern.evictions);
                ] );
-           ("sessions_live", Json.Int (Session_store.count t.sessions));
-           ( "sessions_expired",
-             Json.Int (Session_store.expired_total t.sessions) );
-           ( "sessions_evicted",
-             Json.Int (Session_store.evicted_total t.sessions) );
+           ("sessions_live", Json.Int live);
+           ("sessions_expired", Json.Int expired);
+           ("sessions_evicted", Json.Int evicted);
            ("datasets", Json.Int (List.length t.entries));
            ("worker_threads", Json.Int t.threads);
            ("inflight_requests", Json.Int (Atomic.get t.inflight_now));
@@ -1232,22 +1233,6 @@ let log_event d = function
   | Session_store.Evicted { id; value = _ } ->
     Durability.log_delete d ~op:"evict" ~id
 
-(* Removal-event half of the ownership guard: a deleted / expired /
-   evicted cell gives up its intern reference. Runs under the store lock;
-   the intern mutex is a leaf, so no lock-order cycle. The CAS loses
-   against a concurrent mutation or demotion that already took the
-   reference — exactly one release either way. The key is recomputable
-   from either residency state (a cold recipe carries the same request
-   and ranks its warm form did). *)
-let stored_ctx_key st =
-  match st.state with
-  | Warm se -> session_ctx_key se
-  | Cold c -> ctx_key c.c_request c.c_ranks
-
-let release_stored intern st =
-  if Atomic.compare_and_set st.owns true false then
-    Intern.release intern (stored_ctx_key st)
-
 (* ---- Warm-boot context snapshots ----------------------------------------- *)
 
 let contexts_path dir = Filename.concat dir "contexts"
@@ -1262,12 +1247,11 @@ let warm_snapshots t = t.context_snapshots && t.incremental
    request can reconstruct. Both record lists are sorted, so the output
    is deterministic for a given warm set. Two consumers: the [contexts]
    file written at clean shutdown, and (base64-armored) the [warm]
-   section of a replication resync. Touches [st.state], so callers hold
-   [session_update] or run after the worker drain. *)
-let warm_records_locked t =
+   section of a replication resync. Called under [session_update]. *)
+let warm_records sessions =
   let ctxs = Hashtbl.create 8 in
   let warm =
-    Session_store.fold t.sessions ~init:[]
+    Session_store.fold sessions ~init:[]
       ~f:(fun id st ~last_used:_ acc ->
         match st.state with
         | Warm se ->
@@ -1312,12 +1296,12 @@ let warm_records_locked t =
     ctx_records @ sess_records
 
 (* Shutdown consumer: no warm sessions → no file (a stale one would only
-   produce misses). Runs after the worker drain, so no lock. *)
+   produce misses). *)
 let write_context_snapshot t =
   match t.persist with
   | Some (dir, _, _) when warm_snapshots t ->
     let path = contexts_path dir in
-    (match warm_records_locked t with
+    (match with_sessions t warm_records with
     | [] -> ( try Sys.remove path with Sys_error _ -> ())
     | records -> Xsact_persist.Snapshot.write path records)
   | _ -> ()
@@ -1326,8 +1310,7 @@ let write_context_snapshot t =
    from the streaming worker at each resync. *)
 let warm_wire_records t =
   if warm_snapshots t then
-    with_session_update t (fun () ->
-        List.map B64.encode (warm_records_locked t))
+    List.map B64.encode (with_sessions t warm_records)
   else []
 
 (* ---- Installing sessions --------------------------------------------------
@@ -1371,8 +1354,10 @@ let cold_of_journal entry_json =
           }
       | _ -> Error "malformed entry (ranks/size_bound)"))
 
-let drop_session t id =
-  Option.iter (release_stored t.intern) (Session_store.drop t.sessions id)
+let drop_session t sessions id =
+  Option.iter
+    (release_cell ~incremental:t.incremental t.intern)
+    (Session_store.drop sessions id)
 
 (* Warm-boot one cold cell from its snapshot record, paying bounded
    verification instead of an O(n²) rebuild. The record must name the same
@@ -1383,11 +1368,11 @@ let drop_session t id =
    from the blob, itself cross-checked by [Dod.deserialize_context]; the
    DFS vectors and the assembly are re-validated by [Dfs.of_q_array] and
    [Session.restore]. Any defect is a miss, never wrong state. *)
-let warm_from_record t ~blobs ~search (s : Warmboot.sess) =
+let warm_from_record t sessions ~blobs ~search (s : Warmboot.sess) =
   let miss () = Metrics.incr_counter t.metrics "context_snapshot_misses" in
-  match Session_store.find t.sessions s.Warmboot.z_id with
-  | Some ({ state = Cold c; _ } as st)
-    when stored_ctx_key st = s.Warmboot.z_ctx
+  match Session_store.find sessions s.Warmboot.z_id with
+  | Some ({ state = Cold c } as st)
+    when ctx_key c.c_request c.c_ranks = s.Warmboot.z_ctx
          && c.c_size_bound = s.Warmboot.z_bound -> (
     let key = s.Warmboot.z_ctx in
     let creq = c.c_request in
@@ -1437,7 +1422,6 @@ let warm_from_record t ~blobs ~search (s : Warmboot.sess) =
                 s_ranks = c.c_ranks;
                 s_session = session;
               };
-          Atomic.set st.owns true;
           Metrics.incr_counter t.metrics "context_snapshot_loads")))
   | Some _ | None -> miss ()
 
@@ -1448,16 +1432,17 @@ let warm_from_record t ~blobs ~search (s : Warmboot.sess) =
    keeps serving — warm sessions. [replace] drops every other session
    first (a resync is the whole state). *)
 let install_sessions t d ?(replace = false) ?(records = []) ~eager entries =
-  with_session_update t (fun () ->
-      if replace then List.iter (drop_session t) (Session_store.ids t.sessions);
+  with_sessions t (fun sessions ->
+      if replace then
+        List.iter (drop_session t sessions) (Session_store.ids sessions);
       let ids =
         List.filter_map
           (fun (id, at, entry) ->
-            drop_session t id;
+            drop_session t sessions id;
             match cold_of_journal entry with
             | Ok cold ->
-              Session_store.restore t.sessions ~id ~last_used:at
-                { state = Cold cold; owns = Atomic.make false };
+              Session_store.restore sessions ~id ~last_used:at
+                { state = Cold cold };
               Some id
             | Error msg ->
               Durability.mark_dropped d;
@@ -1492,16 +1477,16 @@ let install_sessions t d ?(replace = false) ?(records = []) ~eager entries =
               Metrics.incr_counter t.metrics "context_snapshot_misses";
               None)
           records
-        |> List.iter (warm_from_record t ~blobs ~search);
-        enforce_context_budget t ~keep:""
+        |> List.iter (warm_from_record t sessions ~blobs ~search);
+        enforce_context_budget t sessions ~keep:""
       end;
       if eager then
         List.iter
           (fun id ->
-            match Session_store.find t.sessions id with
-            | Some ({ state = Cold _; _ } as st) ->
-              ignore (warm_session t id st)
-            | Some { state = Warm _; _ } | None -> ())
+            match Session_store.find sessions id with
+            | Some ({ state = Cold _ } as st) ->
+              ignore (warm_session t sessions id st)
+            | Some { state = Warm _ } | None -> ())
           ids)
 
 (* The replication client's state hooks, run on its thread. Both journal
@@ -1510,8 +1495,10 @@ let repl_apply t d payload =
   match Durability.append_replicated d payload with
   | Durability.P_upsert { id; at; entry } ->
     install_sessions t d ~eager:true [ (id, at, entry) ]
-  | Durability.P_delete id -> with_session_update t (fun () -> drop_session t id)
-  | Durability.P_meta next -> Session_store.ensure_next t.sessions next
+  | Durability.P_delete id ->
+    with_sessions t (fun sessions -> drop_session t sessions id)
+  | Durability.P_meta next ->
+    with_sessions t (fun sessions -> Session_store.ensure_next sessions next)
   | Durability.P_unknown -> ()  (* counted by the fold *)
 
 (* Full-state handover: the primary's warm records (the warm resync — k
@@ -1532,7 +1519,8 @@ let repl_reset t d ~payloads ~warm =
   in
   install_sessions t d ~replace:true ~records ~eager:true
     r.Durability.entries;
-  Session_store.ensure_next t.sessions r.Durability.next_id
+  with_sessions t (fun sessions ->
+      Session_store.ensure_next sessions r.Durability.next_id)
 
 (* ---- Cluster transitions --------------------------------------------------
 
@@ -1710,7 +1698,9 @@ and promote t ~join expected =
   if List.mem Cluster.Stop_client (snd (Cluster.step (cluster t) ev)) then begin
     stop_client t ~join;
     Option.iter
-      (fun d -> Session_store.ensure_next t.sessions (Durability.next_id d))
+      (fun d ->
+        with_sessions t (fun sessions ->
+            Session_store.ensure_next sessions (Durability.next_id d)))
       !(t.durability)
   end;
   transition t ev
@@ -1865,8 +1855,9 @@ let create ?datasets ?(cache_capacity = 128) ?(incremental = true)
           (name, { dataset = ds; pipeline = Pipeline.create ds.Dataset.document }))
       names
   in
-  (* The store's event hook is always installed: removal events release
-     the departing cell's intern reference (which is why the intern table
+  (* The store's event hook is always installed and runs under
+     [session_update], like every store call: removal events release the
+     departing cell's intern reference (which is why the intern table
      exists before the store), and — once [recover] fills the durability
      cell — journal the mutation. Until then (and always, without a state
      dir) the durability half is inert. Recovery itself restores entries
@@ -1880,7 +1871,8 @@ let create ?datasets ?(cache_capacity = 128) ?(incremental = true)
     (match ev with
     | Session_store.Removed { value = st; _ }
     | Session_store.Expired { value = st; _ }
-    | Session_store.Evicted { value = st; _ } -> release_stored intern st
+    | Session_store.Evicted { value = st; _ } ->
+      release_cell ~incremental intern st
     | Session_store.Created _ | Session_store.Updated _ -> ());
     match !durability with None -> () | Some d -> log_event d ev
   in
@@ -1940,7 +1932,8 @@ let recover t =
         | _ -> []
     in
     install_sessions t d ~records ~eager:false recovered.Durability.entries;
-    Session_store.ensure_next t.sessions recovered.Durability.next_id;
+    with_sessions t (fun sessions ->
+        Session_store.ensure_next sessions recovered.Durability.next_id);
     t.durability := Some d;
     ignore
       (transition t

@@ -10,7 +10,10 @@
     first thread to miss on a cache key computes it with the cache mutex
     {e released}, duplicate requests for the same key wait on a condition
     variable and replay the cached body, and cache hits, other keys, and
-    [/metrics] never block behind an in-flight computation. The daemon
+    [/metrics] never block behind an in-flight comparison. Session state
+    has one lock of its own: every session request, and [/metrics]'
+    session gauges, run under it, so they wait for an in-flight session
+    mutation; [/compare] never takes it. The daemon
     runs in one OCaml domain: a comparison runs sequentially on its
     worker thread, and threads interleave under the runtime lock, which
     blocking I/O releases. SIGPIPE is ignored at

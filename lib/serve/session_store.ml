@@ -8,7 +8,6 @@ type 'a event =
   | Evicted of { id : string; value : 'a }
 
 type 'a t = {
-  mutex : Mutex.t;
   table : (string, 'a entry) Hashtbl.t;
   mutable next : int;
   ttl_s : float option;
@@ -29,7 +28,6 @@ let create ?ttl_s ?capacity ?(now = Unix.gettimeofday) ?on_event () =
     invalid_arg "Session_store.create: capacity must be positive"
   | _ -> ());
   {
-    mutex = Mutex.create ();
     table = Hashtbl.create 16;
     next = 1;
     ttl_s;
@@ -40,19 +38,15 @@ let create ?ttl_s ?capacity ?(now = Unix.gettimeofday) ?on_event () =
     evicted_total = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-(* Fired with the lock held, immediately after the table change — the
-   durability hook sees mutations in effect order, and a mutating call
-   returns only after its event was handled (journaled). *)
+(* Fired immediately after the table change, so the durability hook sees
+   mutations in effect order, and a mutating call returns only after its
+   event was handled (journaled). *)
 let emit t ev = match t.on_event with None -> () | Some f -> f ev
 
-(* Hygiene on every access (all call sites hold the lock): first drop
-   entries idle past the TTL, then — only when about to insert — evict the
-   least-recently-used survivors down to capacity. Scans are O(n), fine for
-   the session counts a single daemon holds. *)
+(* Hygiene on access: first drop entries idle past the TTL, then — only
+   when about to insert — evict the least-recently-used survivors down to
+   capacity. Scans are O(n), fine for the session counts a single daemon
+   holds. *)
 let purge_expired t =
   match t.ttl_s with
   | None -> ()
@@ -100,48 +94,44 @@ let evict_to_capacity t ~incoming =
     done
 
 let add t value =
-  locked t (fun () ->
-      purge_expired t;
-      evict_to_capacity t ~incoming:1;
-      let id = Printf.sprintf "s%d" t.next in
-      t.next <- t.next + 1;
-      let at = t.now () in
-      Hashtbl.replace t.table id { value; last_used = at };
-      emit t (Created { id; value; at });
-      id)
+  purge_expired t;
+  evict_to_capacity t ~incoming:1;
+  let id = Printf.sprintf "s%d" t.next in
+  t.next <- t.next + 1;
+  let at = t.now () in
+  Hashtbl.replace t.table id { value; last_used = at };
+  emit t (Created { id; value; at });
+  id
 
 let find t id =
-  locked t (fun () ->
-      purge_expired t;
-      match Hashtbl.find_opt t.table id with
-      | None -> None
-      | Some e ->
-        e.last_used <- t.now ();
-        Some e.value)
+  purge_expired t;
+  match Hashtbl.find_opt t.table id with
+  | None -> None
+  | Some e ->
+    e.last_used <- t.now ();
+    Some e.value
 
 let set ?(origin = "set") t id value =
-  locked t (fun () ->
-      purge_expired t;
-      let at = t.now () in
-      Hashtbl.replace t.table id { value; last_used = at };
-      emit t (Updated { id; origin; value; at }))
+  if not (Hashtbl.mem t.table id) then
+    invalid_arg ("Session_store.set: unknown id " ^ id);
+  let at = t.now () in
+  Hashtbl.replace t.table id { value; last_used = at };
+  emit t (Updated { id; origin; value; at })
 
 let remove t id =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table id with
-      | Some e ->
-        Hashtbl.remove t.table id;
-        emit t (Removed { id; value = e.value });
-        true
-      | None -> false)
+  match Hashtbl.find_opt t.table id with
+  | Some e ->
+    Hashtbl.remove t.table id;
+    emit t (Removed { id; value = e.value });
+    true
+  | None -> false
 
 let drop t id =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table id with
-      | Some e ->
-        Hashtbl.remove t.table id;
-        Some e.value
-      | None -> None)
+  match Hashtbl.find_opt t.table id with
+  | Some e ->
+    Hashtbl.remove t.table id;
+    Some e.value
+  | None -> None
 
 (* Numeric suffix of "sN" ids, for collision-free id allocation after
    recovery; foreign ids (never minted by [add]) don't constrain it. *)
@@ -150,31 +140,26 @@ let id_number id =
     int_of_string_opt (String.sub id 1 (String.length id - 1))
   else None
 
-let ensure_next t n = locked t (fun () -> t.next <- max t.next n)
+let ensure_next t n = t.next <- max t.next n
 
 let restore t ~id ~last_used value =
-  locked t (fun () ->
-      Hashtbl.replace t.table id { value; last_used };
-      match id_number id with
-      | Some n -> t.next <- max t.next (n + 1)
-      | None -> ())
+  Hashtbl.replace t.table id { value; last_used };
+  match id_number id with
+  | Some n -> t.next <- max t.next (n + 1)
+  | None -> ()
 
 let count t =
-  locked t (fun () ->
-      purge_expired t;
-      Hashtbl.length t.table)
+  purge_expired t;
+  Hashtbl.length t.table
 
 let ids t =
-  locked t (fun () ->
-      purge_expired t;
-      Hashtbl.fold (fun id _ acc -> id :: acc) t.table []
-      |> List.sort compare)
+  purge_expired t;
+  Hashtbl.fold (fun id _ acc -> id :: acc) t.table [] |> List.sort compare
 
-let expired_total t = locked t (fun () -> t.expired_total)
-let evicted_total t = locked t (fun () -> t.evicted_total)
+let expired_total t = t.expired_total
+let evicted_total t = t.evicted_total
 
 let fold t ~init ~f =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun id e acc -> f id e.value ~last_used:e.last_used acc)
-        t.table init)
+  Hashtbl.fold
+    (fun id e acc -> f id e.value ~last_used:e.last_used acc)
+    t.table init

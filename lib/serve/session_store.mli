@@ -1,10 +1,13 @@
-(** A thread-safe id → value store for server-resident sessions, with
-    optional idle-TTL expiry, LRU capacity eviction, and mutation events
-    for the durability layer.
+(** An id → value store for server-resident sessions, with optional
+    idle-TTL expiry, LRU capacity eviction, and mutation events for the
+    durability layer.
+
+    Not thread-safe: the caller serializes every call, as with
+    {!Xsact_persist.Store}. The server runs each one under its one
+    session lock.
 
     Ids are deterministic ("s1", "s2", ...) so tests and curl transcripts
-    are reproducible. Values are replaced wholesale with [set] — session
-    state is an immutable record, so readers never observe a torn value.
+    are reproducible. Values are replaced wholesale with [set].
 
     Expiry is lazy: entries idle longer than the TTL are dropped on the
     next access (no background thread), and [add] additionally evicts the
@@ -12,15 +15,15 @@
     [set] refresh an entry's idle clock.
 
     Every mutation — insert, replace, remove, TTL expiry, LRU eviction —
-    fires the [on_event] hook {e while holding the store lock and after
-    the table change}, so a journaling hook observes events in exactly
-    the order the mutations took effect, and a mutation is acknowledged
-    to the caller only once its event handler returned (a hook that
-    raises fails the mutating call after the in-memory change applied —
-    the caller surfaces the error and the next successful full-state
-    event or snapshot heals the journal). The hook must not call back
-    into this store. Reads ([find], [count], [ids]) never fire events:
-    recency refreshes are not durable state. *)
+    fires the [on_event] hook {e after the table change}, inside the
+    mutating call and so under the caller's lock. A journaling hook
+    observes events in exactly the order the mutations took effect, and
+    a mutation is acknowledged to the caller only once its event handler
+    returned (a hook that raises fails the mutating call after the
+    in-memory change applied — the caller surfaces the error and the next
+    successful full-state event or snapshot heals the journal). The hook
+    must not call back into this store. Reads ([find], [count], [ids])
+    never fire events: recency refreshes are not durable state. *)
 
 type 'a t
 
@@ -35,8 +38,7 @@ type 'a event =
   | Evicted of { id : string; value : 'a }
       (** Removal events carry the dropped value so the serve layer can
           release per-session resources (intern-table references) the
-          moment the entry leaves the store — the hook runs under the
-          store lock, so the release target must be a leaf lock. *)
+          moment the entry leaves the store. *)
 
 val create :
   ?ttl_s:float ->
@@ -62,8 +64,10 @@ val find : 'a t -> string -> 'a option
     [find] never resurrects it. *)
 
 val set : ?origin:string -> 'a t -> string -> 'a -> unit
-(** Replace (or re-create) the value under [id], refreshing its clock.
-    [origin] (default ["set"]) tags the resulting [Updated] event. *)
+(** Replace the value under a live [id], refreshing its clock. [origin]
+    (default ["set"]) tags the resulting [Updated] event. It never
+    re-creates an entry: a removed session stays removed.
+    @raise Invalid_argument if [id] is not in the store. *)
 
 val remove : 'a t -> string -> bool
 (** [true] if the id was present. *)
@@ -101,9 +105,8 @@ val evicted_total : 'a t -> int
 
 val fold :
   'a t -> init:'b -> f:(string -> 'a -> last_used:float -> 'b -> 'b) -> 'b
-(** Read-only fold over the live entries under the store lock, in
-    unspecified order. Unlike {!find} it neither purges expired entries
-    nor refreshes idle clocks — it is an observation, not an access —
-    which is what the serve layer's memory accounting needs (ranking
-    warm contexts by [last_used] without perturbing the ranking). [f]
-    must not call back into the store. *)
+(** Read-only fold over the live entries, in unspecified order. Unlike
+    {!find} it neither purges expired entries nor refreshes idle clocks —
+    it is an observation, not an access — which is what the serve layer's
+    memory accounting needs (ranking warm contexts by [last_used] without
+    perturbing the ranking). [f] must not call back into the store. *)

@@ -41,8 +41,6 @@ let capitalize_words s =
 let join_nonempty sep parts =
   String.concat sep (List.filter (fun p -> p <> "") parts)
 
-let starts_with ~prefix s = String.starts_with ~prefix s
-
 let contains_substring haystack needle =
   let hn = String.length haystack and nn = String.length needle in
   if nn = 0 then true

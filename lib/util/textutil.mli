@@ -25,9 +25,6 @@ val join_nonempty : string -> string list -> string
 (** [join_nonempty sep parts] concatenates the non-empty strings of [parts]
     with [sep]. *)
 
-val starts_with : prefix:string -> string -> bool
-(** Prefix test (stdlib's [String.starts_with], re-exported for symmetry). *)
-
 val contains_substring : string -> string -> bool
 (** [contains_substring haystack needle] is naive substring search;
     [needle = ""] is [true]. *)

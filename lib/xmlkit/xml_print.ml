@@ -9,16 +9,6 @@ let escape buf ~quot s =
       | c -> Buffer.add_char buf c)
     s
 
-let escape_text s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape buf ~quot:false s;
-  Buffer.contents buf
-
-let escape_attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape buf ~quot:true s;
-  Buffer.contents buf
-
 let add_attrs buf attrs =
   List.iter
     (fun (name, value) ->

@@ -5,12 +5,6 @@
     escapes all markup-significant characters; qcheck tests pin the
     round-trip down). *)
 
-val escape_text : string -> string
-(** Escape ['&'], ['<'], ['>'] for character-data position. *)
-
-val escape_attr : string -> string
-(** Escape ['&'], ['<'], ['>'], ['"'] for double-quoted attribute position. *)
-
 val node_to_string : Xml.node -> string
 (** Compact serialization of one node (no added whitespace). *)
 

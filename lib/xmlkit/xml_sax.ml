@@ -341,18 +341,5 @@ let fold src ~init ~f =
     Ok !acc
   with Parse_error e -> Error e
 
-let iter src ~f = fold src ~init:() ~f:(fun () e -> f e)
-
 let events src =
   Result.map List.rev (fold src ~init:[] ~f:(fun acc e -> e :: acc))
-
-let fold_file path ~init ~f =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg ->
-    Error { position = { line = 0; col = 0 }; message = msg }
-  | src -> fold src ~init ~f

@@ -37,12 +37,5 @@ val fold :
     document order. Exactly one root element is required; DOCTYPE
     declarations are skipped silently. *)
 
-val iter : string -> f:(event -> unit) -> (unit, error) result
-
 val events : string -> (event list, error) result
 (** Materialize the event stream (tests, small inputs). *)
-
-val fold_file :
-  string -> init:'a -> f:('a -> event -> 'a) -> ('a, error) result
-(** Like {!fold}, reading the document from a file. I/O failures map to an
-    error at position 0,0. *)

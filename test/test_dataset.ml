@@ -19,6 +19,16 @@ let pr_doc = Product_reviews.generate pr_params
 let or_doc = Outdoor_retailer.generate or_params
 let imdb_doc = Imdb.generate imdb_params
 
+(* The elements reached from [e] by a path of child tags, in document
+   order, and their text. *)
+let under e tags =
+  List.fold_left
+    (fun frontier tag ->
+      List.concat_map (fun x -> Xml.children_named x tag) frontier)
+    [ e ] tags
+
+let texts_under e tags = List.map Xml.text_content (under e tags)
+
 let test_deterministic () =
   check Alcotest.bool "product reviews deterministic" true
     (Xml.equal pr_doc (Product_reviews.generate pr_params));
@@ -52,7 +62,7 @@ let test_pr_structure () =
         (fun field ->
           check Alcotest.bool (field ^ " present") true (Xml.child p field <> None))
         [ "name"; "brand"; "category"; "price"; "rating"; "url"; "reviews" ];
-      let reviews = Xml_path.select p "reviews/review" in
+      let reviews = under p [ "reviews"; "review" ] in
       let n = List.length reviews in
       check Alcotest.bool "review count in bounds" true
         (n >= pr_params.Product_reviews.min_reviews
@@ -82,10 +92,10 @@ let test_pr_categories_inferred () =
 let test_pr_brand_coverage () =
   (* Round-robin assignment must cover TomTom in any corpus with >= 12 GPS
      products; with 9 products (3 GPS), the first three GPS brands appear. *)
-  let brands = Xml_path.texts pr_doc.Xml.root "product/brand" in
+  let brands = texts_under pr_doc.Xml.root [ "product"; "brand" ] in
   check Alcotest.bool "tomtom exists" true (List.mem "TomTom" brands);
   (* name uniqueness *)
-  let names = Xml_path.texts pr_doc.Xml.root "product/name" in
+  let names = texts_under pr_doc.Xml.root [ "product"; "name" ] in
   check Alcotest.int "unique names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
@@ -97,7 +107,7 @@ let test_or_structure () =
     (List.length brands);
   List.iter
     (fun b ->
-      let products = Xml_path.select b "products/product" in
+      let products = under b [ "products"; "product" ] in
       let n = List.length products in
       check Alcotest.bool "products in bounds" true
         (n >= or_params.Outdoor_retailer.min_products
@@ -118,7 +128,7 @@ let test_or_brand_focus () =
   let root = or_doc.Xml.root in
   List.iter
     (fun b ->
-      let cats = Xml_path.texts b "products/product/category" in
+      let cats = texts_under b [ "products"; "product"; "category" ] in
       let tally = Hashtbl.create 8 in
       List.iter
         (fun c ->
@@ -148,17 +158,17 @@ let test_imdb_structure () =
         ];
       let year = int_of_string (Xml.text_content (Option.get (Xml.child m "year"))) in
       check Alcotest.bool "year in range" true (year >= 1990 && year <= 1999);
-      let genres = Xml_path.select m "genres/genre" in
+      let genres = under m [ "genres"; "genre" ] in
       check Alcotest.bool "1..3 genres" true
         (List.length genres >= 1 && List.length genres <= 3);
-      let actors = Xml_path.select m "actors/actor" in
+      let actors = under m [ "actors"; "actor" ] in
       check Alcotest.bool "4..12 actors" true
         (List.length actors >= 4 && List.length actors <= 12))
     movies
 
 let test_imdb_famous_directors_present () =
   let directors =
-    Xml_path.texts imdb_doc.Xml.root "movie/directors/director"
+    texts_under imdb_doc.Xml.root [ "movie"; "directors"; "director" ]
   in
   let spielberg =
     List.exists (fun d -> d = "Steven Spielberg") directors

@@ -244,7 +244,12 @@ let test_session_capacity () =
   check Alcotest.(option string) "victim gone" None
     (Session_store.find store b);
   check Alcotest.int "eviction counted" 1 (Session_store.evicted_total store);
-  check Alcotest.int "capacity held" 2 (Session_store.count store)
+  check Alcotest.int "capacity held" 2 (Session_store.count store);
+  (* a write never brings an evicted session back *)
+  Alcotest.check_raises "set does not re-create"
+    (Invalid_argument ("Session_store.set: unknown id " ^ b)) (fun () ->
+      Session_store.set store b "b2");
+  check Alcotest.(list string) "still evicted" [ a; c ] (Session_store.ids store)
 
 (* Eviction order under mixed add/find/set traffic: both [find] and [set]
    count as touches, so the victim is always the session idle longest —

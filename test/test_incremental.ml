@@ -1122,20 +1122,24 @@ let test_server_params_errors () =
     | _ -> Alcotest.fail "no error message")
   | _ -> Alcotest.fail "no error envelope")
 
+(* A fresh state directory for [f], removed afterwards. *)
+let with_state_dir name f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xsact_%s_%d" name (Unix.getpid ()))
+  in
+  let rm () =
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+  in
+  rm ();
+  Fun.protect ~finally:rm (fun () -> f dir)
+
 (* The new origins journal one record per request and replay on boot:
    a batch and a patch survive recovery with byte-identical session
    state. *)
 let test_server_apply_durable () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xsact_incr_%d" (Unix.getpid ()))
-  in
-  let _ = Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)) in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
-    (fun () ->
+  with_state_dir "incr" (fun dir ->
       let t, handle = session_server ~state_dir:dir () in
       Server.recover t;
       let id = create_session handle in
@@ -1153,6 +1157,164 @@ let test_server_apply_durable () =
       check Alcotest.string "recovered session byte-identical (modulo runs)"
         (without_runs before)
         (without_runs (handle2 ("/session/" ^ id)).Http.resp_body))
+
+(* ---- One lock over session state ----------------------------------------- *)
+
+(* Start [request] on its own thread and return once it is parked in its
+   first generation round: [compare.round] sleeps that one round, then
+   is disarmed so the rest run at full speed. The result is a join. The
+   caller resets the failpoints. *)
+let park request =
+  Failpoint.enable "compare.round" (Failpoint.Sleep 0.3);
+  let result = ref None in
+  let th = Thread.create (fun () -> result := Some (request ())) () in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Failpoint.hits "compare.round" = 0 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "request never reached a generation round";
+    Thread.delay 0.002
+  done;
+  Failpoint.disable "compare.round";
+  fun () ->
+    Thread.join th;
+    Option.get !result
+
+(* A DELETE that lands while a resize of the same session is computing
+   waits for it, and then the session is gone — also for a restart,
+   because nothing journals it back after the delete. *)
+let test_server_delete_during_resize () =
+  with_state_dir "delsize" (fun dir ->
+      Fun.protect ~finally:Failpoint.reset (fun () ->
+          let t, handle = session_server ~state_dir:dir () in
+          Server.recover t;
+          let id = create_session handle in
+          let resize =
+            park (fun () ->
+                handle ~meth:"POST" ~body:{|{"size_bound":9}|}
+                  ("/session/" ^ id ^ "/size"))
+          in
+          check Alcotest.int "delete ok" 200
+            (handle ~meth:"DELETE" ("/session/" ^ id)).Http.status;
+          check Alcotest.int "resize ok" 200 (resize ()).Http.status;
+          check Alcotest.int "deleted session stays deleted" 404
+            (handle ("/session/" ^ id)).Http.status;
+          let t2, handle2 = session_server ~state_dir:dir () in
+          Server.recover t2;
+          check Alcotest.int "still deleted after a restart" 404
+            (handle2 ("/session/" ^ id)).Http.status))
+
+(* A DELETE that lands while a journal-recovered cell rewarms on its first
+   GET (regenerating, so [compare.round] parks it) waits for the rewarm
+   and then releases the reference the rewarm took: nothing stays
+   pinned. *)
+let test_server_delete_during_rewarm () =
+  with_state_dir "delwarm" (fun dir ->
+      Fun.protect ~finally:Failpoint.reset (fun () ->
+          let t, handle = session_server ~state_dir:dir () in
+          Server.recover t;
+          let id = create_session handle in
+          let t2, handle2 = session_server ~state_dir:dir () in
+          Server.recover t2;
+          let get = park (fun () -> handle2 ("/session/" ^ id)) in
+          check Alcotest.int "delete ok" 200
+            (handle2 ~meth:"DELETE" ("/session/" ^ id)).Http.status;
+          check Alcotest.int "rewarming GET ok" 200 (get ()).Http.status;
+          let metrics = (handle2 "/metrics").Http.resp_body in
+          check Alcotest.int "no session left" 0
+            (int_exn "sessions_live" metrics);
+          check Alcotest.int "no reference left" 0
+            (intern_stat "refs" metrics);
+          check Alcotest.int "nothing pinned" 0 (intern_stat "pinned" metrics)))
+
+(* Seeded sequences of every session op, plus /compare, against a server
+   small enough (3 sessions, a 60 kB context budget) that LRU eviction
+   and budget demotion fire. After every step, the intern table's refs
+   equal the warm sessions on the incremental server — one reference per
+   warm cell — and are 0 on the ablation, which interns nothing. *)
+let session_queries = [| "gps"; "tomtom gps"; "camera" |]
+
+let session_step prng ids =
+  let pick () =
+    match !ids with
+    | [] -> "s1"
+    | l -> List.nth l (Prng.int prng (List.length l))
+  in
+  let at id suffix = "/session/" ^ id ^ suffix in
+  let rank () = 1 + Prng.int prng 7 in
+  let bound () = Prng.int_in prng 1 12 in
+  match Prng.int prng 11 with
+  | 0 | 1 ->
+    let body =
+      Printf.sprintf
+        {|{"dataset":"product-reviews","q":%S,"top":%d,"size_bound":%d}|}
+        session_queries.(Prng.int prng (Array.length session_queries))
+        (Prng.int_in prng 2 5) (bound ())
+    in
+    ("POST", "/session", body)
+  | 2 ->
+    ( "POST",
+      at (pick ()) "/size",
+      Printf.sprintf {|{"size_bound":%d}|} (bound ()) )
+  | 3 -> ("POST", at (pick ()) "/add", Printf.sprintf {|{"rank":%d}|} (rank ()))
+  | 4 ->
+    ("POST", at (pick ()) "/remove", Printf.sprintf {|{"rank":%d}|} (rank ()))
+  | 5 ->
+    ( "PATCH",
+      at (pick ()) "/params",
+      Printf.sprintf {|{"threshold_pct":%d.0}|} (5 * Prng.int_in prng 1 8) )
+  | 6 ->
+    ( "POST",
+      at (pick ()) "/apply",
+      Printf.sprintf
+        {|{"ops":[{"op":"add","rank":%d},{"op":"size","size_bound":%d}]}|}
+        (rank ()) (bound ()) )
+  | 7 | 8 -> ("GET", at (pick ()) "", "")
+  | 9 -> ("DELETE", at (pick ()) "", "")
+  | _ ->
+    ( "POST",
+      "/compare",
+      Printf.sprintf
+        {|{"dataset":"product-reviews","q":"gps","top":%d,"size_bound":%d}|}
+        (Prng.int_in prng 2 5) (bound ()) )
+
+let prop_session_refs_track_warm =
+  QCheck.Test.make ~name:"intern refs = warm sessions after every op"
+    ~count:15
+    (QCheck.make
+       ~print:(Printf.sprintf "seed %d")
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      List.iter
+        (fun incremental ->
+          let _, handle =
+            session_server ~incremental ~max_sessions:3
+              ~max_context_bytes:60_000 ()
+          in
+          let prng = Prng.of_int seed in
+          let ids = ref [] in
+          for step = 1 to 30 do
+            let meth, target, body = session_step prng ids in
+            let resp = handle ~meth ~body target in
+            (if meth = "POST" && target = "/session" && resp.Http.status = 201
+             then
+               match member_exn "id" resp.Http.resp_body with
+               | Json.String id -> ids := !ids @ [ id ]
+               | _ -> ());
+            let metrics = (handle "/metrics").Http.resp_body in
+            let refs = intern_stat "refs" metrics in
+            let expected =
+              if incremental then int_exn "sessions_warm" metrics else 0
+            in
+            if refs <> expected then
+              QCheck.Test.fail_reportf
+                "seed %d, %s server, step %d (%s %s %s -> %d): refs %d, \
+                 expected %d"
+                seed
+                (if incremental then "incremental" else "ablation")
+                step meth target body resp.Http.status refs expected
+          done)
+        [ true; false ];
+      true)
 
 let () =
   Alcotest.run "xsact_incremental"
@@ -1216,5 +1378,10 @@ let () =
             test_server_params_errors;
           Alcotest.test_case "apply and params durable" `Quick
             test_server_apply_durable;
+          Alcotest.test_case "delete during resize stays deleted" `Quick
+            test_server_delete_during_resize;
+          Alcotest.test_case "delete during rewarm releases the ref" `Quick
+            test_server_delete_during_rewarm;
+          qtest prop_session_refs_track_warm;
         ] );
     ]

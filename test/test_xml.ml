@@ -385,37 +385,6 @@ let prop_dewey_total_order =
       let c1 = Dewey.compare a b and c2 = Dewey.compare b a in
       (c1 = 0) = (c2 = 0) && (c1 > 0) = (c2 < 0))
 
-(* ---- Xml_path --------------------------------------------------------------- *)
-
-let path_doc =
-  parse_ok
-    "<shop><brand><name>M</name><products><product><name>P1</name></product><product><name>P2</name></product></products></brand></shop>"
-
-let test_path_select () =
-  let root = path_doc.Xml.root in
-  check Alcotest.int "child path" 1
-    (List.length (Xml_path.select root "brand/name"));
-  check Alcotest.int "descendant" 3 (List.length (Xml_path.select root "//name"));
-  check
-    Alcotest.(list string)
-    "texts" [ "P1"; "P2" ]
-    (Xml_path.texts root "brand/products/product/name");
-  check Alcotest.int "wildcard" 1 (List.length (Xml_path.select root "*/name"));
-  check Alcotest.bool "select_first" true
-    (Xml_path.select_first root "//product" <> None);
-  check Alcotest.int "no match" 0 (List.length (Xml_path.select root "plum"));
-  Alcotest.check_raises "empty path rejected"
-    (Invalid_argument "Xml_path.parse: empty path") (fun () ->
-      ignore (Xml_path.parse ""))
-
-let test_path_parse () =
-  (match Xml_path.parse "a/b//c" with
-  | [ Xml_path.Child "a"; Xml_path.Child "b"; Xml_path.Descendant "c" ] -> ()
-  | _ -> Alcotest.fail "unexpected parse");
-  match Xml_path.parse "//x" with
-  | [ Xml_path.Descendant "x" ] -> ()
-  | _ -> Alcotest.fail "leading // should be descendant"
-
 (* ---- Xml_sax -------------------------------------------------------------------- *)
 
 let test_sax_events () =
@@ -509,13 +478,17 @@ let test_streaming_stats_pretty () =
 
 (* ---- Xml_stats ----------------------------------------------------------------- *)
 
+let shop_doc =
+  parse_ok
+    "<shop><brand><name>M</name><products><product><name>P1</name></product><product><name>P2</name></product></products></brand></shop>"
+
 let test_stats () =
-  let stats = Xml_stats.of_document path_doc in
+  let stats = Xml_stats.of_document shop_doc in
   check Alcotest.int "elements" 8 stats.Xml_stats.elements;
   check Alcotest.int "distinct tags" 5 stats.Xml_stats.distinct_tags;
   check Alcotest.int "max depth" 5 stats.Xml_stats.max_depth;
   check Alcotest.int "text nodes" 3 stats.Xml_stats.text_nodes;
-  let hist = Xml_stats.tag_histogram path_doc.Xml.root in
+  let hist = Xml_stats.tag_histogram shop_doc.Xml.root in
   check Alcotest.(option int) "name x3" (Some 3) (List.assoc_opt "name" hist);
   match hist with
   | (first, 3) :: _ -> check Alcotest.string "most frequent first" "name" first
@@ -574,11 +547,6 @@ let () =
           Alcotest.test_case "lca" `Quick test_dewey_lca;
           qtest prop_dewey_lca_sym;
           qtest prop_dewey_total_order;
-        ] );
-      ( "path",
-        [
-          Alcotest.test_case "select" `Quick test_path_select;
-          Alcotest.test_case "parse" `Quick test_path_parse;
         ] );
       ( "sax",
         [
