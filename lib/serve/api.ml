@@ -326,25 +326,37 @@ type key_scope = Full | Context
    fields and keys the body cache. [sel] is the explicit rank list when
    given ("1,3,4"), else "top<k>" — a session keys its context with its
    {e resolved} ranks, so a session created from "top4" and one created
-   from select [1;2;3;4] intern to the same entry. *)
+   from select [1;2;3;4] intern to the same entry. Every cache hit
+   computes a key, so it only appends: [Printf] cost several times the
+   key's own bytes in allocation. *)
 let canonical_key ~scope r =
   let buf = Buffer.create 96 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let select =
-    match r.select with
-    | Some ranks -> String.concat "," (List.map string_of_int ranks)
-    | None -> Printf.sprintf "top%d" r.top
-  in
-  add "ds=%s&q=%s&sel=%s" r.dataset r.keywords select;
+  let add = Buffer.add_string buf in
+  add "ds=";
+  add r.dataset;
+  add "&q=";
+  add r.keywords;
+  add "&sel=";
+  (match r.select with
+  | Some ranks -> add (String.concat "," (List.map string_of_int ranks))
+  | None ->
+    add "top";
+    add (string_of_int r.top));
   (match scope with
   | Full ->
-    add "&k=%d&alg=%s" r.size_bound (Algorithm.to_string r.algorithm)
+    add "&k=";
+    add (string_of_int r.size_bound);
+    add "&alg=";
+    add (Algorithm.to_string r.algorithm)
   | Context -> ());
-  add "&thr=%s&measure=%s&w=%s"
-    (Json.shortest_g ~digits:6 r.threshold_pct)
-    (match r.measure with Dod.Raw -> "raw" | Dod.Rate -> "rate")
+  add "&thr=";
+  add (Json.shortest_g ~digits:6 r.threshold_pct);
+  add "&measure=";
+  add (match r.measure with Dod.Raw -> "raw" | Dod.Rate -> "rate");
+  add "&w=";
+  add
     (String.concat ","
-       (List.map (fun (pat, w) -> Printf.sprintf "%s:%d" pat w) r.weights));
+       (List.map (fun (pat, w) -> pat ^ ":" ^ string_of_int w) r.weights));
   Buffer.contents buf
 
 let to_config r =

@@ -135,30 +135,43 @@ let read_line_opt ic =
     if n > 0 && line.[n - 1] = '\r' then Some (String.sub line 0 (n - 1))
     else Some line
 
-(* Like {!read_line_opt}, but stops buffering at [max_header_line_bytes]:
-   a client streaming an endless header line costs at most one line's
-   bound of memory before it is refused. *)
-let read_line_bounded ic =
-  let buf = Buffer.create 128 in
-  let rec go () =
-    match In_channel.input_char ic with
-    | None -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-    | Some '\n' ->
-      let line = Buffer.contents buf in
-      let n = String.length line in
-      `Line (if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-             else line)
-    | Some c ->
-      if Buffer.length buf >= max_header_line_bytes then `Overflow
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-  in
-  go ()
+(* Like {!read_line_opt}, but stops buffering at [max_header_line_bytes]
+   of line, terminator excluded: a client streaming an endless header
+   line costs at most one line's bound of memory before it is refused.
+   The line accumulates in [buf], which the caller has cleared, one bare
+   [char] at a time ([In_channel.input_char]'s [char option] would
+   allocate per byte), and leaves it as one string. A line cut by EOF is
+   returned as read, CR included. *)
+let rec read_line_bounded ic buf =
+  match input_char ic with
+  | '\n' ->
+    let n = Buffer.length buf in
+    `Line
+      (if n > 0 && Buffer.nth buf (n - 1) = '\r' then Buffer.sub buf 0 (n - 1)
+       else Buffer.contents buf)
+  | c ->
+    (* one byte past the bound is kept only as the CR of a CRLF *)
+    let n = Buffer.length buf in
+    if n < max_header_line_bytes || (n = max_header_line_bytes && c = '\r')
+    then begin
+      Buffer.add_char buf c;
+      read_line_bounded ic buf
+    end
+    else `Overflow
+  | exception End_of_file ->
+    let n = Buffer.length buf in
+    if n = 0 then `Eof
+    else if n > max_header_line_bytes then `Overflow
+    else `Line (Buffer.contents buf)
 
 let read_request ic =
-  match read_line_bounded ic with
+  (* one line buffer for the request line and every header line *)
+  let buf = Buffer.create 128 in
+  let next_line () =
+    Buffer.clear buf;
+    read_line_bounded ic buf
+  in
+  match next_line () with
   | `Eof -> Error `Eof
   | `Overflow -> Error (`Refuse (431, "request line too long"))
   | `Line "" -> Error (`Bad "empty request line")
@@ -167,7 +180,7 @@ let read_request ic =
     | Error e -> Error (`Bad e)
     | Ok (meth, target) ->
       let rec read_headers n acc =
-        match read_line_bounded ic with
+        match next_line () with
         | `Eof -> Error (`Bad "eof in headers")
         | `Overflow ->
           Error
@@ -215,23 +228,33 @@ let read_request ic =
             Ok { meth; target; path; query; headers; body }
           | exception End_of_file -> Error (`Bad "truncated body"))))
 
+(* The head goes out of a small buffer, then the body string itself: the
+   channel copies it into its own buffer, outside the OCaml heap, and the
+   one flush still writes head and body together. Copying a body over 2
+   KiB into a [Buffer] and out again would put it in the major heap twice
+   per response (DESIGN.md §8). *)
 let write_response oc ?(keep_alive = true) resp =
-  let buf = Buffer.create (String.length resp.resp_body + 256) in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status resp.reason);
-  Buffer.add_string buf "Content-Type: application/json\r\n";
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length resp.resp_body));
-  Buffer.add_string buf
-    (if keep_alive then "Connection: keep-alive\r\n"
-     else "Connection: close\r\n");
+  let head = Buffer.create 256 in
+  let add = Buffer.add_string head in
+  add "HTTP/1.1 ";
+  add (string_of_int resp.status);
+  add " ";
+  add resp.reason;
+  add "\r\nContent-Type: application/json\r\nContent-Length: ";
+  add (string_of_int (String.length resp.resp_body));
+  add
+    (if keep_alive then "\r\nConnection: keep-alive\r\n"
+     else "\r\nConnection: close\r\n");
   List.iter
     (fun (name, value) ->
-      Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" name value))
+      add name;
+      add ": ";
+      add value;
+      add "\r\n")
     resp.resp_headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf resp.resp_body;
-  Out_channel.output_string oc (Buffer.contents buf);
+  add "\r\n";
+  Buffer.output_buffer oc head;
+  Out_channel.output_string oc resp.resp_body;
   Out_channel.flush oc
 
 (* ---- Client ------------------------------------------------------------ *)

@@ -76,26 +76,32 @@ let parse_error pos msg = raise (Parse_error (pos, msg))
 (* A tiny cursor over the input string. *)
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* The byte under the cursor, or '\000' at the end of input. A bare char,
+   not a [char option], so looking ahead allocates nothing. A NUL byte
+   reads the same as the end, so the sites whose error differs there ask
+   [at_end] first. *)
+let peek c =
+  if c.pos < String.length c.src then String.unsafe_get c.src c.pos
+  else '\000'
 
 let advance c = c.pos <- c.pos + 1
 
-let skip_ws c =
-  let rec go () =
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance c;
-      go ()
-    | _ -> ()
-  in
-  go ()
+let rec skip_ws c =
+  match peek c with
+  | ' ' | '\t' | '\n' | '\r' ->
+    advance c;
+    skip_ws c
+  | _ -> ()
 
 let expect c ch =
-  match peek c with
-  | Some got when got = ch -> advance c
-  | Some got ->
-    parse_error c.pos (Printf.sprintf "expected %C, found %C" ch got)
-  | None -> parse_error c.pos (Printf.sprintf "expected %C, found end" ch)
+  if at_end c then
+    parse_error c.pos (Printf.sprintf "expected %C, found end" ch)
+  else
+    let got = peek c in
+    if got = ch then advance c
+    else parse_error c.pos (Printf.sprintf "expected %C, found %C" ch got)
 
 let literal c word value =
   let n = String.length word in
@@ -115,9 +121,9 @@ let parse_hex4 c =
   for _ = 1 to 4 do
     let d =
       match peek c with
-      | Some ('0' .. '9' as ch) -> Char.code ch - Char.code '0'
-      | Some ('a' .. 'f' as ch) -> Char.code ch - Char.code 'a' + 10
-      | Some ('A' .. 'F' as ch) -> Char.code ch - Char.code 'A' + 10
+      | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+      | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+      | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
       | _ -> parse_error c.pos "bad hex digit in \\u escape"
     in
     advance c;
@@ -140,138 +146,151 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
-let parse_string_body c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
+(* The rest of a string that contains an escape, decoded into [buf]. *)
+let rec parse_escaped c buf =
+  if at_end c then parse_error c.pos "unterminated string"
+  else
     match peek c with
-    | None -> parse_error c.pos "unterminated string"
-    | Some '"' ->
+    | '"' ->
       advance c;
       Buffer.contents buf
-    | Some '\\' -> (
+    | '\\' ->
       advance c;
-      match peek c with
-      | Some '"' -> advance c; Buffer.add_char buf '"'; go ()
-      | Some '\\' -> advance c; Buffer.add_char buf '\\'; go ()
-      | Some '/' -> advance c; Buffer.add_char buf '/'; go ()
-      | Some 'n' -> advance c; Buffer.add_char buf '\n'; go ()
-      | Some 't' -> advance c; Buffer.add_char buf '\t'; go ()
-      | Some 'r' -> advance c; Buffer.add_char buf '\r'; go ()
-      | Some 'b' -> advance c; Buffer.add_char buf '\b'; go ()
-      | Some 'f' -> advance c; Buffer.add_char buf '\012'; go ()
-      | Some 'u' ->
+      (* at the end, peek's '\000' is a bad escape like any other *)
+      (match peek c with
+      | ('"' | '\\' | '/') as ch -> advance c; Buffer.add_char buf ch
+      | 'n' -> advance c; Buffer.add_char buf '\n'
+      | 't' -> advance c; Buffer.add_char buf '\t'
+      | 'r' -> advance c; Buffer.add_char buf '\r'
+      | 'b' -> advance c; Buffer.add_char buf '\b'
+      | 'f' -> advance c; Buffer.add_char buf '\012'
+      | 'u' ->
         advance c;
-        add_utf8 buf (parse_hex4 c);
-        go ()
-      | _ -> parse_error c.pos "bad escape")
-    | Some ch when Char.code ch < 0x20 ->
+        add_utf8 buf (parse_hex4 c)
+      | _ -> parse_error c.pos "bad escape");
+      parse_escaped c buf
+    | ch when Char.code ch < 0x20 ->
       parse_error c.pos "raw control character in string"
-    | Some ch ->
+    | ch ->
       advance c;
       Buffer.add_char buf ch;
-      go ()
-  in
-  go ()
+      parse_escaped c buf
+
+(* The first offset at or after [i] that ends a run of plain string
+   bytes: a quote, a backslash, a control character or the end. *)
+let rec plain_run_end src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' -> i
+    | ch when Char.code ch < 0x20 -> i
+    | _ -> plain_run_end src (i + 1)
+
+(* A string without escapes is one slice of the source; only an escape
+   makes a buffer, seeded with the plain run before it. *)
+let parse_string_body c =
+  expect c '"';
+  let start = c.pos in
+  let stop = plain_run_end c.src start in
+  c.pos <- stop;
+  if peek c = '"' then begin
+    advance c;
+    String.sub c.src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf c.src start (stop - start);
+    parse_escaped c buf
+  end
+
+(* Advance past a run of digits; a run of none is an error. *)
+let digits c =
+  let start = c.pos in
+  while match peek c with '0' .. '9' -> true | _ -> false do
+    advance c
+  done;
+  if c.pos = start then parse_error c.pos "expected digit"
 
 let parse_number c =
   let start = c.pos in
-  let integral = ref true in
-  if peek c = Some '-' then advance c;
-  let digits () =
-    let saw = ref false in
-    let rec go () =
-      match peek c with
-      | Some '0' .. '9' ->
-        saw := true;
-        advance c;
-        go ()
-      | _ -> ()
-    in
-    go ();
-    if not !saw then parse_error c.pos "expected digit"
-  in
-  digits ();
-  if peek c = Some '.' then begin
-    integral := false;
+  if peek c = '-' then advance c;
+  digits c;
+  let fraction = peek c = '.' in
+  if fraction then begin
     advance c;
-    digits ()
+    digits c
   end;
-  (match peek c with
-  | Some ('e' | 'E') ->
-    integral := false;
+  let exponent = match peek c with 'e' | 'E' -> true | _ -> false in
+  if exponent then begin
     advance c;
-    (match peek c with Some ('+' | '-') -> advance c | _ -> ());
-    digits ()
-  | _ -> ());
+    (match peek c with '+' | '-' -> advance c | _ -> ());
+    digits c
+  end;
   let text = String.sub c.src start (c.pos - start) in
-  if !integral then
+  if fraction || exponent then Float (float_of_string text)
+  else
     match int_of_string_opt text with
     | Some i -> Int i
     | None -> Float (float_of_string text) (* out of int range *)
-  else Float (float_of_string text)
 
 let rec parse_value c =
   skip_ws c;
+  if at_end c then parse_error c.pos "unexpected end of input"
+  else
+    match peek c with
+    | 'n' -> literal c "null" Null
+    | 't' -> literal c "true" (Bool true)
+    | 'f' -> literal c "false" (Bool false)
+    | '"' -> String (parse_string_body c)
+    | '-' | '0' .. '9' -> parse_number c
+    | '[' ->
+      advance c;
+      skip_ws c;
+      if peek c = ']' then begin
+        advance c;
+        List []
+      end
+      else List (parse_items c [ parse_value c ])
+    | '{' ->
+      advance c;
+      skip_ws c;
+      if peek c = '}' then begin
+        advance c;
+        Obj []
+      end
+      else Obj (parse_fields c [ parse_field c ])
+    | ch -> parse_error c.pos (Printf.sprintf "unexpected %C" ch)
+
+(* The rest of an array after its first item, [acc] in reverse. *)
+and parse_items c acc =
+  skip_ws c;
   match peek c with
-  | None -> parse_error c.pos "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> String (parse_string_body c)
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some '[' ->
+  | ',' ->
     advance c;
-    skip_ws c;
-    if peek c = Some ']' then begin
-      advance c;
-      List []
-    end
-    else begin
-      let items = ref [ parse_value c ] in
-      let rec go () =
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          items := parse_value c :: !items;
-          go ()
-        | Some ']' -> advance c
-        | _ -> parse_error c.pos "expected ',' or ']'"
-      in
-      go ();
-      List (List.rev !items)
-    end
-  | Some '{' ->
+    parse_items c (parse_value c :: acc)
+  | ']' ->
     advance c;
-    skip_ws c;
-    if peek c = Some '}' then begin
-      advance c;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws c;
-        let name = parse_string_body c in
-        skip_ws c;
-        expect c ':';
-        (name, parse_value c)
-      in
-      let fields = ref [ field () ] in
-      let rec go () =
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          fields := field () :: !fields;
-          go ()
-        | Some '}' -> advance c
-        | _ -> parse_error c.pos "expected ',' or '}'"
-      in
-      go ();
-      Obj (List.rev !fields)
-    end
-  | Some ch -> parse_error c.pos (Printf.sprintf "unexpected %C" ch)
+    List.rev acc
+  | _ -> parse_error c.pos "expected ',' or ']'"
+
+and parse_field c =
+  skip_ws c;
+  let name = parse_string_body c in
+  skip_ws c;
+  expect c ':';
+  (name, parse_value c)
+
+(* The rest of an object after its first field, [acc] in reverse. *)
+and parse_fields c acc =
+  skip_ws c;
+  match peek c with
+  | ',' ->
+    advance c;
+    parse_fields c (parse_field c :: acc)
+  | '}' ->
+    advance c;
+    List.rev acc
+  | _ -> parse_error c.pos "expected ',' or '}'"
 
 let of_string src =
   let c = { src; pos = 0 } in

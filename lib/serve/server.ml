@@ -878,11 +878,26 @@ let handle_session_create t req _params =
     with
     | Error resp -> resp
     | Ok se ->
+      let cell = { state = Warm se } in
       let id =
         with_sessions t (fun sessions ->
-            let id = Session_store.add sessions { state = Warm se } in
-            enforce_context_budget t sessions ~keep:id;
-            id)
+            match Session_store.add sessions cell with
+            | id ->
+              enforce_context_budget t sessions ~keep:id;
+              id
+            | exception e ->
+              (* An Expired or Evicted hook raised (a failed journal
+                 append) before the insert: no stored cell holds the new
+                 entry's intern reference, so it is dropped here. The
+                 client still gets the 500. *)
+              let bt = Printexc.get_raw_backtrace () in
+              let stored =
+                Session_store.fold sessions ~init:false
+                  ~f:(fun _ st ~last_used:_ found -> found || st == cell)
+              in
+              if not stored then
+                release_cell ~incremental:t.incremental t.intern cell;
+              Printexc.raise_with_backtrace e bt)
       in
       json_response ~status:201 (session_summary id se))
 

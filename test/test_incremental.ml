@@ -1226,6 +1226,28 @@ let test_server_delete_during_rewarm () =
             (intern_stat "refs" metrics);
           check Alcotest.int "nothing pinned" 0 (intern_stat "pinned" metrics)))
 
+(* A create that evicts another session, where journaling the eviction
+   fails, raises out of the store before the new cell is inserted. The
+   client gets its 500, and the new entry's intern reference, which no
+   cell holds, is released: nothing stays pinned. *)
+let test_server_failed_create_releases_ref () =
+  with_state_dir "failcreate" (fun dir ->
+      Fun.protect ~finally:Failpoint.reset (fun () ->
+          let t, handle = session_server ~max_sessions:1 ~state_dir:dir () in
+          Server.recover t;
+          ignore (create_session handle);
+          Failpoint.enable "persist.append" (Failpoint.Fail_n 1);
+          let created =
+            handle ~meth:"POST"
+              ~body:
+                {|{"dataset":"product-reviews","q":"camera","top":3,"size_bound":6}|}
+              "/session"
+          in
+          check Alcotest.int "create answers 500" 500 created.Http.status;
+          let metrics = (handle "/metrics").Http.resp_body in
+          check Alcotest.int "no reference left" 0 (intern_stat "refs" metrics);
+          check Alcotest.int "nothing pinned" 0 (intern_stat "pinned" metrics)))
+
 (* Seeded sequences of every session op, plus /compare, against a server
    small enough (3 sessions, a 60 kB context budget) that LRU eviction
    and budget demotion fire. After every step, the intern table's refs
@@ -1382,6 +1404,8 @@ let () =
             test_server_delete_during_resize;
           Alcotest.test_case "delete during rewarm releases the ref" `Quick
             test_server_delete_during_rewarm;
+          Alcotest.test_case "failed create releases its ref" `Quick
+            test_server_failed_create_releases_ref;
           qtest prop_session_refs_track_warm;
         ] );
     ]

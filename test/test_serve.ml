@@ -68,6 +68,61 @@ let test_split_target () =
   check Alcotest.string "malformed escape passes through" "100%!"
     (Http.url_decode "100%!")
 
+(* The exact bytes [Http.write_response] puts on the wire. *)
+let wire ?keep_alive resp =
+  let file = Filename.temp_file "xsact_wire" ".http" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          Http.write_response oc ?keep_alive resp);
+      In_channel.with_open_bin file In_channel.input_all)
+
+(* Response framing is a wire contract: status line, the three fixed
+   headers in order, the extras in order, a blank line, the body. *)
+let test_response_bytes () =
+  let golden name expected ?keep_alive resp =
+    check Alcotest.string name expected (wire ?keep_alive resp)
+  in
+  let t = Server.create ~datasets:[ "product-reviews" ] () in
+  golden "hit"
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 9\r\nConnection: keep-alive\r\nX-Cache: hit\r\n\r\n{\"dod\":7}"
+    (Http.response ~headers:[ ("X-Cache", "hit") ] ~status:200 {|{"dod":7}|});
+  golden "miss"
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 9\r\nConnection: keep-alive\r\nX-Cache: miss\r\n\r\n{\"dod\":7}"
+    (Http.response ~headers:[ ("X-Cache", "miss") ] ~status:200 {|{"dod":7}|});
+  golden "two extra headers, in order"
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: keep-alive\r\nX-Cache: hit\r\nX-Degraded: algorithm\r\n\r\n{}"
+    (Http.response
+       ~headers:[ ("X-Cache", "hit"); ("X-Degraded", "algorithm") ]
+       ~status:200 "{}");
+  golden "404 error body"
+    "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 52\r\nConnection: keep-alive\r\n\r\n{\"error\":{\"code\":\"not_found\",\"message\":\"not found\"}}"
+    (Server.handle t (request "/nope"));
+  golden "405 with Allow"
+    "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 70\r\nConnection: keep-alive\r\nAllow: GET\r\n\r\n{\"error\":{\"code\":\"method_not_allowed\",\"message\":\"method not allowed\"}}"
+    (Server.handle t (request ~meth:"DELETE" "/health"));
+  golden "503 with Retry-After"
+    "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: 76\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\n{\"error\":{\"code\":\"overloaded\",\"message\":\"server overloaded; retry shortly\"}}"
+    (Http.response
+       ~headers:[ ("Retry-After", "1") ]
+       ~status:503
+       (Api.error_body ~code:"overloaded" "server overloaded; retry shortly"));
+  golden "Connection: close" ~keep_alive:false
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 63\r\nConnection: close\r\n\r\n{\"error\":{\"code\":\"bad_request\",\"message\":\"empty request line\"}}"
+    (Http.response ~status:400
+       (Api.error_body ~code:"bad_request" "empty request line"));
+  golden "empty body"
+    "HTTP/1.1 204 No Content\r\nContent-Type: application/json\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
+    (Http.response ~status:204 "");
+  (* a body longer than the channel's buffer arrives whole behind the
+     same head *)
+  let big = String.make 100_000 'b' in
+  golden "100 kB body"
+    ("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100000\r\nConnection: keep-alive\r\n\r\n"
+    ^ big)
+    (Http.response ~status:200 big)
+
 (* ---- JSON ------------------------------------------------------------------ *)
 
 let json : Json.t Alcotest.testable =
@@ -122,7 +177,58 @@ let test_json_parse () =
   bad "tru";
   bad "1 2";
   bad "\"raw \x01 control\"";
-  bad ""
+  bad "";
+  ok {|"ok\né\"x"|} (Json.String "ok\n\xc3\xa9\"x");
+  ok "\"caf\xc3\xa9\"" (Json.String "caf\xc3\xa9");
+  ok "\"a\\nb\\tc\\u00e9d\"" (Json.String "a\nb\tc\xc3\xa9d");
+  ok {|["x\"y", "\\", "\/"]|}
+    (Json.List [ Json.String "x\"y"; Json.String "\\"; Json.String "/" ]);
+  ok "-0" (Json.Int 0);
+  ok "12345678901234567890" (Json.Float 12345678901234567890.);
+  ok "  [ ]  " (Json.List []);
+  (* The journal, replication and /v1 bodies all go through this parser,
+     and clients see its messages: one input per error site, with the
+     exact message and byte offset. *)
+  let error src expected =
+    match Json.of_string src with
+    | Error e -> check Alcotest.string (Printf.sprintf "error for %S" src) expected e
+    | Ok _ -> Alcotest.failf "accepted %S" src
+  in
+  error {|{"a" 1}|} "byte 5: expected ':', found '1'";
+  error {|{"a"|} "byte 4: expected ':', found end";
+  error "{\"a\"\x00" "byte 4: expected ':', found '\\000'";
+  error {|{1:2}|} "byte 1: expected '\"', found '1'";
+  error "{" "byte 1: expected '\"', found end";
+  error {|{"a":1,}|} "byte 7: expected '\"', found '}'";
+  error "tru" "byte 0: invalid literal (expected true)";
+  error "nul" "byte 0: invalid literal (expected null)";
+  error "fals" "byte 0: invalid literal (expected false)";
+  error {|"\u12"|} "byte 3: truncated \\u escape";
+  error {|"\u12G4"|} "byte 5: bad hex digit in \\u escape";
+  error {|"abc|} "byte 4: unterminated string";
+  error {|"\x"|} "byte 2: bad escape";
+  error {|"\|} "byte 2: bad escape";
+  error "\"a\x01\"" "byte 2: raw control character in string";
+  error "\"\x00\"" "byte 1: raw control character in string";
+  error "\"a\\n\x01\"" "byte 4: raw control character in string";
+  error "\"a\\n" "byte 4: unterminated string";
+  error "-" "byte 1: expected digit";
+  error "-x" "byte 1: expected digit";
+  error "1." "byte 2: expected digit";
+  error "1e" "byte 2: expected digit";
+  error "1e+" "byte 3: expected digit";
+  error "" "byte 0: unexpected end of input";
+  error "   " "byte 3: unexpected end of input";
+  error "[1," "byte 3: unexpected end of input";
+  error "[" "byte 1: unexpected end of input";
+  error "[1 2]" "byte 3: expected ',' or ']'";
+  error {|{"a":1 "b":2}|} "byte 7: expected ',' or '}'";
+  error "@" "byte 0: unexpected '@'";
+  error "\x00" "byte 0: unexpected '\\000'";
+  error "[1,]" "byte 3: unexpected ']'";
+  error {|{"a":}|} "byte 5: unexpected '}'";
+  error "1 2" "byte 2: trailing content";
+  error "{}x" "byte 2: trailing content"
 
 (* ---- Router ---------------------------------------------------------------- *)
 
@@ -253,7 +359,35 @@ let test_canonical_key_normalization () =
     (Api.canonical_key ~scope:Api.Context
        { (decode_exn {|{"dataset":"product-reviews","q":"gps","top":2}|}) with
          Api.select = Some [ 1; 3 ];
-       })
+       });
+  (* both scopes, pinned byte for byte: the LRU, the intern table and
+     warm-boot context snapshots are keyed by these strings *)
+  let keys body full context =
+    let r = decode_exn body in
+    check Alcotest.string ("full key of " ^ body) full
+      (Api.canonical_key ~scope:Api.Full r);
+    check Alcotest.string ("context key of " ^ body) context
+      (Api.canonical_key ~scope:Api.Context r)
+  in
+  keys
+    {|{"dataset":"imdb","q":"thriller heist","select":[3,1,12],"size_bound":5,"algorithm":"greedy"}|}
+    "ds=imdb&q=thriller heist&sel=3,1,12&k=5&alg=greedy&thr=10&measure=raw&w="
+    "ds=imdb&q=thriller heist&sel=3,1,12&thr=10&measure=raw&w=";
+  keys {|{"dataset":"product-reviews","q":"gps","top":7}|}
+    "ds=product-reviews&q=gps&sel=top7&k=8&alg=multi-swap&thr=10&measure=raw&w="
+    "ds=product-reviews&q=gps&sel=top7&thr=10&measure=raw&w=";
+  keys
+    {|{"dataset":"product-reviews","q":"gps","weights":{"price":3,"battery":2,"brand":0,"screen":10}}|}
+    "ds=product-reviews&q=gps&sel=top4&k=8&alg=multi-swap&thr=10&measure=raw&w=battery:2,brand:0,price:3,screen:10"
+    "ds=product-reviews&q=gps&sel=top4&thr=10&measure=raw&w=battery:2,brand:0,price:3,screen:10";
+  keys
+    {|{"dataset":"outdoor-retailer","q":"tent","measure":"rate","threshold_pct":12.5}|}
+    "ds=outdoor-retailer&q=tent&sel=top4&k=8&alg=multi-swap&thr=12.5&measure=rate&w="
+    "ds=outdoor-retailer&q=tent&sel=top4&thr=12.5&measure=rate&w=";
+  keys
+    {|{"dataset":"product-reviews","q":"gps","select":[2],"measure":"rate","threshold_pct":1e-7,"algorithm":"single-swap"}|}
+    "ds=product-reviews&q=gps&sel=2&k=8&alg=single-swap&thr=1e-07&measure=rate&w="
+    "ds=product-reviews&q=gps&sel=2&thr=1e-07&measure=rate&w="
 
 let test_decode_errors () =
   let bad body =
@@ -311,6 +445,13 @@ let test_threshold_keys () =
   check Alcotest.string "more digits where it does not"
     "ds=product-reviews&q=gps&sel=top4&thr=9.9999999&measure=raw&w="
     (key 9.9999999);
+  check Alcotest.string "exponent form below 1e-4"
+    "ds=product-reviews&q=gps&sel=top4&thr=1e-07&measure=raw&w=" (key 1e-7);
+  check Alcotest.string "full scope, same threshold text"
+    "ds=product-reviews&q=gps&sel=top4&k=8&alg=multi-swap&thr=9.9999999&measure=raw&w="
+    (Api.canonical_key ~scope:Api.Full
+       { (decode_exn {|{"dataset":"product-reviews","q":"gps"}|}) with
+         Api.threshold_pct = 9.9999999 });
   if key 9.99999999999999 = key 10. then
     Alcotest.fail "9.99999999999999 and 10 share a key"
 
@@ -810,6 +951,86 @@ let test_stop_with_idle_connections () =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     [ keep_alive; silent ]
 
+(* ---- Allocation on the hit path ------------------------------------------ *)
+
+(* Minor and major words [f ()] allocates. The minor heap is emptied
+   first, and [f] allocates far less than it holds, so no minor collection
+   runs inside [f] and the major count is [f]'s own direct major
+   allocation, never a promotion. Minor words come from [Gc.minor_words]
+   and major words from [Gc.counters], whose major count includes direct
+   allocations at once ([Gc.quick_stat]'s catches up only at a major
+   slice). Counts are deterministic single-threaded. *)
+let allocation f =
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let v = f () in
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  (v, minor1 -. minor0, major1 -. major0)
+
+(* A string over 256 words (2 KiB) is allocated straight in the major
+   heap, so writing must not copy the body: the channel takes it as is. *)
+let test_write_allocation () =
+  let resp =
+    Http.response ~headers:[ ("X-Cache", "hit") ] ~status:200
+      (String.make 4096 'x')
+  in
+  Out_channel.with_open_bin Filename.null (fun oc ->
+      Http.write_response oc resp;
+      let (), _, major = allocation (fun () -> Http.write_response oc resp) in
+      check (Alcotest.float 0.) "major words writing a 4 KiB body" 0. major)
+
+(* Minor words one LRU hit may allocate, read + handle + write. It reads
+   795 on OCaml 5.1; with a [char option] per byte read or parsed, a
+   [Printf] key and a copied body it read 1,773. *)
+let hit_minor_budget = 1000.
+
+(* One hot hit as the daemon serves it: [Http.read_request] of the bytes
+   e2ebench's client sends ([Http.send_request]), [Server.handle] answering
+   from the LRU, and [Http.write_response] of the ~2.9 KiB body. *)
+let test_hit_allocation () =
+  let t = Server.create ~datasets:[ "product-reviews" ] ~cache_capacity:4 () in
+  let body = {|{"dataset":"product-reviews","q":"gps","top":4,"size_bound":8}|} in
+  let warmup = 20 and hits = 1000 in
+  let file = Filename.temp_file "xsact_hits" ".http" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          for _ = 1 to warmup + hits do
+            Http.send_request oc ~host:"127.0.0.1" ~body "/compare"
+          done);
+      In_channel.with_open_bin file (fun ic ->
+          Out_channel.with_open_bin Filename.null (fun oc ->
+              let hit () =
+                match Http.read_request ic with
+                | Ok req ->
+                  let resp = Server.handle t req in
+                  Http.write_response oc resp;
+                  resp
+                | Error _ -> Alcotest.fail "request did not parse"
+              in
+              for _ = 1 to warmup do
+                ignore (hit ())
+              done;
+              let minor = ref 0. and major = ref 0. and served = ref 0 in
+              for _ = 1 to hits do
+                let resp, mi, ma = allocation hit in
+                if List.assoc_opt "X-Cache" resp.Http.resp_headers = Some "hit"
+                then incr served;
+                minor := !minor +. mi;
+                major := !major +. ma
+              done;
+              check Alcotest.int "every request served from the LRU" hits
+                !served;
+              let per_hit x = x /. float_of_int hits in
+              check (Alcotest.float 0.) "major words per hit" 0.
+                (per_hit !major);
+              if per_hit !minor > hit_minor_budget then
+                Alcotest.failf "%.0f minor words per hit, budget %.0f"
+                  (per_hit !minor) hit_minor_budget)))
+
 (* ---- Request limits: 431 on oversized headers, 413 on oversized body ---- *)
 
 let with_limits_server f =
@@ -859,6 +1080,26 @@ let test_header_limits () =
           Out_channel.flush oc;
           let status, _, _ = Http.read_response ic in
           check Alcotest.int "oversized header line" 431 status);
+      (* the bound is the line's length without its terminator: a line of
+         exactly [max_header_line_bytes] passes whether it ends in CRLF or
+         a bare LF, and one byte more is refused either way *)
+      List.iter
+        (fun (len, eol, expected) ->
+          with_raw_socket port (fun _ ic oc ->
+              let line = "X-Big: " ^ String.make (len - 7) 'a' in
+              Out_channel.output_string oc
+                ("GET /health HTTP/1.1" ^ eol ^ line ^ eol ^ eol);
+              Out_channel.flush oc;
+              let status, _, _ = Http.read_response ic in
+              check Alcotest.int
+                (Printf.sprintf "%d-byte header line ending in %S" len eol)
+                expected status))
+        [
+          (Http.max_header_line_bytes, "\r\n", 200);
+          (Http.max_header_line_bytes, "\n", 200);
+          (Http.max_header_line_bytes + 1, "\r\n", 431);
+          (Http.max_header_line_bytes + 1, "\n", 431);
+        ];
       (* server still healthy afterwards *)
       let status, _, _ = Http.request ~host:"127.0.0.1" ~port "/health" in
       check Alcotest.int "still serving" 200 status)
@@ -932,6 +1173,7 @@ let () =
           Alcotest.test_case "request line" `Quick test_request_line;
           Alcotest.test_case "header line" `Quick test_header_line;
           Alcotest.test_case "target splitting" `Quick test_split_target;
+          Alcotest.test_case "response bytes" `Quick test_response_bytes;
         ] );
       ( "json",
         [
@@ -951,6 +1193,12 @@ let () =
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "threshold keys" `Quick test_threshold_keys;
           QCheck_alcotest.to_alcotest prop_threshold_roundtrip;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "write copies no body" `Quick
+            test_write_allocation;
+          Alcotest.test_case "hit budget" `Quick test_hit_allocation;
         ] );
       ( "handle",
         [
