@@ -912,7 +912,7 @@ let persist_bench () =
   hr ();
   (* warm resync: a fresh follower takes the primary's full state over
      /v1/replicate. With context snapshots on, the resync ships the warm
-     records inline (base64-armored) and the follower deserializes its
+     records inline (raw [W] frames) and the follower deserializes its
      contexts from the stream; off, the same handover eager-warms every
      session through the rebuild path. Both ends are time from the
      follower's [recover] until every replicated session is warm —

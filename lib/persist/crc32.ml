@@ -1,36 +1,29 @@
 (* Reflected CRC-32 with the IEEE 802.3 polynomial. The table holds the
    CRC of each possible byte fed into an all-zero register; one lookup per
-   input byte then folds the running register. *)
+   input byte then folds the running register. The register is a native
+   int (63 bits wide, the CRC in its low 32), so the loop boxes nothing. *)
 
 let table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
-
-let update crc b =
-  let table = Lazy.force table in
-  Int32.logxor
-    table.(Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int b)) 0xFFl))
-    (Int32.shift_right_logical crc 8)
-
-let finish crc = Int32.logxor crc 0xFFFFFFFFl
-let init = 0xFFFFFFFFl
 
 let bytes ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Crc32.bytes";
-  let crc = ref init in
+  let table = Lazy.force table in
+  let crc = ref 0xFFFFFFFF in
   for i = off to off + len - 1 do
-    crc := update !crc (Char.code (Bytes.unsafe_get b i))
+    crc :=
+      Array.unsafe_get table
+        ((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!crc lsr 8)
   done;
-  finish !crc
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
 
 let string ?off ?len s = bytes ?off ?len (Bytes.unsafe_of_string s)

@@ -116,19 +116,39 @@ let bytes_written t = t.bytes_written
 
 (* ---- Reading ----------------------------------------------------------- *)
 
+type frame = Record of string | End | Cut | Torn
+
+(* The one parser of the frame header: the journal's readers, the context
+   snapshot and the replication stream all come through here. The length
+   is checked against the cap before the payload is allocated, so a
+   forged header is refused, never turned into a [Bytes.create]. *)
+let input_frame ~max_record_bytes ic =
+  let hdr = Bytes.create header_bytes in
+  let rec fill got =
+    if got = header_bytes then got
+    else
+      match input ic hdr got (header_bytes - got) with
+      | 0 -> got
+      | n -> fill (got + n)
+  in
+  match fill 0 with
+  | 0 -> End
+  | got when got < header_bytes -> Cut
+  | _ -> (
+    let n = Int32.to_int (Bytes.get_int32_le hdr 0) in
+    if n < 0 || n > max_record_bytes then Torn
+    else
+      match really_input_string ic n with
+      | exception End_of_file -> Cut
+      | payload ->
+        if Crc32.string payload = Bytes.get_int32_le hdr 4 then Record payload
+        else Torn)
+
 type read_result = {
   payloads : string list;
   truncated_records : int;
   truncated_bytes : int;
 }
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
 (* Truncate [path] to its good prefix. Uses a fresh descriptor: the append
    handle (if any) is opened after recovery, and O_APPEND writes are
@@ -141,27 +161,31 @@ let truncate_file path keep =
       Unix.ftruncate fd keep;
       Unix.fsync fd)
 
+(* Frames from the channel's position until the first that is not an
+   intact record: the records in reverse, the offset just past the last
+   of them, and what stopped the walk. *)
+let scan ~max_record_bytes ic =
+  let rec go acc =
+    let pos = pos_in ic in
+    match input_frame ~max_record_bytes ic with
+    | Record p -> go (p :: acc)
+    | stop -> (acc, pos, stop)
+  in
+  go []
+
 let read ?(repair = true) ?(max_record_bytes = default_max_record_bytes) path =
-  match read_file path with
-  | None -> { payloads = []; truncated_records = 0; truncated_bytes = 0 }
-  | Some data ->
-    let len = String.length data in
-    let rec scan pos acc =
-      if pos = len then (pos, acc)
-      else if len - pos < header_bytes then (pos, acc)
-      else
-        let n = Int32.to_int (String.get_int32_le data pos) in
-        let crc = String.get_int32_le data (pos + 4) in
-        if n < 0 || n > max_record_bytes || pos + header_bytes + n > len then
-          (pos, acc)
-        else if Crc32.string ~off:(pos + header_bytes) ~len:n data <> crc then
-          (pos, acc)
-        else
-          scan
-            (pos + header_bytes + n)
-            (String.sub data (pos + header_bytes) n :: acc)
+  match open_in_bin path with
+  | exception Sys_error _ ->
+    { payloads = []; truncated_records = 0; truncated_bytes = 0 }
+  | ic ->
+    let acc, good, len =
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let acc, good, _ = scan ~max_record_bytes ic in
+          (acc, good, in_channel_length ic))
     in
-    let good, acc = scan 0 [] in
+    (* a cut or torn record is the torn tail *)
     let torn = len - good in
     if torn > 0 && repair then truncate_file path good;
     {
@@ -179,10 +203,7 @@ type tail_result = {
 }
 
 (* Offset-addressed streaming read for replication. Unlike {!read} this
-   never slurps the file, never repairs, and allocates at most one record
-   at a time — the length header is validated against [max_record_bytes]
-   {e before} any allocation, so a corrupt prefix cannot trigger a
-   gigabyte [Bytes.create]. A record that extends past EOF is merely
+   never repairs. A record cut off by the end of the file is merely
    {e incomplete} (the writer may be mid-append; retry later from
    [next_offset]); a bad length or checksum is [torn]. *)
 let read_from ?(max_record_bytes = default_max_record_bytes) ~offset path =
@@ -193,25 +214,6 @@ let read_from ?(max_record_bytes = default_max_record_bytes) ~offset path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let len = in_channel_length ic in
-        if offset >= len then { records = []; next_offset = offset; torn = false }
-        else begin
-          seek_in ic offset;
-          let hdr = Bytes.create header_bytes in
-          let rec go pos acc =
-            if len - pos < header_bytes then (pos, acc, false)
-            else begin
-              really_input ic hdr 0 header_bytes;
-              let n = Int32.to_int (Bytes.get_int32_le hdr 0) in
-              let crc = Bytes.get_int32_le hdr 4 in
-              if n < 0 || n > max_record_bytes then (pos, acc, true)
-              else if pos + header_bytes + n > len then (pos, acc, false)
-              else
-                let payload = really_input_string ic n in
-                if Crc32.string payload <> crc then (pos, acc, true)
-                else go (pos + header_bytes + n) (payload :: acc)
-            end
-          in
-          let stop, acc, torn = go offset [] in
-          { records = List.rev acc; next_offset = stop; torn }
-        end)
+        seek_in ic offset;
+        let acc, stop, why = scan ~max_record_bytes ic in
+        { records = List.rev acc; next_offset = stop; torn = (why = Torn) })

@@ -66,6 +66,18 @@ val bytes_written : t -> int
 
 (** {1 Reading} *)
 
+type frame =
+  | Record of string  (** an intact record's payload *)
+  | End  (** the input ended before a header's first byte *)
+  | Cut  (** the input ended inside a header or a payload *)
+  | Torn  (** a length over the cap, or a checksum that disagrees *)
+
+val input_frame : max_record_bytes:int -> in_channel -> frame
+(** Read one frame: the one parser of the frame header, shared by the
+    journal's reads, [Snapshot.read] and the replication stream. A length
+    over [max_record_bytes] is [Torn] before the payload is allocated.
+    After [Cut] or [Torn] framing is lost. *)
+
 type read_result = {
   payloads : string list;  (** good records, in append order *)
   truncated_records : int;  (** 0, or 1 when a torn tail was cut *)
@@ -91,7 +103,7 @@ type tail_result = {
 
 val read_from : ?max_record_bytes:int -> offset:int -> string -> tail_result
 (** Offset-addressed streaming read: parse intact records starting at byte
-    [offset], one allocation per record, stopping at EOF, at an incomplete
+    [offset] with {!input_frame}, stopping at EOF, at an incomplete
     record (a concurrent writer may be mid-append — poll again from
     [next_offset]), or at a corrupt one ([torn = true]). The length header
     is checked against [max_record_bytes] (default
@@ -109,6 +121,9 @@ val default_max_record_bytes : int
 (** Default read-side record-size cap (16 MiB). The write side refuses
     payloads over {!max_payload_bytes}; the read side is stricter because
     a corrupt length prefix must never become an allocation attempt. *)
+
+val encode_header : string -> bytes
+(** The header (length, CRC-32) that frames a payload. *)
 
 val add_record : Buffer.t -> string -> unit
 (** Append one framed record to a buffer — snapshots reuse the journal's

@@ -61,44 +61,44 @@ type read_result = { records : string list; valid : bool }
 let invalid = { records = []; valid = false }
 
 let read path =
-  match
-    let ic = open_in_bin path in
+  match open_in_bin path with
+  | exception Sys_error _ -> invalid
+  | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> invalid
-  | data ->
-    let len = String.length data in
-    if len < header_bytes + trailer_bytes then invalid
-    else if String.sub data 0 header_bytes <> magic then invalid
-    else if
-      String.sub data (len - String.length trailer_magic)
-        (String.length trailer_magic)
-      <> trailer_magic
-    then invalid
-    else begin
-      let tpos = len - trailer_bytes in
-      let count = Int32.to_int (String.get_int32_le data tpos) in
-      let crc = String.get_int32_le data (tpos + 4) in
-      if Crc32.string ~off:0 ~len:tpos data <> crc then invalid
-      else begin
-        (* CRC over the whole body already vouches for every record, but
-           re-walk the framing so a count mismatch (or an inner framing
-           bug) is caught rather than trusted. *)
-        let rec scan pos acc n =
-          if pos = tpos then
-            if n = count then { records = List.rev acc; valid = true }
-            else invalid
-          else if tpos - pos < 8 then invalid
-          else
-            let rlen = Int32.to_int (String.get_int32_le data pos) in
-            if rlen < 0 || pos + 8 + rlen > tpos then invalid
-            else
-              scan (pos + 8 + rlen)
-                (String.sub data (pos + 8) rlen :: acc)
-                (n + 1)
-        in
-        scan header_bytes [] 0
-      end
-    end
+      (fun () ->
+        let len = in_channel_length ic in
+        if len < header_bytes + trailer_bytes then invalid
+        else
+          let data = really_input_string ic len in
+          let tpos = len - trailer_bytes in
+          if
+            String.sub data 0 header_bytes <> magic
+            || String.sub data (tpos + 8) (String.length trailer_magic)
+               <> trailer_magic
+            || Crc32.string ~off:0 ~len:tpos data
+               <> String.get_int32_le data (tpos + 4)
+          then invalid
+          else begin
+            (* CRC over the whole body already vouches for every record,
+               but re-walk the framing so a count mismatch (or an inner
+               framing bug) is caught rather than trusted. The cap is the
+               largest payload [write] accepts. *)
+            let count = Int32.to_int (String.get_int32_le data tpos) in
+            let rec walk acc n =
+              let pos = pos_in ic in
+              if pos >= tpos then
+                if pos = tpos && n = count then
+                  { records = List.rev acc; valid = true }
+                else invalid
+              else
+                match
+                  Journal.input_frame ~max_record_bytes:Journal.max_payload_bytes
+                    ic
+                with
+                | Journal.Record p -> walk (p :: acc) (n + 1)
+                | Journal.End | Journal.Cut | Journal.Torn -> invalid
+            in
+            seek_in ic header_bytes;
+            walk [] 0
+          end)

@@ -164,41 +164,42 @@ let rec read_line_bounded ic buf =
     else if n > max_header_line_bytes then `Overflow
     else `Line (Buffer.contents buf)
 
+(* Header lines up to the blank line that ends a head, under the same
+   bounds for a request and a response; [buf] is the caller's line
+   buffer. *)
+let read_headers ic buf =
+  let rec go n acc =
+    Buffer.clear buf;
+    match read_line_bounded ic buf with
+    | `Eof -> Error (`Bad "eof in headers")
+    | `Overflow ->
+      Error
+        (`Refuse
+          ( 431,
+            Printf.sprintf "header line exceeds %d bytes" max_header_line_bytes
+          ))
+    | `Line "" -> Ok (List.rev acc)
+    | `Line _ when n >= max_headers ->
+      Error (`Refuse (431, Printf.sprintf "too many headers (max %d)" max_headers))
+    | `Line line -> (
+      match parse_header_line line with
+      | Ok h -> go (n + 1) (h :: acc)
+      | Error e -> Error (`Bad e))
+  in
+  go 0 []
+
 let read_request ic =
   (* one line buffer for the request line and every header line *)
   let buf = Buffer.create 128 in
-  let next_line () =
-    Buffer.clear buf;
-    read_line_bounded ic buf
-  in
-  match next_line () with
+  match read_line_bounded ic buf with
   | `Eof -> Error `Eof
   | `Overflow -> Error (`Refuse (431, "request line too long"))
   | `Line "" -> Error (`Bad "empty request line")
   | `Line line -> (
     match parse_request_line line with
     | Error e -> Error (`Bad e)
-    | Ok (meth, target) ->
-      let rec read_headers n acc =
-        match next_line () with
-        | `Eof -> Error (`Bad "eof in headers")
-        | `Overflow ->
-          Error
-            (`Refuse
-              ( 431,
-                Printf.sprintf "header line exceeds %d bytes"
-                  max_header_line_bytes ))
-        | `Line "" -> Ok (List.rev acc)
-        | `Line _ when n >= max_headers ->
-          Error
-            (`Refuse
-              (431, Printf.sprintf "too many headers (max %d)" max_headers))
-        | `Line line -> (
-          match parse_header_line line with
-          | Ok h -> read_headers (n + 1) (h :: acc)
-          | Error e -> Error (`Bad e))
-      in
-      match read_headers 0 [] with
+    | Ok (meth, target) -> (
+      match read_headers ic buf with
       | Error e -> Error e
       | Ok headers -> (
         let content_length =
@@ -226,7 +227,7 @@ let read_request ic =
           | body ->
             let path, query = split_target target in
             Ok { meth; target; path; query; headers; body }
-          | exception End_of_file -> Error (`Bad "truncated body"))))
+          | exception End_of_file -> Error (`Bad "truncated body")))))
 
 (* The head goes out of a small buffer, then the body string itself: the
    channel copies it into its own buffer, outside the OCaml heap, and the
@@ -292,6 +293,19 @@ let read_response ic =
     | None -> In_channel.input_all ic
   in
   (status, headers, body)
+
+let read_response_head ic =
+  let buf = Buffer.create 128 in
+  match read_line_bounded ic buf with
+  | `Eof | `Overflow -> Error "no status line within the line bound"
+  | `Line line -> (
+    match String.split_on_char ' ' line with
+    | ("HTTP/1.1" | "HTTP/1.0") :: code :: _ when int_of_string_opt code <> None
+      -> (
+      match read_headers ic buf with
+      | Ok headers -> Ok (int_of_string code, headers)
+      | Error (`Bad e | `Refuse (_, e)) -> Error e)
+    | _ -> Error ("bad status line " ^ line))
 
 let send_request oc ~host ?(meth = "GET") ?body target =
   let meth, body =

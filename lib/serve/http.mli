@@ -108,6 +108,14 @@ val send_request :
     defaults to ["GET"], or ["POST"] when [body] is given. For tests that
     need to control connection lifetime themselves. *)
 
+val read_response_head :
+  Stdlib.in_channel -> (int * (string * string) list, string) result
+(** Read a response's status line and headers under the bounds
+    {!read_request} keeps — at most {!max_header_line_bytes} per line and
+    {!max_headers} headers — and leave the body unread: the replication
+    follower's view of a streamed response from a peer it does not
+    trust to end its lines. *)
+
 val read_response : Stdlib.in_channel -> int * (string * string) list * string
 (** Read one response ([(status, headers, body)]).
     @raise Failure on a malformed response. *)

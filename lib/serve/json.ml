@@ -73,6 +73,8 @@ exception Parse_error of int * string
 
 let parse_error pos msg = raise (Parse_error (pos, msg))
 
+let max_depth = 512
+
 (* A tiny cursor over the input string. *)
 type cursor = { src : string; mutable pos : int }
 
@@ -227,13 +229,25 @@ let parse_number c =
     digits c
   end;
   let text = String.sub c.src start (c.pos - start) in
-  if fraction || exponent then Float (float_of_string text)
-  else
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> Float (float_of_string text) (* out of int range *)
+  match if fraction || exponent then None else int_of_string_opt text with
+  | Some i -> Int i
+  | None ->
+    (* a float, or an integer out of int range; one that overflows to
+       infinity would print as "inf", which no parse accepts *)
+    let f = float_of_string text in
+    if Float.is_finite f then Float f
+    else parse_error start "number out of range"
 
-let rec parse_value c =
+(* Step into an array or object: the parser recurses once per level, so
+   the level is what is bounded. *)
+let nest c depth =
+  if depth = max_depth then
+    parse_error c.pos (Printf.sprintf "nesting deeper than %d" max_depth);
+  advance c;
+  depth + 1
+
+(* [depth] counts the arrays and objects around the value. *)
+let rec parse_value c depth =
   skip_ws c;
   if at_end c then parse_error c.pos "unexpected end of input"
   else
@@ -244,49 +258,49 @@ let rec parse_value c =
     | '"' -> String (parse_string_body c)
     | '-' | '0' .. '9' -> parse_number c
     | '[' ->
-      advance c;
+      let depth = nest c depth in
       skip_ws c;
       if peek c = ']' then begin
         advance c;
         List []
       end
-      else List (parse_items c [ parse_value c ])
+      else List (parse_items c depth [ parse_value c depth ])
     | '{' ->
-      advance c;
+      let depth = nest c depth in
       skip_ws c;
       if peek c = '}' then begin
         advance c;
         Obj []
       end
-      else Obj (parse_fields c [ parse_field c ])
+      else Obj (parse_fields c depth [ parse_field c depth ])
     | ch -> parse_error c.pos (Printf.sprintf "unexpected %C" ch)
 
 (* The rest of an array after its first item, [acc] in reverse. *)
-and parse_items c acc =
+and parse_items c depth acc =
   skip_ws c;
   match peek c with
   | ',' ->
     advance c;
-    parse_items c (parse_value c :: acc)
+    parse_items c depth (parse_value c depth :: acc)
   | ']' ->
     advance c;
     List.rev acc
   | _ -> parse_error c.pos "expected ',' or ']'"
 
-and parse_field c =
+and parse_field c depth =
   skip_ws c;
   let name = parse_string_body c in
   skip_ws c;
   expect c ':';
-  (name, parse_value c)
+  (name, parse_value c depth)
 
 (* The rest of an object after its first field, [acc] in reverse. *)
-and parse_fields c acc =
+and parse_fields c depth acc =
   skip_ws c;
   match peek c with
   | ',' ->
     advance c;
-    parse_fields c (parse_field c :: acc)
+    parse_fields c depth (parse_field c depth :: acc)
   | '}' ->
     advance c;
     List.rev acc
@@ -294,7 +308,7 @@ and parse_fields c acc =
 
 let of_string src =
   let c = { src; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos < String.length src then

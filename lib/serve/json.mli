@@ -27,9 +27,17 @@ val shortest_g : digits:int -> float -> string
     smallest [p >= digits] (at most 17) whose text reads back as [f] —
     today's [%.<digits>g] text wherever that already round-trips. *)
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!of_string} accepts (512, as
+    [Xml_parse.default_max_depth] for XML). Nothing this program writes
+    nests more than a few levels. *)
+
 val of_string : string -> (t, string) result
-(** Parse one JSON value; trailing non-whitespace is an error. The message
-    carries a byte offset. *)
+(** Parse one JSON value; trailing non-whitespace is an error, and so are
+    a number that overflows a float and nesting deeper than
+    {!max_depth} — refused at the bracket that would open level 513, in
+    stack space bounded by the limit. The message carries a byte
+    offset. *)
 
 (** {1 Accessors} — total, option-returning *)
 

@@ -3,46 +3,19 @@ module Failpoint = Xsact_util.Failpoint
 module Prng = Xsact_util.Prng
 
 (* ---- Wire format --------------------------------------------------------
-   One JSON object per HTTP chunk, newline-terminated (x-ndjson):
+   After the HTTP head, messages until the connection closes: a kind byte
+   ('S' resync header, then its 'P' state payloads and 'W' warm records;
+   'R' journal record; 'H' heartbeat), then one journal frame. The .mli
+   has the fields. Every frame is read under [max_frame_bytes]. *)
 
-     {"repl":"resync","boot":B,"gen":G,"epoch":E,"offset":O,"records":N,
-      "digest":D,"payloads":[...],"warm":[...]}   full-state handover
-     {"repl":"rec","o":O,"p":P}             one journal record; O = the
-                                            follower's cursor after it
-     {"repl":"hb","gen":G,"epoch":E,"records":N,"digest":D}   liveness +
-                                            lag + divergence probe
+let content_type = "application/x-xsact-frames"
+let max_frame_bytes = Journal.default_max_record_bytes
 
-   [gen] is the primary's compaction generation (validates byte offsets);
-   [epoch] is its durable fencing epoch (validates who is primary at
-   all). Journal payloads are JSON one-liners (text), so they embed in
-   JSON strings safely; the optional [warm] section of a resync carries
-   base64-armored context-snapshot records, so binary still never
-   crosses the stream raw. *)
-
-let json_of_resync ~epoch ~warm (r : Durability.resync) =
-  Json.Obj
-    [
-      ("repl", Json.String "resync");
-      ("boot", Json.String r.Durability.r_boot);
-      ("gen", Json.Int r.Durability.r_gen);
-      ("epoch", Json.Int epoch);
-      ("offset", Json.Int r.Durability.r_offset);
-      ("records", Json.Int r.Durability.r_records);
-      ("digest", Json.Int r.Durability.r_digest);
-      ( "payloads",
-        Json.List (List.map (fun p -> Json.String p) r.Durability.r_payloads)
-      );
-      ("warm", Json.List (List.map (fun w -> Json.String w) warm));
-    ]
-
-(* ---- Socket helpers ------------------------------------------------------ *)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
+(* The kind byte, the header, then the payload itself, uncopied. *)
+let send oc kind payload =
+  output_char oc kind;
+  output_bytes oc (Journal.encode_header payload);
+  output_string oc payload
 
 (* ---- Primary: the stream ------------------------------------------------- *)
 
@@ -50,27 +23,19 @@ let poll_interval_s = 0.045
 let heartbeat_interval_s = 0.2
 
 let stream_head =
-  "HTTP/1.1 200 OK\r\n\
-   Content-Type: application/x-ndjson\r\n\
-   Transfer-Encoding: chunked\r\n\
-   Connection: close\r\n\
-   \r\n"
+  "HTTP/1.1 200 OK\r\nContent-Type: " ^ content_type
+  ^ "\r\nConnection: close\r\n\r\n"
 
-let send_chunk fd line =
-  let data = line ^ "\n" in
-  write_all fd (Printf.sprintf "%x\r\n%s\r\n" (String.length data) data)
-
-(* Serve one follower over [fd] until it disconnects or [stopping ()].
-   The caller already consumed the request; this writes the whole
-   response, chunk by chunk, as journal records are acked. [boot], [gen]
-   and [from] are the follower's cursor (absent on a cold connect): when
-   they name a live position in our current journal the stream resumes
-   there, otherwise it opens with a full resync. [warm] supplies the
-   base64-armored context-snapshot records a resync ships (empty when
-   warm resyncs are disabled). *)
-let serve_stream ~durability:d ~fd ?boot ?gen ?from ?(warm = fun () -> [])
+(* Serve one follower on [oc] until it disconnects or [stopping ()]. The
+   caller already consumed the request; this writes the whole response,
+   message by message, as journal records are acked. [boot], [gen] and
+   [from] are the follower's cursor (absent on a cold connect): when they
+   name a live position in our current journal the stream resumes there,
+   otherwise it opens with a full resync. [warm] supplies the
+   context-snapshot records a resync ships (empty when warm resyncs are
+   disabled). *)
+let serve_stream ~durability:d ~oc ?boot ?gen ?from ?(warm = fun () -> [])
     ~stopping () =
-  write_all fd stream_head;
   (* (gen, offset) the next record must continue from; [None] forces a
      resync. The boot id is checked once — ours never changes. *)
   let cursor =
@@ -87,102 +52,67 @@ let serve_stream ~durability:d ~fd ?boot ?gen ?from ?(warm = fun () -> [])
   let last_hb = ref 0. in
   let send_hb () =
     last_hb := Unix.gettimeofday ();
-    send_chunk fd
+    send oc 'H'
       (Json.to_string
          (Json.Obj
             [
-              ("repl", Json.String "hb");
               ("gen", Json.Int (Durability.gen d));
               ("epoch", Json.Int (Durability.fence_epoch d));
               ("records", Json.Int (Durability.since_snapshot d));
               ("digest", Json.Int (Durability.digest d));
-            ]))
+            ]));
+    flush oc
   in
   let send_resync () =
     let r = Durability.resync d in
-    send_chunk fd
+    let warm =
+      List.filter (fun w -> String.length w <= max_frame_bytes) (warm ())
+    in
+    send oc 'S'
       (Json.to_string
-         (json_of_resync ~epoch:(Durability.fence_epoch d) ~warm:(warm ()) r));
+         (Json.Obj
+            [
+              ("boot", Json.String r.Durability.r_boot);
+              ("gen", Json.Int r.Durability.r_gen);
+              ("epoch", Json.Int (Durability.fence_epoch d));
+              ("offset", Json.Int r.Durability.r_offset);
+              ("records", Json.Int r.Durability.r_records);
+              ("digest", Json.Int r.Durability.r_digest);
+              ("payloads", Json.Int (List.length r.Durability.r_payloads));
+              ("warm", Json.Int (List.length warm));
+            ]));
+    List.iter (send oc 'P') r.Durability.r_payloads;
+    List.iter (send oc 'W') warm;
+    flush oc;
     cursor := Some (r.Durability.r_gen, r.Durability.r_offset);
     last_hb := Unix.gettimeofday ()
   in
-  (try
-     if !cursor = None then send_resync () else send_hb ();
-     while not (stopping ()) do
-       (match !cursor with
-       | None -> send_resync ()
-       | Some (g, off) ->
-         if Durability.gen d <> g then
-           (* Compaction invalidated every offset; hand over fresh state.
-              The follower's LWW fold makes the records it already
-              applied from the dying generation harmless. *)
-           send_resync ()
-         else
-           let tail =
-             Journal.read_from ~offset:off (Durability.journal_file d)
-           in
-           if tail.Journal.torn then send_resync ()
-           else begin
-             let off =
-               List.fold_left
-                 (fun off p ->
-                   let off = off + Journal.header_bytes + String.length p in
-                   send_chunk fd
-                     (Json.to_string
-                        (Json.Obj
-                           [
-                             ("repl", Json.String "rec");
-                             ("o", Json.Int off);
-                             ("p", Json.String p);
-                           ]));
-                   off)
-                 off tail.Journal.records
-             in
-             cursor := Some (g, off);
-             if tail.Journal.records = [] then Thread.delay poll_interval_s
-           end);
-       if Unix.gettimeofday () -. !last_hb >= heartbeat_interval_s then
-         send_hb ()
-     done;
-     (* Clean end-of-stream so a follower that outlives us sees EOF fast. *)
-     write_all fd "0\r\n\r\n"
-   with Unix.Unix_error _ | Sys_error _ -> (* follower gone *) ());
-  ()
-
-(* ---- Follower: buffered chunked reader ----------------------------------- *)
-
-type rdr = { fd : Unix.file_descr; mutable pending : string; tmp : Bytes.t }
-
-let reader fd = { fd; pending = ""; tmp = Bytes.create 65536 }
-
-let refill r =
-  let n = Unix.read r.fd r.tmp 0 (Bytes.length r.tmp) in
-  if n = 0 then raise End_of_file;
-  r.pending <- r.pending ^ Bytes.sub_string r.tmp 0 n
-
-let rec read_line r =
-  match String.index_opt r.pending '\n' with
-  | Some i ->
-    let line = String.sub r.pending 0 i in
-    r.pending <-
-      String.sub r.pending (i + 1) (String.length r.pending - i - 1);
-    if String.length line > 0 && line.[String.length line - 1] = '\r' then
-      String.sub line 0 (String.length line - 1)
-    else line
-  | None ->
-    refill r;
-    read_line r
-
-let rec read_exact r n =
-  if String.length r.pending >= n then begin
-    let s = String.sub r.pending 0 n in
-    r.pending <- String.sub r.pending n (String.length r.pending - n);
-    s
-  end
-  else begin
-    refill r;
-    read_exact r n
-  end
+  try
+    output_string oc stream_head;
+    if !cursor = None then send_resync () else send_hb ();
+    while not (stopping ()) do
+      (match !cursor with
+      | None -> send_resync ()
+      | Some (g, off) ->
+        if Durability.gen d <> g then
+          (* Compaction invalidated every offset; hand over fresh state.
+             The follower's LWW fold makes the records it already applied
+             from the dying generation harmless. *)
+          send_resync ()
+        else
+          let tail = Journal.read_from ~offset:off (Durability.journal_file d) in
+          if tail.Journal.torn then send_resync ()
+          else begin
+            List.iter (send oc 'R') tail.Journal.records;
+            flush oc;
+            cursor := Some (g, tail.Journal.next_offset);
+            if tail.Journal.records = [] then Thread.delay poll_interval_s
+          end);
+      if Unix.gettimeofday () -. !last_hb >= heartbeat_interval_s then
+        send_hb ()
+    done
+    (* every message is flushed: the caller's close ends the stream *)
+  with Unix.Unix_error _ | Sys_error _ -> (* follower gone *) ()
 
 (* ---- Follower: the client ------------------------------------------------ *)
 
@@ -203,7 +133,7 @@ type client = {
   on_repoint : (string * int) -> unit;  (* the target changed *)
   apply : string -> unit;  (* one replicated journal payload *)
   reset : payloads:string list -> warm:string list -> unit;
-      (* resync: full payload list (meta first) + base64 warm records *)
+      (* resync: full payload list (meta first) + raw warm records *)
   takeover_after : float option;
   (* the election: a primary to re-point to, or [None] to stop *)
   on_lost : (unit -> (string * int) option) option;
@@ -261,115 +191,120 @@ let request_line ~host ~port c =
     "GET /v1/replicate%s HTTP/1.1\r\nHost: %s:%d\r\nConnection: close\r\n\r\n"
     cursorq host port
 
+let int_field json name = Option.bind (Json.member name json) Json.to_int
+
 let check_epoch c json =
-  let epoch =
-    Option.value ~default:0
-      (Option.bind (Json.member "epoch" json) Json.to_int)
-  in
+  let epoch = Option.value ~default:0 (int_field json "epoch") in
   match c.primary with
   | Some p -> if not (c.on_epoch p epoch) then raise Stale_primary
   | None -> ()
 
-let handle_message c line =
-  match Json.of_string line with
-  | Error _ -> raise Reconnect
-  | Ok json -> (
-    let mem name conv = Option.bind (Json.member name json) conv in
-    match mem "repl" Json.to_str with
-    | Some "resync" -> (
-      check_epoch c json;
-      match
-        ( mem "boot" Json.to_str,
-          mem "gen" Json.to_int,
-          mem "offset" Json.to_int,
-          mem "records" Json.to_int,
-          mem "payloads" Json.to_list )
-      with
-      | Some boot, Some gen, Some offset, Some records, Some payloads ->
-        let payloads = List.filter_map Json.to_str payloads in
-        let warm =
-          match mem "warm" Json.to_list with
-          | Some ws -> List.filter_map Json.to_str ws
-          | None -> []
-        in
-        c.reset ~payloads ~warm;
-        c.cursor <- Some (boot, gen, offset);
-        c.applied_in_gen <- records;
-        Atomic.set c.lag 0;
-        Atomic.incr c.resyncs
-      | _ -> raise Reconnect)
-    | Some "rec" -> (
-      match (mem "o" Json.to_int, mem "p" Json.to_str) with
-      | Some o, Some p ->
-        (match c.cursor with
-        | None -> raise Reconnect (* records before any resync/cursor *)
-        | Some (boot, gen, _) ->
-          (* [repl.apply.corrupt]: swallow the record but advance the
-             cursor — manufactured divergence the digest probe must
-             catch. *)
-          (try
-             Failpoint.hit "repl.apply.corrupt";
-             c.apply p
-           with Failpoint.Injected _ -> ());
-          c.cursor <- Some (boot, gen, o);
-          c.applied_in_gen <- c.applied_in_gen + 1;
-          Atomic.incr c.applied;
-          if Atomic.get c.lag > 0 then Atomic.decr c.lag)
-      | _ -> raise Reconnect)
-    | Some "hb" -> (
-      check_epoch c json;
-      match (mem "gen" Json.to_int, mem "records" Json.to_int) with
-      | Some gen, Some records -> (
-        match c.cursor with
-        | Some (_, g, _) when g = gen ->
-          Atomic.set c.lag (max 0 (records - c.applied_in_gen));
-          (match mem "digest" Json.to_int with
-          | Some digest
-            when records = c.applied_in_gen
-                 && digest <> Durability.digest c.durability ->
-            (* We believe we are caught up yet our fold disagrees with
-               the primary's: a record was lost or misapplied. Drop the
-               cursor and reconnect — the forced resync heals. *)
-            Atomic.incr c.divergences;
-            c.cursor <- None;
-            raise Reconnect
-          | _ -> ())
-        | _ -> (* stale gen: the stream's resync is coming *) ())
-      | _ -> raise Reconnect)
-    | _ -> raise Reconnect)
+(* The next frame's payload. Anything but an intact record under the cap
+   drops the stream: a clean end is one only at a message boundary. *)
+let payload ic =
+  match Journal.input_frame ~max_record_bytes:max_frame_bytes ic with
+  | Journal.Record p -> p
+  | Journal.End | Journal.Cut | Journal.Torn -> raise Reconnect
 
-(* One connection: send the request, parse the response head, then
-   consume chunks until EOF/timeout/divergence. Every parsed message from
-   a valid primary refreshes the takeover clock — merely connecting does
-   not, so a live-but-stale primary cannot pin us to it. *)
+let json_payload ic =
+  match Json.of_string (payload ic) with
+  | Ok json -> json
+  | Error _ -> raise Reconnect
+
+(* The [n] frames of one kind that a resync header announced. *)
+let rec frames ic kind n acc =
+  if n = 0 then List.rev acc
+  else if input_char ic <> kind then raise Reconnect
+  else frames ic kind (n - 1) (payload ic :: acc)
+
+let handle_message c ic = function
+  | 'S' -> (
+    let json = json_payload ic in
+    check_epoch c json;
+    let int = int_field json in
+    match
+      ( Option.bind (Json.member "boot" json) Json.to_str,
+        int "gen",
+        int "offset",
+        int "records",
+        int "payloads",
+        int "warm" )
+    with
+    | Some boot, Some gen, Some offset, Some records, Some np, Some nw
+      when np >= 0 && nw >= 0 ->
+      let payloads = frames ic 'P' np [] in
+      let warm = frames ic 'W' nw [] in
+      c.reset ~payloads ~warm;
+      c.cursor <- Some (boot, gen, offset);
+      c.applied_in_gen <- records;
+      Atomic.set c.lag 0;
+      Atomic.incr c.resyncs
+    | _ -> raise Reconnect)
+  | 'R' -> (
+    let p = payload ic in
+    match c.cursor with
+    | None -> raise Reconnect (* records before any resync/cursor *)
+    | Some (boot, gen, off) ->
+      (* [repl.apply.corrupt]: swallow the record but advance the cursor —
+         manufactured divergence the digest probe must catch. *)
+      (try
+         Failpoint.hit "repl.apply.corrupt";
+         c.apply p
+       with Failpoint.Injected _ -> ());
+      c.cursor <-
+        Some (boot, gen, off + Journal.header_bytes + String.length p);
+      c.applied_in_gen <- c.applied_in_gen + 1;
+      Atomic.incr c.applied;
+      if Atomic.get c.lag > 0 then Atomic.decr c.lag)
+  | 'H' -> (
+    let json = json_payload ic in
+    check_epoch c json;
+    let int = int_field json in
+    match (int "gen", int "records") with
+    | Some gen, Some records -> (
+      match c.cursor with
+      | Some (_, g, _) when g = gen ->
+        Atomic.set c.lag (max 0 (records - c.applied_in_gen));
+        (match int "digest" with
+        | Some digest
+          when records = c.applied_in_gen
+               && digest <> Durability.digest c.durability ->
+          (* We believe we are caught up yet our fold disagrees with the
+             primary's: a record was lost or misapplied. Drop the cursor
+             and reconnect — the forced resync heals. *)
+          Atomic.incr c.divergences;
+          c.cursor <- None;
+          raise Reconnect
+        | _ -> ())
+      | _ -> (* stale gen: the stream's resync is coming *) ())
+    | _ -> raise Reconnect)
+  | _ -> raise Reconnect
+
+(* One connection: send the request, check the response head, then
+   consume messages until EOF/timeout/divergence. Every message from a
+   valid primary refreshes the takeover clock — merely connecting does
+   not, so a live-but-stale primary cannot pin us to it. [Unix.write]
+   sends the whole request or raises; the caller closes [fd]. *)
 let run_connection ~host ~port c fd =
-  write_all fd (request_line ~host ~port c);
-  let r = reader fd in
-  let status = read_line r in
-  if not (String.length status >= 12 && String.sub status 9 3 = "200") then
-    raise Reconnect;
-  let rec skip_headers () = if read_line r <> "" then skip_headers () in
-  skip_headers ();
+  let req = request_line ~host ~port c in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let ic = Unix.in_channel_of_descr fd in
+  (match Http.read_response_head ic with
+  | Ok (200, headers)
+    when List.assoc_opt "content-type" headers = Some content_type ->
+    ()
+  | Ok _ | Error _ -> raise Reconnect);
   Atomic.set c.connected true;
-  let rec chunks () =
-    if Atomic.get c.stop then ()
-    else
-      let size = int_of_string ("0x" ^ read_line r) in
-      if size = 0 then ()
-      else begin
-        let data = read_exact r size in
-        ignore (read_exact r 2);
-        (* one message per chunk, newline-terminated *)
-        String.split_on_char '\n' data
-        |> List.iter (fun line ->
-               if line <> "" then begin
-                 handle_message c line;
-                 c.last_contact <- Unix.gettimeofday ()
-               end);
-        chunks ()
-      end
+  let rec messages () =
+    if not (Atomic.get c.stop) then
+      match input_char ic with
+      | exception End_of_file -> () (* a clean end at a message boundary *)
+      | kind ->
+        handle_message c ic kind;
+        c.last_contact <- Unix.gettimeofday ();
+        messages ()
   in
-  chunks ()
+  messages ()
 
 (* Jittered sleep: 0.5–1.5× the nominal delay, so N followers losing one
    primary never reconnect (or re-probe) in lockstep. *)

@@ -7,21 +7,31 @@
     [GET /v1/replicate?boot=B&gen=G&from=O&epoch=E] (cursor params
     absent on a cold connect; [epoch] — the {e follower's} durable
     fencing epoch — always present, so a superseded primary learns of
-    its fencing from its own subscribers) and the primary answers with a
-    chunked [application/x-ndjson] stream, one JSON message per chunk:
+    its fencing from its own subscribers). The primary answers [200]
+    with [Content-Type: application/x-xsact-frames], then sends messages
+    until the connection closes: one kind byte, then one journal frame
+    (length, CRC-32, payload) that the follower reads with the journal's
+    own {!Xsact_persist.Journal.input_frame}:
 
-    - [{"repl":"resync",...}] — full state handover: snapshot-shaped
-      payloads plus the cursor (primary boot id, compaction gen, journal
-      byte offset) that makes the subsequent record stream a valid
-      continuation, the state digest, the primary's fencing epoch, and
-      an optional [warm] list of base64-armored context-snapshot records
-      ({!Warmboot} codec) so the follower boots its caches warm;
-    - [{"repl":"rec","o":O,"p":P}] — one journal record, verbatim; [O]
-      is the follower's byte cursor {e after} applying it;
-    - [{"repl":"hb","gen":G,"epoch":E,"records":N,"digest":D}] —
-      heartbeat every ~0.2 s: liveness, the lag baseline ([N] = primary
-      records since its last compaction), the divergence probe, and the
-      fencing epoch.
+    - [S] — resync header, JSON: the cursor (primary boot id, compaction
+      [gen], journal byte [offset]) the record stream continues from,
+      [records], the state [digest], the primary's fencing [epoch], and
+      the counts [payloads] and [warm] of the [P] frames (state payloads,
+      meta first) and [W] frames ({!Warmboot} records, raw bytes) that
+      follow. The follower resets once all have arrived; any other kind
+      in between drops the stream;
+    - [R] — one journal record, verbatim; the follower's byte cursor
+      advances by [Journal.header_bytes + length];
+    - [H] — heartbeat every ~0.2 s, JSON: [gen], [epoch], [records] (the
+      lag baseline: primary records since its last compaction) and
+      [digest] (the divergence probe).
+
+    A clean end is a close at a message boundary. The follower reads every
+    frame under [Journal.default_max_record_bytes], so the primary never
+    ships a larger warm record (the follower would drop the stream,
+    resync and meet it again); those sessions are rebuilt eagerly. There
+    is no version negotiation: both ends ship in one binary, and a
+    cluster is upgraded together.
 
     The stream self-heals: a stale or absent cursor, a compaction on the
     primary (gen bump), or a torn read each downgrade to a fresh resync.
@@ -44,7 +54,7 @@
 
 val serve_stream :
   durability:Durability.t ->
-  fd:Unix.file_descr ->
+  oc:out_channel ->
   ?boot:string ->
   ?gen:int ->
   ?from:int ->
@@ -52,12 +62,12 @@ val serve_stream :
   stopping:(unit -> bool) ->
   unit ->
   unit
-(** Primary side. Takes over [fd] after the request was read and writes
-    the entire chunked response, polling the journal file (~45 ms) and
-    streaming records as they are acked, until the follower disconnects
-    or [stopping ()] — never raises. [warm] is called at each resync for
-    the base64-armored context-snapshot records to ship (default none).
-    The caller closes [fd]. *)
+(** Primary side. Takes over the connection's [oc] after the request was
+    read and writes the entire response, polling the journal file
+    (~45 ms) and streaming records as they are acked, until the follower
+    disconnects or [stopping ()] — never raises. [warm] is called at
+    each resync for the context-snapshot records to ship (default none).
+    The caller closes the connection. *)
 
 type client
 

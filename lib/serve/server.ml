@@ -1261,8 +1261,8 @@ let warm_snapshots t = t.context_snapshots && t.incremental
    so are compare-cache-only intern entries, whose weighting no stored
    request can reconstruct. Both record lists are sorted, so the output
    is deterministic for a given warm set. Two consumers: the [contexts]
-   file written at clean shutdown, and (base64-armored) the [warm]
-   section of a replication resync. Called under [session_update]. *)
+   file written at clean shutdown, and the [W] frames of a replication
+   resync. Called under [session_update]. *)
 let warm_records sessions =
   let ctxs = Hashtbl.create 8 in
   let warm =
@@ -1320,13 +1320,6 @@ let write_context_snapshot t =
     | [] -> ( try Sys.remove path with Sys_error _ -> ())
     | records -> Xsact_persist.Snapshot.write path records)
   | _ -> ()
-
-(* Resync consumer: what [serve_stream]'s [warm] callback ships, called
-   from the streaming worker at each resync. *)
-let warm_wire_records t =
-  if warm_snapshots t then
-    List.map B64.encode (with_sessions t warm_records)
-  else []
 
 (* ---- Installing sessions --------------------------------------------------
 
@@ -1521,17 +1514,7 @@ let repl_apply t d payload =
    the rest rebuilds eagerly. *)
 let repl_reset t d ~payloads ~warm =
   let r = Durability.install_resync d payloads in
-  let records =
-    if not (warm_snapshots t) then []
-    else
-      List.filter_map
-        (fun w ->
-          let r = B64.decode w in
-          if r = None then
-            Metrics.incr_counter t.metrics "context_snapshot_misses";
-          r)
-        warm
-  in
+  let records = if warm_snapshots t then warm else [] in
   install_sessions t d ~replace:true ~records ~eager:true
     r.Durability.entries;
   with_sessions t (fun sessions ->
@@ -2112,8 +2095,13 @@ let pop r =
    follower; the default pool of 4 leaves 3 serving). *)
 let serve_connection r fd =
   let t = r.server in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+  (* The channels own a duplicate of [fd], closed with them at the end of
+     the connection. Closing an out channel drops what a failed flush left
+     in its buffer; an unclosed one keeps it, and the runtime flushes it at
+     exit into whatever file then holds the descriptor number. *)
+  let cfd = Unix.dup fd in
+  let ic = Unix.in_channel_of_descr cfd in
+  let oc = Unix.out_channel_of_descr cfd in
   let rec loop () =
     match Http.read_request ic with
     | Error `Eof -> ()
@@ -2160,10 +2148,12 @@ let serve_connection r fd =
           Fun.protect
             ~finally:(fun () -> Atomic.decr t.streams)
             (fun () ->
-              Replication.serve_stream ~durability:d ~fd
+              Replication.serve_stream ~durability:d ~oc
                 ?boot:(query_param req "boot") ?gen:(int_param "gen")
                 ?from:(int_param "from")
-                ~warm:(fun () -> warm_wire_records t)
+                ~warm:(fun () ->
+                  (* the resync consumer of [warm_records] *)
+                  if warm_snapshots t then with_sessions t warm_records else [])
                 ~stopping:(fun () ->
                   Atomic.get r.accept_stop
                   || (cluster t).Cluster.role <> Cluster.Primary)
@@ -2191,10 +2181,13 @@ let serve_connection r fd =
       Http.write_response oc ~keep_alive resp;
       if keep_alive then loop ()
   in
-  try loop () with
-  | Sys_error _ | End_of_file | Unix.Unix_error _
-  | Xsact_util.Failpoint.Injected _ ->
-    ()
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      try loop () with
+      | Sys_error _ | End_of_file | Unix.Unix_error _
+      | Xsact_util.Failpoint.Injected _ ->
+        ())
 
 (* Register [fd] as a live connection so [stop] can shut it down; refused
    once [stopping] is set (the worker then just closes the socket). *)

@@ -53,7 +53,7 @@
     shutdown also writes a {e context snapshot} (serialized pair tables
     + DFS vectors) that the next boot loads, so restart rewarms sessions
     by bounded verification instead of per-session rebuilds; a
-    replication resync ships the same records inline (base64-armored),
+    replication resync ships the same records inline, as raw frames,
     so a fresh or diverged follower boots warm too.
 
     Coordinated fencing (DESIGN.md §14): role and fencing epoch are one

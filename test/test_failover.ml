@@ -785,38 +785,213 @@ let test_divergence () =
   kill9 p;
   kill9 f
 
-(* ---- Base64 armor ----------------------------------------------------------- *)
+(* ---- The follower against a fake primary ----------------------------------
 
-let test_b64 () =
-  let module B64 = Xsact_server.B64 in
-  let module Prng = Xsact_util.Prng in
-  (* RFC 4648 vectors *)
-  List.iter
-    (fun (plain, armored) ->
-      check Alcotest.string ("encode " ^ plain) armored (B64.encode plain);
-      match B64.decode armored with
-      | Some d -> check Alcotest.string ("decode " ^ armored) plain d
-      | None -> Alcotest.failf "decode %S failed" armored)
-    [ ("", ""); ("f", "Zg=="); ("fo", "Zm8="); ("foo", "Zm9v");
-      ("foob", "Zm9vYg=="); ("fooba", "Zm9vYmE="); ("foobar", "Zm9vYmFy") ];
-  (* binary round-trips at every length mod 3, including newline/nul/0xff
-     bytes like the context blobs the armor exists for *)
-  let prng = Prng.of_int 0x5eed in
-  for len = 0 to 80 do
-    let s = String.init len (fun _ -> Char.chr (Prng.int_in prng 0 255)) in
-    match B64.decode (B64.encode s) with
-    | Some d ->
-      check Alcotest.string (Printf.sprintf "roundtrip len %d" len) s d
-    | None -> Alcotest.failf "roundtrip len %d failed to decode" len
-  done;
-  (* malformed armor is [None], never an exception *)
-  List.iter
-    (fun s ->
-      match B64.decode s with
-      | None -> ()
-      | Some _ -> Alcotest.failf "decoded malformed %S" s)
-    [ "A"; "AB"; "ABC"; "===="; "A==="; "Zm9v!A=="; "Zg==Zg=="; "Z g==";
-      "\xffZg=" ]
+   A listening socket in the test answers the real follower's GET with
+   bytes the test chooses: the follower must drop a peer that claims an
+   oversized frame or never ends its status line before it allocates
+   what the peer asked for, and must hand [reset] a resync's frames
+   byte-for-byte. *)
+
+module Replication = Xsact_server.Replication
+module Durability = Xsact_server.Durability
+
+let stream_head =
+  "HTTP/1.1 200 OK\r\nContent-Type: application/x-xsact-frames\r\n\
+   Connection: close\r\n\r\n"
+
+(* One message of the replication stream: a kind byte, then a frame. *)
+let message kind payload =
+  let b = Buffer.create (String.length payload + 9) in
+  Buffer.add_char b kind;
+  Journal.add_record b payload;
+  Buffer.contents b
+
+(* [Unix.write_substring] writes it all or raises. *)
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Words allocated so far, minor and major. *)
+let words () =
+  let _, _, major = Gc.counters () in
+  Gc.minor_words () +. major
+
+(* Block until the peer closes [fd] (true), or the read timeout (false). *)
+let peer_closed fd =
+  let b = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd b 0 (Bytes.length b) with
+    | 0 -> true
+    | _ -> go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+  in
+  go ()
+
+let recover_durability () =
+  fst
+    (Durability.recover ~dir:(fresh_dir ()) ~fsync:Journal.Never
+       ~snapshot_every:0)
+
+(* Start the real follower against a listening socket; [serve client fd]
+   gets the first connection once the follower's GET is read. *)
+let with_fake_primary ?(reset = fun ~payloads:_ ~warm:_ -> ()) serve =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  Unix.setsockopt_float lsock Unix.SO_RCVTIMEO 10.;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "no port"
+  in
+  let c =
+    Replication.start_client ~primary:("127.0.0.1", port)
+      ~durability:(recover_durability ())
+      ~my_epoch:(fun () -> 0)
+      ~on_epoch:(fun _ _ -> true)
+      ~apply:(fun _ -> ())
+      ~reset ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Replication.stop_client c;
+      Unix.close lsock)
+    (fun () ->
+      let fd, _ = Unix.accept lsock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          (match Http.read_request (Unix.in_channel_of_descr fd) with
+          | Ok req ->
+            check Alcotest.string "the follower subscribes" "GET"
+              req.Http.meth
+          | Error _ -> Alcotest.fail "no request from the follower");
+          serve c fd))
+
+let test_wire_over_cap () =
+  with_fake_primary (fun c fd ->
+      let claimed = Journal.default_max_record_bytes + 1 in
+      let hdr = Bytes.create Journal.header_bytes in
+      Bytes.set_int32_le hdr 0 (Int32.of_int claimed);
+      Bytes.set_int32_le hdr 4 0l;
+      let bytes = stream_head ^ "S" ^ Bytes.to_string hdr ^ String.make 4096 'x' in
+      let w0 = words () in
+      write_all fd bytes;
+      check Alcotest.bool "the follower drops the connection" true
+        (peer_closed fd);
+      let allocated = words () -. w0 in
+      check Alcotest.int "no resync" 0 (Replication.resyncs c);
+      (* the claim is about 2 M words *)
+      if allocated > float_of_int claimed /. 8. /. 64. then
+        Alcotest.failf "allocated %.0f words against a %d-byte claim"
+          allocated claimed)
+
+let test_wire_endless_status () =
+  with_fake_primary (fun c fd ->
+      let line = String.make (1 lsl 20) 'H' in
+      let w0 = words () in
+      (* once the follower gives up, the rest of the write may fail *)
+      (try write_all fd line with Unix.Unix_error _ -> ());
+      check Alcotest.bool "the follower drops the connection" true
+        (peer_closed fd);
+      let allocated = words () -. w0 in
+      check Alcotest.bool "never connected" false (Replication.connected c);
+      (* one 8 KiB line bound, not the 128 K words of the line *)
+      if allocated > float_of_int (String.length line) /. 8. /. 8. then
+        Alcotest.failf "allocated %.0f words reading a %d-byte status line"
+          allocated (String.length line))
+
+let test_wire_skips_big_warm () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let d = recover_durability () in
+  let big = String.make (Journal.default_max_record_bytes + 1) 'b' in
+  let small = "small\x00warm\nrecord" in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let stop = Atomic.make false in
+  let primary =
+    Thread.create
+      (fun () ->
+        Replication.serve_stream ~durability:d
+          ~oc:(Unix.out_channel_of_descr a)
+          ~warm:(fun () -> [ big; small ])
+          ~stopping:(fun () -> Atomic.get stop)
+          ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Unix.close b;
+      Thread.join primary;
+      Unix.close a)
+    (fun () ->
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 10.;
+      let ic = Unix.in_channel_of_descr b in
+      (match Http.read_response_head ic with
+      | Ok (status, headers) ->
+        check Alcotest.int "status" 200 status;
+        check Alcotest.(option string) "framing"
+          (Some "application/x-xsact-frames")
+          (List.assoc_opt "content-type" headers);
+        check Alcotest.(option string) "no transfer coding" None
+          (List.assoc_opt "transfer-encoding" headers)
+      | Error e -> Alcotest.failf "bad head: %s" e);
+      let next kind =
+        check Alcotest.char "message kind" kind (input_char ic);
+        match
+          Journal.input_frame ~max_record_bytes:Journal.default_max_record_bytes
+            ic
+        with
+        | Journal.Record p -> p
+        | _ -> Alcotest.failf "bad %C frame" kind
+      in
+      let header = next 'S' in
+      let count name =
+        match Option.bind (Result.to_option (Json.of_string header)) (Json.member name) with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.failf "no %S count in %s" name header
+      in
+      check Alcotest.int "one warm record announced" 1 (count "warm");
+      for _ = 1 to count "payloads" do
+        ignore (next 'P')
+      done;
+      check Alcotest.string "only the small record ships" small (next 'W');
+      (* the stream goes on *)
+      ignore (next 'H');
+      ignore (next 'H'))
+
+let test_wire_resync_bytes () =
+  let payloads =
+    [ {|{"q":"a \"quoted\" word"}|}; "line one\nline two\n"; "nul\x00inside\x00";
+      "" ]
+  in
+  let warm = [ String.init 256 Char.chr; "W\r\n\x00" ] in
+  let got = Atomic.make None in
+  with_fake_primary
+    ~reset:(fun ~payloads ~warm -> Atomic.set got (Some (payloads, warm)))
+    (fun c fd ->
+      let header =
+        Json.to_string
+          (Json.Obj
+             [ ("boot", Json.String "b0"); ("gen", Json.Int 0);
+               ("epoch", Json.Int 0); ("offset", Json.Int 0);
+               ("records", Json.Int 0); ("digest", Json.Int 0);
+               ("payloads", Json.Int (List.length payloads));
+               ("warm", Json.Int (List.length warm)) ])
+      in
+      write_all fd
+        (String.concat ""
+           ((stream_head :: message 'S' header :: List.map (message 'P') payloads)
+           @ List.map (message 'W') warm));
+      wait_for "the resync lands" (fun () -> Replication.resyncs c = 1);
+      match Atomic.get got with
+      | Some (p, w) ->
+        check Alcotest.(list string) "payloads byte-identical" payloads p;
+        check Alcotest.(list string) "warm records byte-identical" warm w
+      | None -> Alcotest.fail "reset never ran")
 
 (* ---- Fencing epochs --------------------------------------------------------- *)
 
@@ -1245,7 +1420,15 @@ let () =
           Alcotest.test_case "auto takeover" `Quick test_auto_takeover;
           Alcotest.test_case "divergence heals" `Quick test_divergence;
         ] );
-      ("b64", [ Alcotest.test_case "armor codec" `Quick test_b64 ]);
+      ( "wire",
+        [
+          Alcotest.test_case "frame over the cap" `Quick test_wire_over_cap;
+          Alcotest.test_case "endless status line" `Quick
+            test_wire_endless_status;
+          Alcotest.test_case "oversized warm record" `Quick
+            test_wire_skips_big_warm;
+          Alcotest.test_case "resync bytes" `Quick test_wire_resync_bytes;
+        ] );
       ( "fencing",
         [
           Alcotest.test_case "durable fence" `Quick test_fencing_durable;

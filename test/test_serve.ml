@@ -230,6 +230,37 @@ let test_json_parse () =
   error "1 2" "byte 2: trailing content";
   error "{}x" "byte 2: trailing content"
 
+(* Nesting is bounded at [Json.max_depth] levels, arrays and objects
+   alike: level 512 parses, and the bracket that opens level 513 is the
+   error, whatever follows it. *)
+let test_json_depth () =
+  check Alcotest.int "the bound" 512 Json.max_depth;
+  let nest n = String.make n '[' ^ String.make n ']' in
+  let rec objs n = if n = 0 then "1" else {|{"k":|} ^ objs (n - 1) ^ "}" in
+  List.iter
+    (fun (what, src) ->
+      match Json.of_string src with
+      | Ok v ->
+        check Alcotest.bool (what ^ " round-trips") true
+          (Json.of_string (Json.to_string v) = Ok v)
+      | Error e -> Alcotest.failf "%s refused: %s" what e)
+    [ ("512 arrays", nest 512); ("512 objects", objs 512) ];
+  let error what src expected =
+    match Json.of_string src with
+    | Error e -> check Alcotest.string what expected e
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  error "513 arrays" (nest 513) "byte 512: nesting deeper than 512";
+  error "513 objects" (objs 513) "byte 2560: nesting deeper than 512";
+  error "513 open brackets" (String.make 513 '[')
+    "byte 512: nesting deeper than 512";
+  error "1 MiB of [" (String.make (1 lsl 20) '[')
+    "byte 512: nesting deeper than 512";
+  (* a number that overflows a float is refused, not read as infinity,
+     which would print as "inf" *)
+  error "1e400" "1e400" "byte 0: number out of range";
+  error "nested -1e400" "[0,-1e400]" "byte 3: number out of range"
+
 (* ---- Router ---------------------------------------------------------------- *)
 
 let test_router_params () =
@@ -535,6 +566,13 @@ let test_handle_search_limit () =
 let test_handle_compare_errors () =
   check Alcotest.int "bad JSON" 400
     (handle ~meth:"POST" ~body:"{oops" "/compare").Http.status;
+  (* 1 MiB of [ is refused at the bracket past the depth bound *)
+  let deep = handle ~meth:"POST" ~body:(String.make (1 lsl 20) '[') "/compare" in
+  check Alcotest.int "1 MiB of [" 400 deep.Http.status;
+  check Alcotest.string "1 MiB of [: the message"
+    (Api.error_body ~code:"bad_request"
+       "invalid JSON: byte 512: nesting deeper than 512")
+    deep.Http.resp_body;
   check Alcotest.int "unknown dataset" 404
     (handle ~meth:"POST"
        ~body:{|{"dataset":"nope","q":"gps"}|} "/compare")
@@ -808,9 +846,9 @@ let test_handle_threshold_key () =
   check Alcotest.string "10 answers what a fresh server answers"
     (timeless fresh) (timeless second)
 
-(* 1e400 parses to infinity; a non-finite threshold is a bad request on
-   every route that takes one, never a journaled "inf" that no later
-   parse accepts. *)
+(* 1e400 overflows a float; it is a bad request on every route that
+   takes a threshold, never a journaled "inf" that no later parse
+   accepts. *)
 let test_handle_infinite_threshold () =
   let body = {|{"dataset":"product-reviews","q":"gps","threshold_pct":1e400}|} in
   List.iter
@@ -852,11 +890,9 @@ let test_e2e_concurrent () =
       check Alcotest.int "health over socket" 200 status;
       check Alcotest.string "health body" {|{"status":"ok"}|} body;
       (* cold request, then 8 concurrent clients on the same comparison *)
-      let cold_start = Unix.gettimeofday () in
       let _, cold_headers, cold_body =
         Http.request ~host:"127.0.0.1" ~port ~body:compare_body "/compare"
       in
-      let cold_elapsed = Unix.gettimeofday () -. cold_start in
       check Alcotest.(option string) "cold is a miss" (Some "miss")
         (List.assoc_opt "x-cache" cold_headers);
       let results = Array.make 8 (0, [], "") in
@@ -881,16 +917,32 @@ let test_e2e_concurrent () =
             (Some "hit")
             (List.assoc_opt "x-cache" headers))
         results;
-      (* warm repeat is served from the cache measurably faster *)
-      let warm_start = Unix.gettimeofday () in
-      let _, _, warm_body =
+      (* the warm repeat is served from the cache: the server's own
+         counters show one hit, no miss and no context build — the work a
+         hit skips, which a wall-clock race against one cold sample could
+         only stand in for *)
+      let counters () =
+        let _, _, m = Http.request ~host:"127.0.0.1" ~port "/metrics" in
+        let cache name =
+          match Json.member name (member_exn "cache" m) with
+          | Some (Json.Int n) -> n
+          | _ -> Alcotest.failf "no cache.%s in /metrics" name
+        in
+        match member_exn "context_builds_full" m with
+        | Json.Int builds -> (cache "hits", cache "misses", builds)
+        | _ -> Alcotest.fail "no context_builds_full in /metrics"
+      in
+      let hits0, misses0, builds0 = counters () in
+      let _, warm_headers, warm_body =
         Http.request ~host:"127.0.0.1" ~port ~body:compare_body "/compare"
       in
-      let warm_elapsed = Unix.gettimeofday () -. warm_start in
+      let hits1, misses1, builds1 = counters () in
       check Alcotest.string "warm byte-identical" cold_body warm_body;
-      if warm_elapsed >= cold_elapsed then
-        Alcotest.failf "cache hit not faster: cold %.6fs warm %.6fs"
-          cold_elapsed warm_elapsed;
+      check Alcotest.(option string) "warm is a hit" (Some "hit")
+        (List.assoc_opt "x-cache" warm_headers);
+      check Alcotest.int "warm: one cache hit" (hits0 + 1) hits1;
+      check Alcotest.int "warm: no cache miss" misses0 misses1;
+      check Alcotest.int "warm: no context build" builds0 builds1;
       (* keep-alive: several requests on one connection *)
       Http.with_connection ~host:"127.0.0.1" ~port (fun call ->
           let status, _, _ = call "/health" in
@@ -1179,6 +1231,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse" `Quick test_json_parse;
+          Alcotest.test_case "depth bound" `Quick test_json_depth;
         ] );
       ( "router",
         [
