@@ -181,12 +181,12 @@ let ext_sweep_l () =
 let ext_sweep_n () =
   section "E2 -- DoD and time vs number of compared results (IMDB 'action', L = 8)";
   let prepared = Lazy.force imdb in
-  let engine = prepared.Workload.engine in
+  let pipeline = prepared.Workload.pipeline in
   Printf.printf "%4s | %6s %12s %11s | %12s %11s\n" "n" "topk" "single-dod"
     "multi-dod" "single-time" "multi-time";
   List.iter
     (fun n ->
-      match Workload.instances ~top:n engine [ ("Q", "action") ] with
+      match Workload.instances ~top:n pipeline [ ("Q", "action") ] with
       | [ inst ] when Array.length inst.Workload.profiles = n ->
         let context = Dod.make_context inst.Workload.profiles in
         let time_and_dod alg =
@@ -294,8 +294,9 @@ let ext_scale () =
   section
     "E5 -- end-to-end scalability with corpus size (IMDB, query 'action', \
      top 5, L = 8)";
-  Printf.printf "%8s %9s | %11s %11s %13s\n" "movies" "elements" "index-build"
-    "query-ms" "extract+DFS";
+  Printf.printf "%8s %9s | %11s %8s %8s | %8s %8s %8s %11s\n" "movies"
+    "elements" "index-build" "boot-ms" "boot-KiB" "query-ms" "scan-ms"
+    "walk-ms" "extract+DFS";
   List.iter
     (fun movies ->
       let doc =
@@ -306,22 +307,50 @@ let ext_scale () =
       let engine, build_stats =
         Timing.time ~warmup:0 ~runs:3 (fun () -> Search.create doc)
       in
+      (* the boot pass, and what its columns add to the engine's heap *)
+      let columns, boot_stats =
+        Timing.time ~warmup:1 ~runs:5 (fun () -> Extractor.columns engine)
+      in
+      let boot_kib =
+        (Obj.reachable_words (Obj.repr (engine, columns))
+        - Obj.reachable_words (Obj.repr engine))
+        * (Sys.word_size / 8) / 1024
+      in
       let results, query_stats =
         Timing.time ~warmup:1 ~runs:5 (fun () ->
             Search.query ~limit:5 engine "action")
       in
+      let labelled =
+        List.map (fun r -> (Search.result_title engine r, r)) results
+      in
+      let scan () =
+        Array.of_list
+          (List.map
+             (fun (label, (r : Search.result)) ->
+               Extractor.scan columns ~label r.node_id)
+             labelled)
+      in
+      let _, scan_stats = Timing.time ~warmup:1 ~runs:5 scan in
+      let _, walk_stats =
+        Timing.time ~warmup:1 ~runs:5 (fun () ->
+            List.map
+              (fun (label, (r : Search.result)) ->
+                Extractor.extract ~categories:(Search.categories engine)
+                  ~label r.element)
+              labelled)
+      in
       let _, compare_stats =
         Timing.time ~warmup:1 ~runs:5 (fun () ->
-            let profiles =
-              Array.of_list
-                (List.map (Extractor.of_search_result engine) results)
-            in
-            let context = Dod.make_context profiles in
+            let context = Dod.make_context (scan ()) in
             Multi_swap.generate context ~limit:8)
       in
-      Printf.printf "%8d %9d | %10.4fs %11.3f %12.4fs\n" movies elements
-        build_stats.Timing.median_s
+      Printf.printf "%8d %9d | %10.4fs %8.2f %8d | %8.3f %8.3f %8.3f %10.4fs\n"
+        movies elements build_stats.Timing.median_s
+        (1000.0 *. boot_stats.Timing.median_s)
+        boot_kib
         (1000.0 *. query_stats.Timing.median_s)
+        (1000.0 *. scan_stats.Timing.median_s)
+        (1000.0 *. walk_stats.Timing.median_s)
         compare_stats.Timing.median_s)
     [ 250; 500; 1000; 2000; 4000 ]
 
@@ -370,8 +399,9 @@ let ext_incremental () =
     "E7 -- interactive sessions: warm-started updates vs from-scratch \
      (IMDB 'action', L = 8)";
   let prepared = Lazy.force imdb in
-  let engine = prepared.Workload.engine in
-  match Workload.instances ~top:10 engine [ ("Q", "action") ] with
+  match
+    Workload.instances ~top:10 prepared.Workload.pipeline [ ("Q", "action") ]
+  with
   | [ inst ] ->
     let profiles = Array.to_list inst.Workload.profiles in
     let first_three = List.filteri (fun i _ -> i < 3) profiles in
@@ -482,6 +512,27 @@ let quick = ref false
    BENCH_incremental.json. *)
 let cores () = Domain.recommended_domain_count ()
 
+(* The "ocaml" and "commit" lines every BENCH_*.json carries: the
+   compiler, and the git HEAD at record time with "-dirty" when the
+   working tree differs from it ("unknown" outside a git checkout). *)
+let stamp () =
+  let git args =
+    match Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") with
+    | exception Unix.Unix_error _ -> None
+    | ic -> (
+      let out = String.trim (In_channel.input_all ic) in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some out
+      | _ -> None)
+  in
+  let commit =
+    match (git "rev-parse HEAD", git "status --porcelain") with
+    | Some head, Some "" when head <> "" -> head
+    | Some head, Some _ when head <> "" -> head ^ "-dirty"
+    | _ -> "unknown"
+  in
+  Printf.sprintf "  \"ocaml\": %S,\n  \"commit\": %S,\n" Sys.ocaml_version commit
+
 (* n results, timing the two engine phases: pair-table construction
    (Dod.make_context) and multi-swap generation. Emits machine-readable
    BENCH_dod.json so later changes can track the perf trajectory; its
@@ -519,6 +570,7 @@ let scale () =
   Buffer.add_string json "{\n";
   Buffer.add_string json
     (Printf.sprintf "  \"bench\": \"scale\",\n  \"quick\": %b,\n" !quick);
+  Buffer.add_string json (stamp ());
   Buffer.add_string json (Printf.sprintf "  \"cores\": %d,\n" (cores ()));
   Buffer.add_string json
     (Printf.sprintf "  \"limit\": %d,\n  \"runs\": %d,\n" limit runs);
@@ -1043,6 +1095,7 @@ let persist_bench () =
   Buffer.add_string json "{\n";
   Buffer.add_string json
     (Printf.sprintf "  \"bench\": \"persist\",\n  \"quick\": %b,\n" !quick);
+  Buffer.add_string json (stamp ());
   Buffer.add_string json
     (Printf.sprintf "  \"journal_appends\": %d,\n" appends);
   Buffer.add_string json "  \"journal_append_rates\": {";
@@ -1094,8 +1147,8 @@ let persist_bench () =
 
 (* E14/E15: single mutation latency, one [Dod.rearrange] delta vs a
    batch make_context, over growing result sets: add, remove-last,
-   general remove, reparams (threshold change: every pair recomputes but
-   count/type maps are reused) and reweight (weight rows only, every pair
+   general remove, reparams (threshold change: every pair recomputes) and
+   reweight (weight rows only, every pair
    cached) — each delta replays the link table once — plus a
    session-level batch of k ops vs k sequential single-op applies.
    Writes BENCH_incremental.json; EXPERIMENTS.md E14/E15 record the
@@ -1349,6 +1402,7 @@ let incremental_bench () =
     (Printf.sprintf
        "  \"bench\": \"incremental\",\n  \"quick\": %b,\n  \"cores\": %d,\n"
        !quick (cores ()));
+  Buffer.add_string json (stamp ());
   Buffer.add_string json "  \"sweep\": [\n";
   List.iteri
     (fun k

@@ -40,7 +40,9 @@ type link = {
 module Pair_map = Map.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare (a, b) (c, d) =
+    let k = Int.compare a c in
+    if k <> 0 then k else Int.compare b d
 end)
 
 type context = {
@@ -57,10 +59,6 @@ type context = {
   starts : int array array;
   (* weights.(i).(gi) = interestingness weight of that type *)
   weights : int array array;
-  (* per-result feature -> count, kept for witness explanations *)
-  counts : int Feature.Map.t array;
-  (* per-result ftype -> global index, cached for delta recomputation *)
-  fmaps : int Feature.Ftype_map.t array;
   (* ids.(i) = stable identity of result i. Contexts mutate only by
      appending (add) and order-preserving filtering (remove), so ids are
      strictly increasing with position — (ids.(i), ids.(j)) for i < j is
@@ -78,61 +76,41 @@ let params c = c.params
 let results c = c.results
 let num_results c = Array.length c.results
 
-(* Occurrence measure of a feature count within a result. *)
-let measure_of params (profile : Result_profile.t) (f : Feature.t) count =
+(* Occurrence measure of a feature count within a result whose entity
+   has population [pop]. *)
+let[@inline] measure_of params count pop =
   match params.measure with
   | Raw -> float_of_int count
-  | Rate ->
-    let pop = Result_profile.population profile f.Feature.ftype.Feature.entity in
-    float_of_int count /. float_of_int pop
+  | Rate -> float_of_int count /. float_of_int pop
 
-let gap_exceeds params a b =
+let[@inline] gap_exceeds params a b =
   let diff = Float.abs (a -. b) in
   let smaller = Float.min a b in
   diff > params.threshold_pct /. 100.0 *. smaller
   && diff > 0.0
 
-(* First 1-based prefix index of [self_type]'s features witnessing a gap
-   against [other]'s counts. *)
-let first_gap params (self_profile : Result_profile.t)
-    (self_type : Result_profile.type_info) (other_profile : Result_profile.t)
-    other_counts =
-  let n = Array.length self_type.features in
-  let rec scan k =
-    if k >= n then infinity_gap
-    else
-      let fi = self_type.features.(k) in
-      let f = fi.Result_profile.feature in
-      let self_measure = measure_of params self_profile f fi.Result_profile.count in
-      let other_count =
-        match Feature.Map.find_opt f other_counts with
-        | Some c -> c
-        | None -> 0
-      in
-      let other_measure = measure_of params other_profile f other_count in
-      if gap_exceeds params self_measure other_measure then k + 1
-      else scan (k + 1)
-  in
-  scan 0
-
-let counts_map (profile : Result_profile.t) =
-  Array.fold_left
-    (fun acc (e : Result_profile.entity_info) ->
-      Array.fold_left
-        (fun acc (ti : Result_profile.type_info) ->
-          Array.fold_left
-            (fun acc (fi : Result_profile.feat_info) ->
-              Feature.Map.add fi.feature fi.count acc)
-            acc ti.features)
-        acc e.types)
-    Feature.Map.empty profile.entities
-
-let ftype_map (profile : Result_profile.t) =
-  Seq.fold_left
-    (fun acc (gi, (ti : Result_profile.type_info)) ->
-      Feature.Ftype_map.add ti.ftype gi acc)
-    Feature.Ftype_map.empty
-    (Result_profile.types_seq profile)
+(* First 1-based prefix index of [self]'s features witnessing a gap
+   against the same type [other] of the other result, the counts found by
+   value id. [pop_*] are the populations of the type's entity on each
+   side. *)
+let first_gap params (self : Result_profile.type_info) pop_self
+    (other : Result_profile.type_info) pop_other =
+  let n = Array.length self.features in
+  let k = ref 0 and gap = ref infinity_gap in
+  while !k < n do
+    let fi = self.features.(!k) in
+    let other_count = Result_profile.count_of other fi.value_id in
+    if
+      gap_exceeds params
+        (measure_of params fi.count pop_self)
+        (measure_of params other_count pop_other)
+    then begin
+      gap := !k + 1;
+      k := n
+    end
+    else incr k
+  done;
+  !gap
 
 let weights_row weight profile =
   let nt = Result_profile.num_types profile in
@@ -143,30 +121,45 @@ let weights_row weight profile =
       if w < 0 then invalid_arg "Dod.make_context: negative weight";
       w)
 
-(* Shared types of pair (i, j) packed as entry words, in the iteration
-   order of result i's type map. Reads only immutable data, so pairs are
-   computed independently, in any order. *)
-let compute_pair params results counts fmaps i j =
-  let shared = ref 0 in
-  Feature.Ftype_map.iter
-    (fun ftype _ ->
-      if Feature.Ftype_map.mem ftype fmaps.(j) then incr shared)
-    fmaps.(i);
+(* Shared types of pair (i, j) packed as entry words, in result i's
+   (entity, attribute) string order: its [by_name] walk. The shared types
+   are found by one merge of the two results' type-id-sorted arrays, which
+   leaves each type of i's partner in j (or -1) in [partner], a scratch
+   row the caller sizes to the largest result. Reads only immutable data,
+   so pairs are computed independently, in any order. *)
+let compute_pair params results partner i j =
+  let pi : Result_profile.t = results.(i) and pj = results.(j) in
+  let a = pi.by_type_id and b = pj.by_type_id in
+  Array.fill partner 0 (Array.length a / 2) (-1);
+  let x = ref 0 and y = ref 0 and shared = ref 0 in
+  while !x < Array.length a && !y < Array.length b do
+    let c = Int.compare a.(!x) b.(!y) in
+    if c < 0 then x := !x + 2
+    else if c > 0 then y := !y + 2
+    else begin
+      partner.(a.(!x + 1)) <- b.(!y + 1);
+      incr shared;
+      x := !x + 2;
+      y := !y + 2
+    end
+  done;
   let e = Array.make (2 * !shared) 0 in
   let pos = ref 0 in
-  Feature.Ftype_map.iter
-    (fun ftype gi_i ->
-      match Feature.Ftype_map.find_opt ftype fmaps.(j) with
-      | None -> ()
-      | Some gi_j ->
-        let ti = Result_profile.type_info results.(i) gi_i in
-        let tj = Result_profile.type_info results.(j) gi_j in
-        let gap_i = first_gap params results.(i) ti results.(j) counts.(j) in
-        let gap_j = first_gap params results.(j) tj results.(i) counts.(i) in
+  Array.iter
+    (fun gi_i ->
+      let gi_j = partner.(gi_i) in
+      if gi_j >= 0 then begin
+        let ti = Result_profile.type_info pi gi_i
+        and tj = Result_profile.type_info pj gi_j in
+        let pop_i = Result_profile.type_population pi gi_i
+        and pop_j = Result_profile.type_population pj gi_j in
+        let gap_i = first_gap params ti pop_i tj pop_j in
+        let gap_j = first_gap params tj pop_j ti pop_i in
         e.(!pos) <- (gi_i lsl gi_bits) lor gi_j;
         e.(!pos + 1) <- (gap_i lsl gap_bits) lor gap_j;
-        pos := !pos + 2)
-    fmaps.(i);
+        pos := !pos + 2
+      end)
+    pi.by_name;
   e
 
 (* Replay the cached pair entries into a fresh link table, visiting the
@@ -177,22 +170,30 @@ let compute_pair params results counts fmaps i j =
    and prefix-sum them into list offsets, then fill each list backward,
    so the last-merged link lands at the list's start and every list runs
    in strictly descending partner order. O(total links): no first-gap
-   scans, no feature-map lookups. *)
-let derive_links_table results ids pairs =
+   scans, no lookups. [pairs] must hold exactly the arrangement's pairs:
+   ids increase with position, so its key order is the row-major order,
+   and one in-order walk lines the tables up. *)
+let derive_links_table results pairs =
   let n = Array.length results in
-  let find_entries i j =
-    match Pair_map.find_opt (ids.(i), ids.(j)) pairs with
-    | Some e -> e
-    | None -> invalid_arg "Dod: missing pair table"
+  let tables = Array.make (n * (n - 1) / 2) [||] in
+  let count =
+    Pair_map.fold
+      (fun _ e k ->
+        if k < Array.length tables then tables.(k) <- e;
+        k + 1)
+      pairs 0
   in
+  if count <> Array.length tables then invalid_arg "Dod: missing pair table";
   let starts =
     Array.map
       (fun profile -> Array.make (Result_profile.num_types profile + 1) 0)
       results
   in
+  let pair = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let e = find_entries i j in
+      let e = tables.(!pair) in
+      incr pair;
       let ne = Array.length e / 2 in
       for k = 0 to ne - 1 do
         let a = e.(2 * k) in
@@ -215,9 +216,11 @@ let derive_links_table results ids pairs =
   (* cur.(i).(gi): one past the next free link of the list, filled
      backward from its end *)
   let cur = Array.map (fun row -> Array.sub row 1 (Array.length row - 1)) starts in
+  let pair = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let e = find_entries i j in
+      let e = tables.(!pair) in
+      incr pair;
       let ne = Array.length e / 2 in
       for k = 0 to ne - 1 do
         let a = e.(2 * k) and b = e.(2 * k + 1) in
@@ -236,25 +239,38 @@ let derive_links_table results ids pairs =
   done;
   (links, starts)
 
-(* The pair map over the arrangement [ids]: each pair's entry table comes
-   from [cached] when it holds one, otherwise it is computed. A context is
-   all-or-nothing — a partially linked table would silently change the
-   objective — so a tripped deadline raises Deadline.Expired before a
-   computed pair instead of returning something degraded. *)
-let pair_map ?deadline params results counts fmaps ids cached =
-  let pairs = ref Pair_map.empty in
+(* The pair map over the arrangement [ids]. [cached] holds every pair of
+   the results before position [fresh] (and perhaps pairs of results no
+   longer present, which are dropped); the pairs touching a result at
+   [fresh] or later are computed. A context is all-or-nothing — a
+   partially linked table would silently change the objective — so a
+   tripped deadline raises Deadline.Expired before a computed pair
+   instead of returning something degraded. *)
+let pair_map ?deadline params results ids ~cached ~fresh =
   let n = Array.length results in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let key = (ids.(i), ids.(j)) in
-      let entries =
-        match Pair_map.find_opt key cached with
-        | Some entries -> entries
-        | None ->
-          Deadline.check deadline;
-          compute_pair params results counts fmaps i j
-      in
-      pairs := Pair_map.add key entries !pairs
+  let survives id =
+    let lo = ref 0 and hi = ref fresh in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if ids.(mid) < id then lo := mid + 1 else hi := mid
+    done;
+    !lo < fresh && ids.(!lo) = id
+  in
+  let pairs =
+    ref (Pair_map.filter (fun (lo, hi) _ -> survives lo && survives hi) cached)
+  in
+  let partner =
+    Array.make
+      (Array.fold_left (fun m p -> max m (Result_profile.num_types p)) 0 results)
+      0
+  in
+  for j = fresh to n - 1 do
+    for i = 0 to j - 1 do
+      Deadline.check deadline;
+      pairs :=
+        Pair_map.add (ids.(i), ids.(j))
+          (compute_pair params results partner i j)
+          !pairs
     done
   done;
   !pairs
@@ -267,13 +283,11 @@ let make_context ?(params = default_params) ?(weight = fun _ -> 1)
   Deadline.check deadline;
   let weights = Array.map (weights_row weight) results in
   let n = Array.length results in
-  let counts = Array.map counts_map results in
-  let fmaps = Array.map ftype_map results in
   let ids = Array.init n (fun i -> i) in
   let pairs =
-    pair_map ?deadline params results counts fmaps ids Pair_map.empty
+    pair_map ?deadline params results ids ~cached:Pair_map.empty ~fresh:0
   in
-  let links, starts = derive_links_table results ids pairs in
+  let links, starts = derive_links_table results pairs in
   {
     params;
     weight_fn = weight;
@@ -281,8 +295,6 @@ let make_context ?(params = default_params) ?(weight = fun _ -> 1)
     links;
     starts;
     weights;
-    counts;
-    fmaps;
     ids;
     next_id = n;
     pairs;
@@ -324,8 +336,6 @@ let rearrange ?deadline ?params ?weight c ~keep ~add =
       Array.append (Array.map (fun i -> kept.(i)) keep) (Array.map fresh add)
     in
     let results = pick c.results Fun.id in
-    let counts = pick c.counts counts_map in
-    let fmaps = pick c.fmaps ftype_map in
     let ids =
       Array.append
         (Array.map (fun i -> c.ids.(i)) keep)
@@ -337,10 +347,13 @@ let rearrange ?deadline ?params ?weight c ~keep ~add =
       else pick c.weights (weights_row weight_fn)
     in
     let pairs =
-      pair_map ?deadline params results counts fmaps ids
-        (if params <> c.params then Pair_map.empty else c.pairs)
+      if params <> c.params then
+        pair_map ?deadline params results ids ~cached:Pair_map.empty ~fresh:0
+      else
+        pair_map ?deadline params results ids ~cached:c.pairs
+          ~fresh:(Array.length keep)
     in
-    let links, starts = derive_links_table results ids pairs in
+    let links, starts = derive_links_table results pairs in
     {
       params;
       weight_fn;
@@ -348,8 +361,6 @@ let rearrange ?deadline ?params ?weight c ~keep ~add =
       links;
       starts;
       weights;
-      counts;
-      fmaps;
       ids;
       next_id = c.next_id + Array.length add;
       pairs;
@@ -366,7 +377,6 @@ let equal_context a b =
   && a.starts = b.starts
   && a.links = b.links
   && a.weights = b.weights
-  && Array.for_all2 (Feature.Map.equal ( = )) a.counts b.counts
 
 let num_pair_tables c = Pair_map.cardinal c.pairs
 
@@ -376,17 +386,13 @@ let approx_bytes c =
      Cached pair entries are separate packed storage (the boxed layout
      merged the tuples into the links at derivation), so they are billed:
      2 words per entry plus array header, plus ~8 words of map spine per
-     node. Count/type maps: ~6 words per AVL binding; keys are shared
-     with the profiles and not charged here. *)
+     node. The profiles the context reads are the caller's and are not
+     charged here. *)
   let words = ref (64 + Array.length c.links + 1 + Array.length c.starts + 1) in
   Array.iter (fun row -> words := !words + Array.length row + 1) c.starts;
   Pair_map.iter
     (fun _ e -> words := !words + 8 + Array.length e + 1)
     c.pairs;
-  Array.iter (fun m -> words := !words + (6 * Feature.Map.cardinal m)) c.counts;
-  Array.iter
-    (fun m -> words := !words + (6 * Feature.Ftype_map.cardinal m))
-    c.fmaps;
   Array.iter (fun w -> words := !words + Array.length w + 2) c.weights;
   !words * (Sys.word_size / 8)
 
@@ -492,12 +498,16 @@ type witness = {
   measure_j : float;
 }
 
-let measures_of c ~i ~j f =
-  let count_in r =
-    match Feature.Map.find_opt f c.counts.(r) with Some n -> n | None -> 0
+(* The measures of the feature with [value_id] in type [gi] of result i
+   and type [gi_other] of result j: the same type, found by the link. *)
+let measures_of c ~i ~j ~gi ~gi_other value_id =
+  let measure r gi =
+    let p = c.results.(r) in
+    measure_of c.params
+      (Result_profile.count_of (Result_profile.type_info p gi) value_id)
+      (Result_profile.type_population p gi)
   in
-  ( measure_of c.params c.results.(i) f (count_in i),
-    measure_of c.params c.results.(j) f (count_in j) )
+  (measure i gi, measure j gi_other)
 
 let find_link c ~i ~gi ~j =
   let s = c.starts.(i) in
@@ -525,18 +535,18 @@ let witness c ~i ~j di dj ~gi =
     let q_self = Dfs.q di gi and q_other = Dfs.q dj link.gi_other in
     if not (differentiable link ~q_self ~q_other) then None
     else
-      let f =
+      let fi =
         if link.gap_self <= q_self then
           (Result_profile.type_info c.results.(i) gi).features.(link.gap_self - 1)
-            .Result_profile.feature
         else
           (Result_profile.type_info c.results.(j) link.gi_other).features.(link
                                                                              .gap_other
                                                                            - 1)
-            .Result_profile.feature
       in
-      let measure_i, measure_j = measures_of c ~i ~j f in
-      Some { feature = f; measure_i; measure_j }
+      let measure_i, measure_j =
+        measures_of c ~i ~j ~gi ~gi_other:link.gi_other fi.value_id
+      in
+      Some { feature = fi.feature; measure_i; measure_j }
 
 let explain_pair c ~i ~j di dj =
   let acc = ref [] in
@@ -569,8 +579,8 @@ let upper_bound_pair c ~i ~j =
    The warm-boot wire form (DESIGN.md §14): params + stable ids + the
    cached pair entry tables, i.e. exactly the expensive-to-recompute
    first-gap data. Everything else in the record is a cheap pure
-   function of the profiles ([counts_map], [ftype_map], [weights_row])
-   or of the pairs map itself ([derive_links_table]), so
+   function of the profiles ([weights_row]) or of the pairs map itself
+   ([derive_links_table]), so
    [deserialize_context] rebuilds those on load and the result is
    bit-identical to the context that was serialized. All values are
    64-bit LE words — packed entry word B reaches 2^62, past int32. *)
@@ -652,8 +662,6 @@ let deserialize_context ?(weight = fun _ -> 1) profiles blob =
     if Pair_map.cardinal !pairs <> npairs then fail "duplicate pair key";
     let params = { threshold_pct; measure } in
     let weights = Array.map (weights_row weight) profiles in
-    let counts = Array.map counts_map profiles in
-    let fmaps = Array.map ftype_map profiles in
     (* entry gi fields must index the profiles' type rows — checked here
        so [derive_links_table] (and every later link walk) never reads a
        word this blob smuggled out of range *)
@@ -676,7 +684,7 @@ let deserialize_context ?(weight = fun _ -> 1) profiles blob =
           then fail "entry type index out of range"
         done)
       !pairs;
-    let links, starts = derive_links_table profiles ids !pairs in
+    let links, starts = derive_links_table profiles !pairs in
     Ok
       {
         params;
@@ -685,8 +693,6 @@ let deserialize_context ?(weight = fun _ -> 1) profiles blob =
         links;
         starts;
         weights;
-        counts;
-        fmaps;
         ids;
         next_id;
         pairs = !pairs;

@@ -34,8 +34,13 @@ val make_context :
   ?deadline:Xsact_util.Deadline.t ->
   Result_profile.t array ->
   context
-(** Precompute pair tables for a set of results (O(pairs × shared types ×
-    features)). @raise Invalid_argument on fewer than 2 results.
+(** Precompute pair tables for a set of results (O(pairs × (types +
+    shared features × log features))). Each pair is built from the
+    profiles' ids ({!Result_profile.type_info}'s [type_id], [value_id]):
+    one merge of the two type-id arrays, then a binary search per feature,
+    no string compared. Profiles from any source — the corpus scan,
+    {!Result_profile.make} — mix freely, since they share one symbol
+    table. @raise Invalid_argument on fewer than 2 results.
 
     [deadline] bounds the build cooperatively: the token is checked on
     entry and polled before every result pair, and a tripped token raises
@@ -98,8 +103,8 @@ val rearrange :
 
 val equal_context : context -> context -> bool
 (** Observable equality: same params, the same result profiles
-    (physically), and identical link tables, weight rows and count maps —
-    the bit-identity contract {!rearrange} promises against {!make_context}.
+    (physically), and identical link tables and weight rows — the
+    bit-identity contract {!rearrange} promises against {!make_context}.
     Internal cache bookkeeping (stable ids) is deliberately ignored. *)
 
 val num_pair_tables : context -> int
@@ -107,8 +112,7 @@ val num_pair_tables : context -> int
 
 val approx_bytes : context -> int
 (** Rough heap footprint of the context (the link buffer and its
-    per-list offsets, cached pair entry tables, count/type maps) in
-    bytes — the currency of the serve layer's unified warm-context memory
+    per-list offsets, cached pair entry tables, weight rows) in bytes — the currency of the serve layer's unified warm-context memory
     budget. An estimate from heap-word accounting, not a measurement.
     Every context holds its links in one canonical layout, so a
     delta-built context reports the same footprint as a fresh build of

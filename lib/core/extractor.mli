@@ -26,8 +26,25 @@ val extract :
     extractable feature falls back to the single feature
     [(root-tag, "text", text content)]. *)
 
-val of_search_result :
-  Search.engine -> Search.result -> Result_profile.t
-(** Convenience: extract from a {!Xsact_search.Search.result} using the
-    engine's category table and {!Xsact_search.Search.result_title} as the
-    label. *)
+(** {1 The corpus scan}
+
+    The same rules over integer columns a corpus fills once, at boot.
+    {!extract} stays as the oracle the scan is tested against, and as the
+    only path for {!Xsact_search.Result_builder}'s pruned trees, which are
+    not corpus subtrees. *)
+
+type columns
+(** Per-node columns of one corpus: each node's tag and, for attribute
+    nodes, its flattened (path, value) key, as ranks in string order of
+    the corpus's own tags and keys, packed into one [int]; plus those
+    strings and their {!Feature.symbol}s. About one word per node. *)
+
+val columns : Search.engine -> columns
+(** The boot pass: one sweep of the engine's node table. *)
+
+val scan : columns -> label:string -> int -> Result_profile.t
+(** [scan cols ~label root] is [extract ~categories ~label] of node
+    [root]'s element, computed from the pre-order id interval
+    [\[root, Doctree.subtree_end root)] alone: no DOM walk, no string
+    compares, and feature ids read from the columns. Only a result with no
+    features reads the tree, for its text fallback. *)

@@ -18,15 +18,26 @@ let equal_ftype a b = compare_ftype a b = 0
 let ftype_to_string t = t.entity ^ "." ^ t.attribute
 let to_string f = ftype_to_string f.ftype ^ " = " ^ f.value
 
+module Strings = Hashtbl.Make (struct
+  type t = string
 
-module Ftype_map = Map.Make (struct
-  type t = ftype
-
-  let compare = compare_ftype
+  let equal = String.equal
+  let hash = Hashtbl.hash
 end)
 
-module Map = Map.Make (struct
-  type nonrec t = t
+(* Written by the boot column pass and by [Result_profile.make], both of
+   which may run on request threads; read by no request-time path, which
+   finds its ids in the corpus columns and the profiles. *)
+let table = Strings.create 4096
+let lock = Mutex.create ()
 
-  let compare = compare
-end)
+let symbol s =
+  Mutex.protect lock (fun () ->
+      match Strings.find table s with
+      | id -> id
+      | exception Not_found ->
+        let id = Strings.length table in
+        (* type keys pack two symbols into one int, 31 bits each *)
+        if id lsr 31 <> 0 then failwith "Feature.symbol: table full";
+        Strings.add table s id;
+        id)

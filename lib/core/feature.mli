@@ -31,6 +31,16 @@ val ftype_to_string : ftype -> string
 val to_string : t -> string
 (** ["entity.attribute = value"]. *)
 
+(** {1 Symbols}
 
-module Ftype_map : Map.S with type key = ftype
-module Map : Map.S with type key = t
+    Every entity tag, attribute path and value string has an integer id
+    in one process-wide table, so profiles built by different paths — the
+    corpus scan, {!Result_profile.make} from a decoded or hand-built bag —
+    give equal strings equal ids and compare by [int]. Ids are dense in
+    insertion order: they say nothing about string order, differ between
+    processes, and are never persisted. *)
+
+val symbol : string -> int
+(** The id of a string, inserted on first sight. Thread-safe: inserts
+    run under one mutex. The table only grows; it holds each distinct
+    string once. *)

@@ -2,10 +2,11 @@ let log_src = Logs.Src.create "xsact.pipeline" ~doc:"XSACT comparison pipeline"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type t = { engine : Search.engine }
+type t = { engine : Search.engine; columns : Extractor.columns }
 
-let create doc = { engine = Search.create doc }
-let of_element root = { engine = Search.of_element root }
+let of_engine engine = { engine; columns = Extractor.columns engine }
+let create doc = of_engine (Search.create doc)
+let of_element root = of_engine (Search.of_element root)
 let engine t = t.engine
 
 let search ?limit ?lift_to t keywords =
@@ -14,7 +15,10 @@ let search ?limit ?lift_to t keywords =
 let profile_of ?(prune = Result_builder.Full) ?(keywords = "") t
     (r : Search.result) =
   match prune with
-  | Result_builder.Full -> Extractor.of_search_result t.engine r
+  | Result_builder.Full ->
+    Extractor.scan t.columns
+      ~label:(Search.result_title t.engine r)
+      r.Search.node_id
   | mode ->
     let categories = Search.categories t.engine in
     let normalized = Token.normalize_query keywords in

@@ -2,9 +2,13 @@
     → entity/feature extraction → DFS generation → comparison table. *)
 
 type t
-(** An indexed corpus ready for search-and-compare. *)
+(** An indexed corpus ready for search-and-compare: the search engine and
+    the corpus's extraction columns ({!Extractor.columns}). *)
 
 val create : Xml.document -> t
+(** Index the corpus, then run the boot pass that fills its extraction
+    columns. *)
+
 val of_element : Xml.element -> t
 
 val engine : t -> Search.engine
@@ -15,9 +19,11 @@ val search : ?limit:int -> ?lift_to:string -> t -> string -> Search.result list
 val profile_of :
   ?prune:Result_builder.mode -> ?keywords:string -> t -> Search.result ->
   Result_profile.t
-(** Extract one result's feature profile. [prune] (default [Full]) applies
-    the XSeek-style return policy first; [Matched_entities] requires the
-    query [keywords]. *)
+(** Extract one result's feature profile. Under [prune = Full] (the
+    default) this is {!Extractor.scan} of the result's id interval; other
+    modes apply the XSeek-style return policy first and walk the pruned
+    tree with {!Extractor.extract}. [Matched_entities] requires the query
+    [keywords]. *)
 
 type comparison = {
   keywords : string;

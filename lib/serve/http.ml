@@ -307,11 +307,12 @@ let read_response_head ic =
       | Error (`Bad e | `Refuse (_, e)) -> Error e)
     | _ -> Error ("bad status line " ^ line))
 
-let send_request oc ~host ?(meth = "GET") ?body target =
+let send_request oc ~host ?meth ?body target =
   let meth, body =
-    match body with
-    | Some b -> ((if meth = "GET" then "POST" else meth), b)
-    | None -> (meth, "")
+    match (meth, body) with
+    | Some m, b -> (m, Option.value b ~default:"")
+    | None, Some b -> ("POST", b)
+    | None, None -> ("GET", "")
   in
   Out_channel.output_string oc
     (Printf.sprintf

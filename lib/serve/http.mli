@@ -105,8 +105,9 @@ val send_request :
   Stdlib.out_channel -> host:string -> ?meth:string -> ?body:string ->
   string -> unit
 (** Write one request on an already-connected channel and flush; [meth]
-    defaults to ["GET"], or ["POST"] when [body] is given. For tests that
-    need to control connection lifetime themselves. *)
+    defaults to ["GET"], or ["POST"] when [body] is given, and an explicit
+    [meth] is sent as given. For tests that need to control connection
+    lifetime themselves. *)
 
 val read_response_head :
   Stdlib.in_channel -> (int * (string * string) list, string) result

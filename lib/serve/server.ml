@@ -2232,29 +2232,36 @@ let worker_loop r () =
    short read timeout) before closing — closing with unread request bytes
    in the kernel buffer would RST the connection and discard the very 503
    we are trying to deliver. *)
+let shed fd =
+  (try
+     (* The channel owns a duplicate of [fd] and is closed with it, for
+        the reason [serve_connection]'s are: an unclosed out channel keeps
+        what a failed write left in its buffer, and the runtime flushes it
+        at exit into whatever file then holds the descriptor number. *)
+     let oc = Unix.out_channel_of_descr (Unix.dup fd) in
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         Http.write_response oc ~keep_alive:false
+           (Http.response
+              ~headers:[ ("Retry-After", "1") ]
+              ~status:503
+              (Api.error_body ~code:"overloaded"
+                 "server overloaded; retry shortly")));
+     (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+     (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0
+      with Unix.Unix_error _ | Invalid_argument _ -> ());
+     let buf = Bytes.create 1024 in
+     while Unix.read fd buf 0 (Bytes.length buf) > 0 do
+       ()
+     done
+   with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
+  close_quietly fd
+
 let shed_overload r fd =
   Metrics.incr_counter r.server.metrics "requests_shed";
   Metrics.record r.server.metrics ~route:"shed" ~status:503 ~elapsed_s:0.;
-  let thread () =
-    (try
-       let oc = Unix.out_channel_of_descr fd in
-       Http.write_response oc ~keep_alive:false
-         (Http.response
-            ~headers:[ ("Retry-After", "1") ]
-            ~status:503
-            (Api.error_body ~code:"overloaded"
-               "server overloaded; retry shortly"));
-       (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0
-        with Unix.Unix_error _ | Invalid_argument _ -> ());
-       let buf = Bytes.create 1024 in
-       while Unix.read fd buf 0 (Bytes.length buf) > 0 do
-         ()
-       done
-     with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
-    close_quietly fd
-  in
-  ignore (Thread.create thread ())
+  ignore (Thread.create shed fd)
 
 let acceptor_loop r () =
   let initial_backoff = 0.001 in

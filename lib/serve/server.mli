@@ -183,6 +183,12 @@ val start :
     @raise Invalid_argument if [threads < 1], [idle_timeout <= 0], or
     [max_pending < 1]. *)
 
+val shed : Unix.file_descr -> unit
+(** What {!start}'s acceptor runs, on a thread of its own, for a
+    connection it sheds: write the 503 + [Retry-After: 1], half-close,
+    drain for up to a second, close [fd]. Never raises; a client already
+    gone costs nothing but the attempt. *)
+
 val port : running -> int
 val stop : running -> unit
 (** Close the listener, shut down live connections, drain the workers and

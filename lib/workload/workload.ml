@@ -5,10 +5,10 @@ type instance = {
   profiles : Result_profile.t array;
 }
 
-let instances ?(top = 5) ?lift_to engine queries =
+let instances ?(top = 5) ?lift_to pipeline queries =
   List.filter_map
     (fun (label, keywords) ->
-      let results = Search.query ?lift_to engine keywords in
+      let results = Pipeline.search ?lift_to pipeline keywords in
       let chosen = List.filteri (fun i _ -> i < top) results in
       if List.length chosen < 2 then None
       else
@@ -19,19 +19,23 @@ let instances ?(top = 5) ?lift_to engine queries =
             result_count = List.length results;
             profiles =
               Array.of_list
-                (List.map (Extractor.of_search_result engine) chosen);
+                (List.map (Pipeline.profile_of pipeline) chosen);
           })
     queries
 
 type prepared = {
   dataset : Xsact_dataset.Dataset.t;
-  engine : Search.engine;
+  pipeline : Pipeline.t;
   queries : instance list;
 }
 
 let prepare ?top ?lift_to (dataset : Xsact_dataset.Dataset.t) =
-  let engine = Search.create dataset.document in
-  { dataset; engine; queries = instances ?top ?lift_to engine dataset.queries }
+  let pipeline = Pipeline.create dataset.document in
+  {
+    dataset;
+    pipeline;
+    queries = instances ?top ?lift_to pipeline dataset.queries;
+  }
 
 let imdb_qm ?movies ?top () =
   let params =

@@ -12,7 +12,7 @@ type instance = {
 val instances :
   ?top:int ->
   ?lift_to:string ->
-  Search.engine ->
+  Pipeline.t ->
   (string * string) list ->
   instance list
 (** Run each [(label, keywords)] query and extract the [top] (default 5)
@@ -20,7 +20,7 @@ val instances :
 
 type prepared = {
   dataset : Xsact_dataset.Dataset.t;
-  engine : Search.engine;
+  pipeline : Pipeline.t;
   queries : instance list;
 }
 

@@ -343,6 +343,245 @@ let test_context_arity_errors () =
     (Invalid_argument "Dod.total: arity mismatch") (fun () ->
       ignore (Dod.total c [| full p1 |]))
 
+
+(* ---- The string-keyed reference ------------------------------------------ *)
+
+(* The pair build as it was before profiles carried ids: a feature map
+   and a type map per result, every lookup a string comparison. Kept
+   here as the oracle the id-probing build must reproduce entry for
+   entry, in the same order. *)
+module Fmap = Map.Make (struct
+  type t = Feature.t
+
+  let compare = Feature.compare
+end)
+
+module Tmap = Map.Make (struct
+  type t = Feature.ftype
+
+  let compare = Feature.compare_ftype
+end)
+
+let ref_measure params (p : Result_profile.t) (f : Feature.t) count =
+  match params.Dod.measure with
+  | Dod.Raw -> float_of_int count
+  | Dod.Rate ->
+    float_of_int count
+    /. float_of_int (Result_profile.population p f.ftype.entity)
+
+let ref_gap params a b =
+  let diff = Float.abs (a -. b) in
+  diff > params.Dod.threshold_pct /. 100.0 *. Float.min a b && diff > 0.0
+
+let ref_first_gap params self_p (self_t : Result_profile.type_info) other_p
+    other_counts =
+  let n = Array.length self_t.features in
+  let rec scan k =
+    if k >= n then Dod.infinity_gap
+    else
+      let fi = self_t.features.(k) in
+      let other =
+        Option.value ~default:0 (Fmap.find_opt fi.feature other_counts)
+      in
+      if
+        ref_gap params
+          (ref_measure params self_p fi.feature fi.count)
+          (ref_measure params other_p fi.feature other)
+      then k + 1
+      else scan (k + 1)
+  in
+  scan 0
+
+let ref_counts (p : Result_profile.t) =
+  Seq.fold_left
+    (fun acc (_, (ti : Result_profile.type_info)) ->
+      Array.fold_left
+        (fun acc (fi : Result_profile.feat_info) -> Fmap.add fi.feature fi.count acc)
+        acc ti.features)
+    Fmap.empty (Result_profile.types_seq p)
+
+let ref_types (p : Result_profile.t) =
+  Seq.fold_left
+    (fun acc (gi, (ti : Result_profile.type_info)) -> Tmap.add ti.ftype gi acc)
+    Tmap.empty (Result_profile.types_seq p)
+
+(* Shared types of (i, j) in result i's type-map order, packed as the
+   context's entry words: (gi_i lsl 20) lor gi_j, (gap_i lsl 31) lor
+   gap_j. *)
+let ref_compute_pair params (results : Result_profile.t array) i j =
+  let counts = Array.map ref_counts results and types = Array.map ref_types results in
+  Tmap.fold
+    (fun ftype gi_i acc ->
+      match Tmap.find_opt ftype types.(j) with
+      | None -> acc
+      | Some gi_j ->
+        let gap_i =
+          ref_first_gap params results.(i)
+            (Result_profile.type_info results.(i) gi_i)
+            results.(j) counts.(j)
+        and gap_j =
+          ref_first_gap params results.(j)
+            (Result_profile.type_info results.(j) gi_j)
+            results.(i) counts.(i)
+        in
+        ((gap_i lsl 31) lor gap_j) :: ((gi_i lsl 20) lor gi_j) :: acc)
+    types.(i) []
+  |> List.rev
+
+(* [serialize_context] of a fresh context, from the reference pairs: the
+   version, the params, ids 0..n-1, next id n, then every pair (i, j),
+   i < j, in row-major order with its entries. *)
+let ref_serialized params results =
+  let buf = Buffer.create 1024 in
+  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
+  let n = Array.length results in
+  add 1;
+  Buffer.add_int64_le buf (Int64.bits_of_float params.Dod.threshold_pct);
+  add (match params.Dod.measure with Dod.Raw -> 0 | Dod.Rate -> 1);
+  add n;
+  for i = 0 to n - 1 do
+    add i
+  done;
+  add n;
+  add (n * (n - 1) / 2);
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let e = ref_compute_pair params results i j in
+      add i;
+      add j;
+      add (List.length e);
+      List.iter add e
+    done
+  done;
+  Buffer.contents buf
+
+let reference_params =
+  List.concat_map
+    (fun measure ->
+      List.map (fun threshold_pct -> { Dod.threshold_pct; measure }) [ 0.0; 10.0; 1e6 ])
+    [ Dod.Raw; Dod.Rate ]
+
+let matches_reference results =
+  List.for_all
+    (fun params ->
+      Dod.serialize_context (Dod.make_context ~params results)
+      = ref_serialized params results)
+    reference_params
+
+(* Random bags over a small alphabet, so types and values collide across
+   results; some entities have no stated population. *)
+let gen_bags =
+  let open QCheck.Gen in
+  let feature =
+    map3
+      (fun e a v -> f ~e ~a ~v)
+      (oneofl [ "e0"; "e1"; "e2" ])
+      (oneofl [ "a"; "b"; "c"; "d" ])
+      (oneofl [ "w"; "x"; "y"; "z" ])
+  in
+  let bag =
+    map2
+      (fun feats pops -> (feats, pops))
+      (list_size (int_range 1 12) (pair feature (int_range 1 20)))
+      (list_size (int_range 0 2)
+         (pair (oneofl [ "e0"; "e1"; "e2" ]) (int_range 1 30)))
+  in
+  list_size (int_range 2 6) bag
+
+let prop_pairs_match_reference =
+  QCheck.Test.make ~name:"id pair build = string-map reference (random bags)"
+    ~count:300 (QCheck.make gen_bags) (fun bags ->
+      matches_reference
+        (Array.of_list
+           (List.mapi
+              (fun k (feats, pops) ->
+                let pops =
+                  List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) pops
+                in
+                profile (string_of_int k) ~populations:pops feats)
+              bags)))
+
+let prop_synthetic_match_reference =
+  QCheck.Test.make ~name:"id pair build = string-map reference (synthetic)"
+    ~count:60
+    QCheck.(make Gen.(pair (int_range 0 1000000) (int_range 2 10)))
+    (fun (seed, results) ->
+      matches_reference
+        (Xsact_workload.Workload.synthetic_profiles ~seed ~results ~entities:3
+           ~types_per_entity:4 ~values_per_type:5 ~max_count:6))
+
+(* Profiles the corpus scan extracted, for every demo query. *)
+let test_scanned_match_reference () =
+  List.iter
+    (fun (ds : Xsact_dataset.Dataset.t) ->
+      let pipeline = Pipeline.create ds.document in
+      List.iter
+        (fun (_, keywords) ->
+          let results =
+            Pipeline.search pipeline keywords
+            |> List.filteri (fun i _ -> i < 6)
+            |> List.map (Pipeline.profile_of pipeline)
+            |> Array.of_list
+          in
+          if Array.length results >= 2 && not (matches_reference results) then
+            Alcotest.failf "%s %S: pair tables differ from the reference"
+              ds.name keywords)
+        ds.queries)
+    Xsact_dataset.Dataset.[ product_reviews (); outdoor_retailer (); imdb () ]
+
+(* ---- Serialized contexts ------------------------------------------------ *)
+
+(* One MD5 over [serialize_context] of fresh contexts across a fixed
+   sweep: every demo query of the three corpora (the first six results,
+   extracted by the pipeline, with and without a coarser [lift_to]) and
+   seeded synthetic profiles, each under Raw and Rate at thresholds 0, 10
+   and 1e6. The blob is the pair tables in their canonical order, so any
+   change to extraction, the pair build or the entry order moves it. *)
+let serialized_sweep_digest = "b5b2944fa405c77443bbf1807ad3dd31"
+
+let test_serialized_sweep_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let params_sweep =
+    List.concat_map
+      (fun measure ->
+        List.map
+          (fun threshold_pct -> { Dod.threshold_pct; measure })
+          [ 0.0; 10.0; 1e6 ])
+      [ Dod.Raw; Dod.Rate ]
+  in
+  let add profiles =
+    if Array.length profiles >= 2 then
+      List.iter
+        (fun params ->
+          Buffer.add_string buf
+            (Dod.serialize_context (Dod.make_context ~params profiles)))
+        params_sweep
+  in
+  List.iter
+    (fun (ds : Xsact_dataset.Dataset.t) ->
+      let pipeline = Pipeline.create ds.document in
+      List.iter
+        (fun (_, keywords) ->
+          List.iter
+            (fun lift_to ->
+              Pipeline.search ?lift_to pipeline keywords
+              |> List.filteri (fun i _ -> i < 6)
+              |> List.map (Pipeline.profile_of ~keywords pipeline)
+              |> Array.of_list |> add)
+            [ None; Some "brand"; Some "movie" ])
+        ds.queries)
+    Xsact_dataset.Dataset.
+      [ product_reviews (); outdoor_retailer (); imdb () ];
+  List.iter
+    (fun results ->
+      add
+        (Xsact_workload.Workload.synthetic_profiles ~seed:(77 + results)
+           ~results ~entities:3 ~types_per_entity:5 ~values_per_type:6
+           ~max_count:9))
+    [ 2; 3; 5; 8; 12 ];
+  check Alcotest.string "serialize_context digest" serialized_sweep_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "xsact_dod"
     [
@@ -383,5 +622,17 @@ let () =
           qtest prop_delta_consistent;
           qtest prop_dod_monotone_in_selection;
           qtest prop_explanations_consistent;
+        ] );
+      ( "reference",
+        [
+          qtest prop_pairs_match_reference;
+          qtest prop_synthetic_match_reference;
+          Alcotest.test_case "scanned demo results" `Quick
+            test_scanned_match_reference;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "serialized context digest" `Quick
+            test_serialized_sweep_digest;
         ] );
     ]

@@ -263,6 +263,62 @@ let test_warmboot_codec () =
       | Ok _ -> Alcotest.failf "decoded garbage %S" s)
     [ ""; "not json"; "{}"; {|{"k":"wat"}|}; {|{"k":"sess","id":3}|} ]
 
+(* A warm-booted session — profiles decoded through [Result_profile.make],
+   the context from its blob — that then adds a result the corpus scan
+   just extracted equals a fresh build over the same results: decoded and
+   scanned profiles intern through one symbol table, so they share a
+   context. *)
+let test_warm_session_adds_scanned () =
+  let pipeline =
+    Pipeline.create (Xsact_dataset.Dataset.product_reviews ()).document
+  in
+  let scanned =
+    Pipeline.search pipeline "gps"
+    |> List.filteri (fun i _ -> i < 4)
+    |> List.map (Pipeline.profile_of pipeline)
+    |> Array.of_list
+  in
+  let first = Array.sub scanned 0 3 and fourth = scanned.(3) in
+  let live = Result.get_ok (Session.create ~size_bound:8 (Array.to_list first)) in
+  let record =
+    Warmboot.Ctx
+      {
+        Warmboot.x_key = "k";
+        x_profiles = first;
+        x_blob = Dod.serialize_context (Session.context live);
+      }
+  in
+  match Warmboot.decode (Warmboot.encode record) with
+  | Ok (Warmboot.Ctx c) ->
+    check Alcotest.bool "decoded profiles equal the scanned ones" true
+      (c.Warmboot.x_profiles = first);
+    let context =
+      Result.get_ok (Dod.deserialize_context c.x_profiles c.x_blob)
+    in
+    let dfss =
+      Array.map2
+        (fun p d -> Dfs.of_q_array p (Dfs.to_q_array d))
+        c.x_profiles (Session.dfss live)
+    in
+    let warm =
+      Result.get_ok
+        (Session.restore ~config:Config.default ~size_bound:8 ~context ~dfss ())
+    in
+    let added = Result.get_ok (Session.apply warm [ Session.Add fourth ]) in
+    let fresh =
+      Result.get_ok
+        (Session.create ~size_bound:8
+           (Array.to_list (Array.append c.x_profiles [| fourth |])))
+    in
+    check Alcotest.bool "context equals a fresh build" true
+      (Dod.equal_context (Session.context added) (Session.context fresh));
+    check Alcotest.string "same serialized context"
+      (Dod.serialize_context (Session.context fresh))
+      (Dod.serialize_context (Session.context added));
+    check Alcotest.int "same DoD" (Session.dod fresh) (Session.dod added)
+  | Ok _ -> Alcotest.fail "decoded to the wrong record kind"
+  | Error e -> Alcotest.failf "ctx decode failed: %s" e
+
 (* ---- The child harness ---------------------------------------------------- *)
 
 let serve_exe =
@@ -1409,6 +1465,8 @@ let () =
       ( "warmboot",
         [
           Alcotest.test_case "record codec" `Quick test_warmboot_codec;
+          Alcotest.test_case "warm session adds a scanned result" `Quick
+            test_warm_session_adds_scanned;
           Alcotest.test_case "snapshot warm boot" `Quick test_warm_boot;
           Alcotest.test_case "intern rewarm" `Quick test_intern_rewarm;
         ] );

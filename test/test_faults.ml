@@ -410,6 +410,40 @@ let test_e2e_disconnect_mid_response () =
       check Alcotest.int "daemon healthy after torn write" 200 status;
       check Alcotest.string "health body" {|{"status":"ok"}|} body)
 
+(* The shed path must not leave its 503 behind in an unclosed channel. A
+   forked child sheds onto a socket whose peer is gone, so the write
+   fails; then it puts a file on the socket's descriptor number and
+   exits. An unclosed channel's leftover bytes would be flushed at exit
+   into that file. *)
+let test_shed_closes_its_channel () =
+  let path = Filename.temp_file "xsact_shed" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      match Unix.fork () with
+      | 0 ->
+        let code =
+          try
+            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+            let fd, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.close peer;
+            Server.shed fd;
+            let file = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+            if file <> fd then begin
+              Unix.dup2 file fd;
+              Unix.close file
+            end;
+            0
+          with _ -> 2
+        in
+        exit code
+      | pid ->
+        (match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "child failed");
+        check Alcotest.string "nothing flushed into the reused descriptor" ""
+          (In_channel.with_open_bin path In_channel.input_all))
+
 let test_e2e_saturation_burst () =
   (* the acceptance drill: 2 workers, admission bound 4, 50ms deadlines,
      slow computations, 16 concurrent cold compares — every client gets a
@@ -532,5 +566,7 @@ let () =
             test_e2e_disconnect_mid_response;
           Alcotest.test_case "saturation burst" `Quick
             test_e2e_saturation_burst;
+          Alcotest.test_case "shed closes its channel" `Quick
+            test_shed_closes_its_channel;
         ] );
     ]

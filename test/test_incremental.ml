@@ -165,7 +165,7 @@ let test_approx_bytes_sane () =
 let test_approx_bytes_accounting () =
   if Sys.word_size = 64 then begin
     let c = Dod.make_context (synthetic 4 6) in
-    check Alcotest.int "64-bit golden footprint (flat)" 19208
+    check Alcotest.int "64-bit golden footprint (flat)" 7976
       (Dod.approx_bytes c);
     (* delta maintenance must account like a fresh build: bit-identical
        contexts have identical footprints *)

@@ -260,6 +260,183 @@ let test_extract_presence_value () =
   check Alcotest.int "presence flag becomes yes" 1
     (count_of p ~e:"p" ~a:"waterproof" ~v:"yes")
 
+(* ---- The corpus scan against the DOM walk ------------------------------------- *)
+
+(* [Extractor.scan] must equal [Extractor.extract] structurally — ids
+   included, since both intern through the one symbol table — for every
+   node of [root]'s corpus taken as a result root. Returns the first node
+   where they differ. *)
+let scan_mismatch ?(only = fun _ -> true) engine =
+  let cols = Extractor.columns engine in
+  let tree = Search.doctree engine and categories = Search.categories engine in
+  let rec go id =
+    if id >= Doctree.size tree then None
+    else
+      let node = Doctree.node tree id in
+      if
+        only node
+        && Extractor.scan cols ~label:"L" id
+           <> Extractor.extract ~categories ~label:"L" node.element
+      then Some node
+      else go (id + 1)
+  in
+  go 0
+
+let report = function
+  | None -> ()
+  | Some (node : Doctree.node) ->
+    Alcotest.failf "scan differs from the DOM walk at node %d <%s>: %s" node.id
+      node.tag
+      (Xml_print.node_to_string (Xml.Element node.element))
+
+(* Every case the walk distinguishes, with every node as a root: XML
+   attributes on the root, entity, connection and attribute nodes;
+   nested entities; a connection chain; a multi-child attribute; a
+   wrapper chain and presence flags; an entity with no features (the text
+   fallback) and one with no text at all; a tag holding ':' whose leaf key
+   equals a flattened wrapper's. *)
+let scan_fixture =
+  {|<shop id="s1">
+      <items>
+        <group><shelf>
+          <item sku="A1">
+            <name lang="en">Alpha</name>
+            <p:q>v</p:q>
+            <p><q>v</q></p>
+            <spec unit="cm"><w>1</w><h>2</h></spec>
+            <flags><waterproof/><sealed/></flags>
+            <parts><part kind="x"><label>bolt</label><n>4</n></part><part><label>nut</label><n>4</n></part></parts>
+          </item>
+          <item sku="B2">
+            <name>Beta</name>
+            <p><q>w</q></p><p><q>v</q></p>
+            <flags><waterproof/></flags>
+            <stub><deep/></stub>
+            <parts><part><label>bolt</label><n>2</n></part><part><label>pin</label><n>1</n></part></parts>
+          </item>
+          <item>loose text<stub/></item>
+          <item><stub/></item>
+        </shelf></group>
+      </items>
+    </shop>|}
+
+let test_scan_fixture () =
+  let doc = parse_ok scan_fixture in
+  let engine = Search.create doc in
+  let cats = Search.categories engine in
+  check Alcotest.bool "item is an entity" true
+    (Node_category.is_entity cats "item");
+  check Alcotest.bool "part is an entity" true
+    (Node_category.is_entity cats "part");
+  check Alcotest.string "group is a connection" "connection"
+    (Node_category.category_to_string (Node_category.category cats "group"));
+  report (scan_mismatch engine);
+  (* the cases the fixture is for do occur *)
+  let cols = Extractor.columns engine in
+  let p = Extractor.scan cols ~label:"I" 4 in
+  check Alcotest.int "xml attribute feature" 1
+    (count_of p ~e:"item" ~a:"item@sku" ~v:"A1");
+  check Alcotest.int "':' tag and wrapper share one feature" 2
+    (count_of p ~e:"item" ~a:"p:q" ~v:"v");
+  check Alcotest.int "nested entity attribute" 1
+    (count_of p ~e:"part" ~a:"part@kind" ~v:"x");
+  check Alcotest.int "multi-child attribute" 1
+    (count_of p ~e:"item" ~a:"spec" ~v:"12");
+  check Alcotest.int "attribute node's xml attribute" 1
+    (count_of p ~e:"item" ~a:"spec@unit" ~v:"cm");
+  let tree = Search.doctree engine in
+  let items =
+    List.filter
+      (fun id -> (Doctree.node tree id).tag = "item")
+      (List.init (Doctree.size tree) Fun.id)
+  in
+  let fallback k v =
+    count_of
+      (Extractor.scan cols ~label:"F" (List.nth items k))
+      ~e:"item" ~a:"text" ~v
+  in
+  check Alcotest.int "text fallback" 1 (fallback 2 "loose text");
+  check Alcotest.int "valueless text fallback" 1 (fallback 3 "yes")
+
+(* Every entity node of the three demo corpora. *)
+let test_scan_corpora () =
+  List.iter
+    (fun (ds : Xsact_dataset.Dataset.t) ->
+      let engine = Search.create ds.document in
+      let cats = Search.categories engine in
+      report
+        (scan_mismatch
+           ~only:(fun (n : Doctree.node) -> Node_category.is_entity cats n.tag)
+           engine))
+    Xsact_dataset.Dataset.[ product_reviews (); outdoor_retailer (); imdb () ]
+
+(* Every demo query's results, as [Pipeline.profile_of] extracts them,
+   with entity lifting and lifted to coarser tags up to the whole
+   corpus. *)
+let test_scan_demo_queries () =
+  List.iter
+    (fun (ds : Xsact_dataset.Dataset.t) ->
+      let pipeline = Pipeline.create ds.document in
+      let engine = Pipeline.engine pipeline in
+      List.iter
+        (fun (_, keywords) ->
+          List.iter
+            (fun lift_to ->
+              List.iter
+                (fun (r : Search.result) ->
+                  let walk =
+                    Extractor.extract ~categories:(Search.categories engine)
+                      ~label:(Search.result_title engine r)
+                      r.element
+                  in
+                  if Pipeline.profile_of ~keywords pipeline r <> walk then
+                    Alcotest.failf "%s %S lift_to %s: rank %d differs"
+                      ds.name keywords
+                      (Option.value lift_to ~default:"-")
+                      r.rank)
+                (Pipeline.search ?lift_to pipeline keywords))
+            [ None; Some "brand"; Some "movie"; Some "products"; Some "brands"; Some "movies" ])
+        ds.queries)
+    Xsact_dataset.Dataset.[ product_reviews (); outdoor_retailer (); imdb () ]
+
+(* Random corpora over a few tags, so that the category inference sees
+   repeats, structure, values and wrappers in every mix: XML attributes,
+   presence flags, text mixed with elements, wrapper chains and deep
+   nesting. *)
+let gen_corpus =
+  let open QCheck.Gen in
+  let tag = oneofl [ "a"; "b"; "c"; "d"; "e"; "f:g" ] in
+  let value = oneofl [ "x"; "y"; "x y"; ""; " " ] in
+  let attrs = frequency [ (4, return []); (1, map (fun v -> [ ("k", v) ]) value); (1, map2 (fun v w -> [ ("k", v); ("m", w) ]) value value) ] in
+  let rec elem depth =
+    map3
+      (fun tag attrs children -> Xml.Element { Xml.tag; attrs; children })
+      tag attrs
+      (if depth = 0 then map (fun v -> if v = "" then [] else [ Xml.Text v ]) value
+       else
+         frequency
+           [
+             (2, map (fun v -> [ Xml.Text v ]) value);
+             (1, return []);
+             (2, map (fun c -> [ c ]) (elem (depth - 1)));
+             (5, list_size (int_range 2 5) (elem (depth - 1)));
+             ( 1,
+               map2 (fun v cs -> Xml.Text v :: cs) value
+                 (list_size (int_range 1 3) (elem (depth - 1))) );
+           ])
+  in
+  map
+    (function Xml.Element e -> e | _ -> assert false)
+    (int_range 1 5 >>= elem)
+
+let prop_scan_is_walk =
+  QCheck.Test.make ~name:"scan = DOM walk on random corpora, every node a root"
+    ~count:300
+    (QCheck.make
+       ~print:(fun e -> Xml_print.node_to_string (Xml.Element e))
+       gen_corpus)
+    (fun root -> scan_mismatch (Search.of_element root) = None)
+
 (* ---- Dfs -------------------------------------------------------------------- *)
 
 let test_dfs_empty_and_set () =
@@ -397,6 +574,16 @@ let () =
           Alcotest.test_case "fallback feature" `Quick test_extract_fallback;
           Alcotest.test_case "xml attributes" `Quick test_extract_xml_attrs;
           Alcotest.test_case "presence flags" `Quick test_extract_presence_value;
+        ] );
+      ( "scan",
+        [
+          Alcotest.test_case "fixture, every node a root" `Quick
+            test_scan_fixture;
+          Alcotest.test_case "every entity of the corpora" `Quick
+            test_scan_corpora;
+          Alcotest.test_case "demo queries, lifted or not" `Quick
+            test_scan_demo_queries;
+          qtest prop_scan_is_walk;
         ] );
       ( "dfs",
         [

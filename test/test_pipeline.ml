@@ -403,9 +403,8 @@ let test_prune_through_pipeline () =
 (* ---- Workload ------------------------------------------------------------------------ *)
 
 let test_workload_instances () =
-  let engine = Pipeline.engine imdb_pipeline in
   let instances =
-    Xsact_workload.Workload.instances ~top:4 engine
+    Xsact_workload.Workload.instances ~top:4 imdb_pipeline
       [ ("Q1", "action"); ("Qnone", "zzznope"); ("Q2", "comedy") ]
   in
   check Alcotest.int "unmatched query dropped" 2 (List.length instances);

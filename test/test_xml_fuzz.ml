@@ -7,7 +7,10 @@
    record and replication message goes through (an accepted value must
    also print back to itself), and the frame reader under the journal,
    the context snapshot and the replication stream (a damaged journal
-   must read back as exactly its intact prefix). The corpus is
+   must read back as exactly its intact prefix), and the HTTP request
+   reader the daemon runs on every connection (its line, header and body
+   bounds hold, and an accepted request writes back to itself). The
+   corpus is
    deterministic (seeded {!Xsact_util.Prng}), so a failure reproduces
    bit-for-bit; [XSACT_FUZZ_ITERS] scales the budget (CI runs a bigger
    one than the default). *)
@@ -15,6 +18,7 @@
 module Prng = Xsact_util.Prng
 module Json = Xsact_server.Json
 module Journal = Xsact_persist.Journal
+module Http = Xsact_server.Http
 
 let iters =
   match Sys.getenv_opt "XSACT_FUZZ_ITERS" with
@@ -417,6 +421,187 @@ let test_frames_raw () =
       Alcotest.failf "journal read raised %s on %S" (Printexc.to_string e) data
   done
 
+(* ---- HTTP requests -------------------------------------------------------- *)
+
+(* The reader works on a channel, so each input goes through a pipe. The
+   inputs stay below a pipe's buffer, so writing them all before reading
+   never blocks. *)
+let pipe_capacity = 65536
+
+let with_bytes data f =
+  if String.length data >= pipe_capacity then invalid_arg "with_bytes: input too long";
+  let r, w = Unix.pipe ~cloexec:true () in
+  let oc = Unix.out_channel_of_descr w in
+  Out_channel.output_string oc data;
+  Out_channel.close oc;
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () -> f ic)
+
+let wire_of write =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let oc = Unix.out_channel_of_descr w in
+  write oc;
+  Out_channel.close oc;
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () -> In_channel.input_all ic)
+
+(* demo /compare requests as the client writes them, plus the other
+   verbs and shapes the daemon serves *)
+let http_seeds =
+  Array.append
+    (Array.map
+       (fun body ->
+         wire_of (fun oc ->
+             Http.send_request oc ~host:"127.0.0.1:8080" ~body "/compare"))
+       json_seeds)
+    [|
+      wire_of (fun oc ->
+          Http.send_request oc ~host:"h" "/search?dataset=imdb&q=heist%20movie&limit=3");
+      wire_of (fun oc -> Http.send_request oc ~host:"h" ~meth:"DELETE" "/session/s7");
+      "GET /health HTTP/1.0\r\nConnection: close\r\nX-A:  spaced  \r\n\r\n";
+      "PATCH /session/s1 HTTP/1.1\nContent-Length: 2\n\n{}GET / HTTP/1.1\r\n\r\n";
+    |]
+
+(* request-shaped noise: a request line, header lines and a body, each
+   strung together at random from the tokens the reader branches on *)
+let gen_httpish prng =
+  let pick a = a.(Prng.int_in prng 0 (Array.length a - 1)) in
+  let some n a = String.concat "" (List.init (Prng.int_in prng 0 n) (fun _ -> pick a)) in
+  let eol = [| "\r\n"; "\r\n"; "\n"; "\r"; "" |] in
+  let target = [| "/"; "compare"; "/session/s1"; "?q=gps"; "&top=3"; "%2"; "%41"; "+"; " "; "x" |] in
+  let header =
+    [| "Content-Length: "; "content-length:"; "0"; "3"; "12"; "-1"; "99999999999";
+       " "; "Host: h"; "Connection: close"; ":"; "x"; "\t" |]
+  in
+  let line =
+    pick [| "GET"; "POST"; "DELETE"; "patch"; ""; "G T" |]
+    ^ pick [| " "; " "; ""; "  " |]
+    ^ some 4 target
+    ^ pick [| " HTTP/1.1"; " HTTP/1.1"; " HTTP/1.0"; " HTTP/2"; "" |]
+    ^ pick eol
+  in
+  let headers =
+    String.concat "" (List.init (Prng.int_in prng 0 5) (fun _ -> some 4 header ^ pick eol))
+  in
+  line ^ headers ^ pick eol ^ some 6 [| "{}"; "abc"; "\r\n"; "GET / HTTP/1.1\r\n\r\n" |]
+
+let http_max_seconds = max_seconds_per_input
+
+(* Read requests off [input] until the stream ends or is refused: every
+   call returns [Ok] or [Error], never raises; no accepted request holds
+   a line, a header count or a body past the protocol bounds; and every
+   accepted request, written back with [send_request], reads back with
+   the same method, target, path, query and body. *)
+let drive_http input =
+  let started = Unix.gettimeofday () in
+  let accepted =
+    with_bytes input (fun ic ->
+        let rec loop acc =
+          match Http.read_request ic with
+          | Ok r -> loop (r :: acc)
+          | Error (`Eof | `Bad _ | `Refuse _) -> List.rev acc
+          | exception e ->
+            Alcotest.failf "read_request raised %s on %S" (Printexc.to_string e)
+              input
+        in
+        loop [])
+  in
+  List.iter
+    (fun (r : Http.request) ->
+      let line = String.length r.meth + String.length r.target + 10 in
+      if line > Http.max_header_line_bytes then
+        Alcotest.failf "request line of %d bytes accepted" line;
+      if List.length r.headers > Http.max_headers then
+        Alcotest.failf "%d headers accepted" (List.length r.headers);
+      List.iter
+        (fun (name, value) ->
+          if String.length name + String.length value + 1 > Http.max_header_line_bytes
+          then Alcotest.failf "header line of %d bytes accepted" (String.length value))
+        r.headers;
+      if String.length r.body > Http.max_body_bytes then
+        Alcotest.failf "body of %d bytes accepted" (String.length r.body);
+      let again =
+        with_bytes
+          (wire_of (fun oc ->
+               Http.send_request oc ~host:"h" ~meth:r.meth
+                 ?body:(if r.body = "" then None else Some r.body)
+                 r.target))
+          Http.read_request
+      in
+      match again with
+      | Ok r'
+        when r'.Http.meth = r.meth && r'.target = r.target && r'.path = r.path
+             && r'.query = r.query && r'.body = r.body ->
+        ()
+      | Ok _ -> Alcotest.failf "%S read back changed" input
+      | Error _ -> Alcotest.failf "%S did not read back" input)
+    accepted;
+  let elapsed = Unix.gettimeofday () -. started in
+  if elapsed > http_max_seconds then
+    Alcotest.failf "reading %d bytes of HTTP took %.1fs" (String.length input)
+      elapsed
+
+let test_http_seeds_and_bounds () =
+  Array.iter
+    (fun s ->
+      match with_bytes s Http.read_request with
+      | Ok _ -> drive_http s
+      | Error _ -> Alcotest.failf "seed %S refused" s)
+    http_seeds;
+  let refused input =
+    match with_bytes input Http.read_request with
+    | Error (`Refuse (status, _)) -> status
+    | Ok _ -> Alcotest.failf "accepted %d bytes past a bound" (String.length input)
+    | Error _ -> Alcotest.failf "malformed, not refused: %d bytes" (String.length input)
+  in
+  let long n = String.make n 'a' in
+  let header_of_len n = "X: " ^ long (n - 3) in
+  check Alcotest.int "request line past 8 KiB" 431
+    (refused ("GET /" ^ long Http.max_header_line_bytes ^ " HTTP/1.1\r\n\r\n"));
+  check Alcotest.int "header line past 8 KiB" 431
+    (refused
+       ("GET / HTTP/1.1\r\n" ^ header_of_len (Http.max_header_line_bytes + 1) ^ "\r\n\r\n"));
+  check Alcotest.int "one header too many" 431
+    (refused
+       ("GET / HTTP/1.1\r\n"
+       ^ String.concat "" (List.init (Http.max_headers + 1) (fun i -> Printf.sprintf "X%d: v\r\n" i))
+       ^ "\r\n"));
+  check Alcotest.int "content-length past the bound" 413
+    (refused
+       (Printf.sprintf "POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+          (Http.max_body_bytes + 1)));
+  (* the largest accepted shapes, exactly at each bound *)
+  List.iter drive_http
+    [
+      "GET / HTTP/1.1\r\n" ^ header_of_len Http.max_header_line_bytes ^ "\r\n\r\n";
+      "GET / HTTP/1.1\r\n"
+      ^ String.concat "" (List.init Http.max_headers (fun i -> Printf.sprintf "X%d: v\r\n" i))
+      ^ "\r\n";
+    ]
+
+let test_http_raw () =
+  let prng = Prng.of_int 0x4777 in
+  for _ = 1 to iters do
+    drive_http (gen_raw prng)
+  done
+
+let test_http_noise () =
+  let prng = Prng.of_int 0x9e77 in
+  for _ = 1 to iters do
+    drive_http (gen_httpish prng)
+  done
+
+(* cuts and mutations of real client bytes *)
+let test_http_mutations () =
+  let prng = Prng.of_int 0x5e9d in
+  for _ = 1 to iters do
+    let seed = http_seeds.(Prng.int_in prng 0 (Array.length http_seeds - 1)) in
+    drive_http
+      (if Prng.chance prng 0.3 then
+         String.sub seed 0 (Prng.int_in prng 0 (String.length seed))
+       else mutate ~pool:http_seeds prng seed)
+  done
+
 let () =
   Alcotest.run "xsact_xml_fuzz"
     [
@@ -439,5 +624,12 @@ let () =
         [
           Alcotest.test_case "damaged journals" `Quick test_frames_damaged;
           Alcotest.test_case "raw bytes" `Quick test_frames_raw;
+        ] );
+      ( "http",
+        [
+          Alcotest.test_case "seeds and bounds" `Quick test_http_seeds_and_bounds;
+          Alcotest.test_case "raw bytes" `Quick test_http_raw;
+          Alcotest.test_case "request-shaped noise" `Quick test_http_noise;
+          Alcotest.test_case "cuts and mutations" `Quick test_http_mutations;
         ] );
     ]
