@@ -823,274 +823,145 @@ let persist_bench () =
   in
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote state)));
   hr ();
-  (* warm boot: context-snapshot recovery vs cold recipe rebuild over the
-     same population — sessions concentrated on a small set of hot
-     queries (the session-per-user workload warm boot targets), so
-     contexts are shared. With the snapshot, recover returns with every
-     session warm: one search and one context deserialization per
-     distinct corpus, a pure restore per session. Cold, sessions only
-     warm on first touch — a search, a profile extraction and a DFS
-     climb each, plus a pair-table build per distinct corpus — so the
-     comparison is time-until-every-session-is-warm: warm [recover] vs
-     cold [recover + touch all]. Warm first-touch latency is reported
-     separately as evidence the touches really do no rebuild work. *)
-  let wb_sessions, wb_loads, wb_recover_ms, wb_touch_mean, wb_touch_max,
-      wb_warm_ms, wb_cold_ms =
-    let wb_dir = tmp_dir "warmboot" in
-    let hot =
-      let queries =
-        List.concat_map
-          (fun name ->
-            match Xsact_dataset.Dataset.by_name name with
-            | None -> []
-            | Some d ->
-              List.map (fun (_, q) -> (name, q)) d.Xsact_dataset.Dataset.queries)
-          Xsact_dataset.Dataset.names
-      in
-      let tops = [| 8; 10; 12; 14; 16; 20 |] in
-      List.filteri (fun i _ -> i < 10) queries
-      |> List.mapi (fun i (ds, q) -> (ds, q, tops.(i mod Array.length tops)))
+  (* Restart and resync over one population: [sessions] sessions spread
+     round-robin over 10 hot queries (the sessions of one corpus share a
+     context), each resized once after its create, so none serves what a
+     fresh generation over its recipe would (its runs differ, and often
+     its warm-started DFSs). The primary keeps serving while the resync rounds run,
+     then stops cleanly for the restart rounds. A round's clock runs from
+     a fresh server's [recover] until every session is warm: for a
+     restart, the first GET of each; for a follower, /metrics polled
+     until [sessions_warm] counts them all, the polling warming nothing.
+     Off the clock, every body it then serves must equal the primary's,
+     or the bench fails. *)
+  let post target body =
+    let path, query = Http.split_target target in
+    { Http.meth = "POST"; target; path; query; headers = []; body }
+  in
+  let get target =
+    let path, query = Http.split_target target in
+    { Http.meth = "GET"; target; path; query; headers = []; body = "" }
+  in
+  let hot =
+    List.concat_map
+      (fun name ->
+        match Xsact_dataset.Dataset.by_name name with
+        | None -> []
+        | Some d ->
+          List.map (fun (_, q) -> (name, q)) d.Xsact_dataset.Dataset.queries)
+      Xsact_dataset.Dataset.names
+    |> List.filteri (fun i _ -> i < 10)
+    |> Array.of_list
+  in
+  let json_field name body =
+    match Xsact_server.Json.of_string body with
+    | Ok j -> Xsact_server.Json.member name j
+    | Error e -> failwith e
+  in
+  let ok what resp =
+    if resp.Http.status / 100 <> 2 then
+      failwith (Printf.sprintf "persist bench: %s answered %d" what
+                  resp.Http.status);
+    resp.Http.resp_body
+  in
+  let mk ?replica_of dir =
+    Server.create ~datasets:Xsact_dataset.Dataset.names ~cache_capacity:64
+      ~state_dir:dir ?replica_of ()
+  in
+  let bodies t ids =
+    List.map (fun id -> ok "GET" (Server.handle t (get ("/session/" ^ id)))) ids
+  in
+  let changed expected got =
+    List.length (List.filter Fun.id (List.map2 ( <> ) expected got))
+  in
+  let median xs =
+    let a = Array.of_list (List.sort compare xs) in
+    a.(Array.length a / 2)
+  in
+  let p_dir = tmp_dir "primary" in
+  let p = mk p_dir in
+  Server.recover p;
+  let p_running = Server.start ~threads:2 ~port:0 p in
+  let ids =
+    List.init sessions (fun k ->
+        let ds, q = hot.(k mod Array.length hot) in
+        let created =
+          Server.handle p
+            (post "/session"
+               (Printf.sprintf
+                  {|{"dataset":%S,"q":%S,"top":10,"size_bound":20}|} ds q))
+        in
+        let id =
+          match json_field "id" (ok "POST /session" created) with
+          | Some (Xsact_server.Json.String id) -> id
+          | _ -> failwith "persist bench: no session id"
+        in
+        ignore
+          (ok "resize"
+             (Server.handle p
+                (post ("/session/" ^ id ^ "/size")
+                   (Printf.sprintf {|{"size_bound":%d}|} (4 + (k mod 7))))));
+        id)
+  in
+  let expected = bodies p ids in
+  let follower_round () =
+    let f_dir = tmp_dir "follower" in
+    let f = mk ~replica_of:("127.0.0.1", Server.port p_running) f_dir in
+    (* the listener exists only so [stop] can join the replication client
+       cleanly between rounds *)
+    let f_running = Server.start ~threads:1 ~port:0 f in
+    let t0 = Unix.gettimeofday () in
+    Server.recover f;
+    let warm () =
+      let metrics = ok "/metrics" (Server.handle f (get "/metrics")) in
+      match json_field "sessions_warm" metrics with
+      | Some (Xsact_server.Json.Int n) -> n >= sessions
+      | _ -> false
     in
-    let post target body =
-      let path, query = Http.split_target target in
-      { Http.meth = "POST"; target; path; query; headers = []; body }
-    in
-    let get target =
-      let path, query = Http.split_target target in
-      { Http.meth = "GET"; target; path; query; headers = []; body = "" }
-    in
-    let mk ?(context_snapshots = true) () =
-      Server.create ~datasets:Xsact_dataset.Dataset.names ~cache_capacity:64
-        ~state_dir:wb_dir ~context_snapshots ()
-    in
-    (* populate, then stop cleanly so the context snapshot gets written *)
-    let t = mk () in
+    while (not (warm ())) && Unix.gettimeofday () < t0 +. 120. do
+      Thread.delay 0.002
+    done;
+    let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+    if not (warm ()) then failwith "persist bench: the follower never warmed";
+    let differ = changed expected (bodies f ids) in
+    Server.stop f_running;
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote f_dir)));
+    (ms, differ)
+  in
+  let restart_round () =
+    let t = mk p_dir in
+    let t0 = Unix.gettimeofday () in
     Server.recover t;
-    let running = Server.start ~threads:2 ~port:0 t in
-    let ids = ref [] and pool = ref [] and misses = ref 0 in
-    while List.length !ids < sessions do
-      (match !pool with [] -> pool := hot | _ -> ());
-      match !pool with
-      | [] -> failwith "warm-boot bench: no hot queries"
-      | (ds, q, top) :: rest ->
-        pool := rest;
-        let body =
-          Printf.sprintf
-            {|{"dataset":%S,"q":%S,"top":%d,"size_bound":20}|} ds q top
-        in
-        let resp = Server.handle t (post "/session" body) in
-        if resp.Http.status = 201 then
-          match Xsact_server.Json.of_string resp.Http.resp_body with
-          | Ok j -> (
-            match Xsact_server.Json.member "id" j with
-            | Some (Xsact_server.Json.String id) -> ids := id :: !ids
-            | _ -> failwith "warm-boot bench: no session id")
-          | Error e -> failwith e
-        else begin
-          incr misses;
-          if !misses > 100 then
-            failwith "warm-boot bench: session creation keeps failing"
-        end
-    done;
-    let ids = List.rev !ids in
-    Server.stop running;
-    let touch t id =
-      let resp = Server.handle t (get ("/session/" ^ id)) in
-      if resp.Http.status <> 200 then failwith "warm-boot bench: touch failed"
-    in
-    (* warm: recover loads the snapshot; first touches find warm state.
-       Best-of-3 on both sides damps scheduler noise, as in the
-       mutation benchmark above — each round gets a fresh server over
-       the same state dir, so no round sees another's warmed state. *)
-    let warm_round () =
-      let warm_t = mk () in
-      let t0 = Unix.gettimeofday () in
-      Server.recover warm_t;
-      let recover_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      let latencies =
-        List.map
-          (fun id ->
-            let t0 = Unix.gettimeofday () in
-            touch warm_t id;
-            1000. *. (Unix.gettimeofday () -. t0))
-          ids
-      in
-      (warm_t, recover_ms, latencies)
-    in
-    let warm_t, recover_ms, latencies =
-      List.fold_left
-        (fun (_, br, _ as best) _ ->
-          let (_, r, _ as round) = warm_round () in
-          if r < br then round else best)
-        (warm_round ()) [ (); () ]
-    in
-    let warm_ms = recover_ms +. List.fold_left ( +. ) 0. latencies in
-    let touch_mean =
-      List.fold_left ( +. ) 0. latencies /. float_of_int (List.length latencies)
-    in
-    let touch_max = List.fold_left max 0. latencies in
-    let loads =
-      let resp = Server.handle warm_t (get "/ready") in
-      match Xsact_server.Json.of_string resp.Http.resp_body with
-      | Ok j -> (
-        match Xsact_server.Json.member "context_snapshot_loads" j with
-        | Some (Xsact_server.Json.Int n) -> n
-        | _ -> 0)
-      | Error _ -> 0
-    in
-    (* cold: same directory with snapshot loading disabled — recover
-       replays recipes only, every first touch rebuilds and searches *)
-    let cold_round () =
-      let cold_t = mk ~context_snapshots:false () in
-      let t0 = Unix.gettimeofday () in
-      Server.recover cold_t;
-      List.iter (touch cold_t) ids;
-      1000. *. (Unix.gettimeofday () -. t0)
-    in
-    let cold_ms =
-      List.fold_left min (cold_round ()) (List.init 2 (fun _ -> cold_round ()))
-    in
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote wb_dir)));
-    Printf.printf
-      "warm boot of %d sessions (%d restored warm): snapshot recovery %.1f \
-       ms vs cold rebuild-on-touch %.1f ms -> %.1fx\n\
-       warm first touch: mean %.3f ms, max %.3f ms (pure serving, no \
-       rebuild; warm total incl. touches %.1f ms)\n"
-      (List.length ids) loads recover_ms cold_ms (cold_ms /. recover_ms)
-      touch_mean touch_max warm_ms;
-    (List.length ids, loads, recover_ms, touch_mean, touch_max, warm_ms,
-     cold_ms)
+    let recover_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+    let got = bodies t ids in
+    (recover_ms, 1000. *. (Unix.gettimeofday () -. t0), changed expected got)
   in
-  hr ();
-  (* warm resync: a fresh follower takes the primary's full state over
-     /v1/replicate. With context snapshots on, the resync ships the warm
-     records inline (raw [W] frames) and the follower deserializes its
-     contexts from the stream; off, the same handover eager-warms every
-     session through the rebuild path. Both ends are time from the
-     follower's [recover] until every replicated session is warm —
-     measured by polling /metrics only, so the measurement itself never
-     warms a session. Population mirrors the warm-boot bench: sessions
-     concentrated on a small set of hot corpora. *)
-  let rs_sessions, rs_corpora, rs_loads, rs_warm_ms, rs_cold_ms =
-    let post target body =
-      let path, query = Http.split_target target in
-      { Http.meth = "POST"; target; path; query; headers = []; body }
-    in
-    let get target =
-      let path, query = Http.split_target target in
-      { Http.meth = "GET"; target; path; query; headers = []; body = "" }
-    in
-    let hot =
-      let queries =
-        List.concat_map
-          (fun name ->
-            match Xsact_dataset.Dataset.by_name name with
-            | None -> []
-            | Some d ->
-              List.map (fun (_, q) -> (name, q)) d.Xsact_dataset.Dataset.queries)
-          Xsact_dataset.Dataset.names
-      in
-      List.filteri (fun i _ -> i < 10) queries
-    in
-    let p_dir = tmp_dir "resync_p" in
-    let p =
-      Server.create ~datasets:Xsact_dataset.Dataset.names ~cache_capacity:64
-        ~state_dir:p_dir ()
-    in
-    Server.recover p;
-    let p_running = Server.start ~threads:4 ~port:0 p in
-    let p_port = Server.port p_running in
-    let ids = ref [] and pool = ref [] in
-    while List.length !ids < sessions do
-      (match !pool with [] -> pool := hot | _ -> ());
-      match !pool with
-      | [] -> failwith "resync bench: no hot queries"
-      | (ds, q) :: rest -> (
-        pool := rest;
-        let body =
-          Printf.sprintf {|{"dataset":%S,"q":%S,"top":10,"size_bound":20}|} ds
-            q
-        in
-        let resp = Server.handle p (post "/session" body) in
-        if resp.Http.status <> 201 then
-          failwith "resync bench: session creation failed"
-        else
-          match Xsact_server.Json.of_string resp.Http.resp_body with
-          | Ok j -> (
-            match Xsact_server.Json.member "id" j with
-            | Some (Xsact_server.Json.String id) -> ids := id :: !ids
-            | _ -> failwith "resync bench: no session id")
-          | Error e -> failwith e)
-    done;
-    let ids = List.rev !ids in
-    let metric t name =
-      let resp = Server.handle t (get "/metrics") in
-      match Xsact_server.Json.of_string resp.Http.resp_body with
-      | Ok j -> (
-        match Xsact_server.Json.member name j with
-        | Some (Xsact_server.Json.Int n) -> n
-        | _ -> 0)
-      | Error _ -> 0
-    in
-    let follower_round ~context_snapshots () =
-      let f_dir = tmp_dir "resync_f" in
-      let f =
-        Server.create ~datasets:Xsact_dataset.Dataset.names ~cache_capacity:64
-          ~state_dir:f_dir
-          ~replica_of:("127.0.0.1", p_port)
-          ~context_snapshots ()
-      in
-      (* the listener exists only so [stop] can join the replication
-         client cleanly between rounds *)
-      let f_running = Server.start ~threads:1 ~port:0 f in
-      let t0 = Unix.gettimeofday () in
-      Server.recover f;
-      let deadline = t0 +. 120. in
-      let warmed () = metric f "sessions_warm" >= List.length ids in
-      while (not (warmed ())) && Unix.gettimeofday () < deadline do
-        Thread.delay 0.002
-      done;
-      let ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      if not (warmed ()) then failwith "resync bench: follower never warmed";
-      (* correctness, off the clock: every replicated session serves *)
-      List.iter
-        (fun id ->
-          if (Server.handle f (get ("/session/" ^ id))).Http.status <> 200
-          then failwith "resync bench: replicated session missing")
-        ids;
-      let loads =
-        let resp = Server.handle f (get "/ready") in
-        match Xsact_server.Json.of_string resp.Http.resp_body with
-        | Ok j -> (
-          match Xsact_server.Json.member "context_snapshot_loads" j with
-          | Some (Xsact_server.Json.Int n) -> n
-          | _ -> 0)
-        | Error _ -> 0
-      in
-      Server.stop f_running;
-      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote f_dir)));
-      (ms, loads)
-    in
-    (* one discarded round warms both ends, then best-of-3 per side *)
-    let _ = follower_round ~context_snapshots:true () in
-    let best round =
-      List.fold_left
-        (fun (bms, _ as acc) _ ->
-          let (ms, _ as r) = round () in
-          if ms < bms then r else acc)
-        (round ()) [ (); () ]
-    in
-    let warm_ms, loads = best (follower_round ~context_snapshots:true) in
-    let cold_ms, _ = best (follower_round ~context_snapshots:false) in
-    Server.stop p_running;
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote p_dir)));
-    Printf.printf
-      "warm resync of %d sessions over %d corpora: %.1f ms (%d contexts \
-       restored from shipped records) vs cold resync %.1f ms -> %.1fx\n"
-      (List.length ids) (List.length hot) warm_ms loads cold_ms
-      (cold_ms /. warm_ms);
-    (List.length ids, List.length hot, loads, warm_ms, cold_ms)
+  (* one discarded round warms each path, then [rounds] timed ones *)
+  let rounds = if !quick then 3 else 7 in
+  let timed round =
+    ignore (round ());
+    List.init rounds (fun _ -> round ())
   in
+  let resync = timed follower_round in
+  Server.stop p_running;
+  let restart = timed restart_round in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote p_dir)));
+  let resync_changed = List.fold_left (fun a (_, c) -> a + c) 0 resync in
+  let restart_changed = List.fold_left (fun a (_, _, c) -> a + c) 0 restart in
+  let rs_ms = List.map fst resync in
+  let rt_recover = List.map (fun (r, _, _) -> r) restart in
+  let rt_total = List.map (fun (_, t, _) -> t) restart in
+  Printf.printf
+    "restart of %d resized sessions over %d corpora, until all warm: \
+     median %.1f ms (min %.1f; recover alone %.1f)\n\
+     resync of the same sessions to a fresh follower, until all warm: \
+     median %.1f ms (min %.1f)\n\
+     bodies that differ from the primary's: restart %d, resync %d\n"
+    sessions (Array.length hot) (median rt_total)
+    (List.fold_left min infinity rt_total) (median rt_recover) (median rs_ms)
+    (List.fold_left min infinity rs_ms) restart_changed resync_changed;
+  if restart_changed + resync_changed > 0 then
+    failwith "persist bench: a recovered or replicated session changed";
   let json = Buffer.create 1024 in
   Buffer.add_string json "{\n";
   Buffer.add_string json
@@ -1123,19 +994,18 @@ let persist_bench () =
        recovery_ms);
   Buffer.add_string json
     (Printf.sprintf
-       "  \"warm_boot\": {\"sessions\": %d, \"sessions_restored\": %d, \
-        \"recover_ms\": %.2f, \"first_touch_mean_ms\": %.3f, \
-        \"first_touch_max_ms\": %.3f, \"warm_total_ms\": %.2f, \
-        \"cold_rebuild_ms\": %.2f, \"speedup\": %.1f},\n"
-       wb_sessions wb_loads wb_recover_ms wb_touch_mean wb_touch_max
-       wb_warm_ms wb_cold_ms (wb_cold_ms /. wb_recover_ms));
+       "  \"restart\": {\"sessions\": %d, \"corpora\": %d, \"rounds\": %d, \
+        \"recover_ms\": %.2f, \"until_warm_ms\": %.2f, \
+        \"until_warm_min_ms\": %.2f, \"bodies_changed\": %d},\n"
+       sessions (Array.length hot) rounds (median rt_recover) (median rt_total)
+       (List.fold_left min infinity rt_total) restart_changed);
   Buffer.add_string json
     (Printf.sprintf
-       "  \"resync\": {\"sessions\": %d, \"corpora\": %d, \
-        \"contexts_restored\": %d, \"warm_ms\": %.2f, \"cold_ms\": %.2f, \
-        \"speedup\": %.1f}\n"
-       rs_sessions rs_corpora rs_loads rs_warm_ms rs_cold_ms
-       (rs_cold_ms /. rs_warm_ms));
+       "  \"resync\": {\"sessions\": %d, \"corpora\": %d, \"rounds\": %d, \
+        \"until_warm_ms\": %.2f, \"until_warm_min_ms\": %.2f, \
+        \"bodies_changed\": %d}\n"
+       sessions (Array.length hot) rounds (median rs_ms)
+       (List.fold_left min infinity rs_ms) resync_changed);
   Buffer.add_string json "}\n";
   let path = "BENCH_persist.json" in
   let oc = open_out path in

@@ -24,7 +24,7 @@ let parse_hostport ~flag spec =
 
 let serve port threads cache datasets deadline_ms max_pending
     session_ttl max_sessions state_dir fsync snapshot_every no_incremental
-    max_context_mb replica_of peers takeover_after no_context_snapshots =
+    max_context_mb replica_of peers takeover_after =
   let datasets = match datasets with [] -> None | names -> Some names in
   let fsync =
     match Xsact_persist.Journal.policy_of_string fsync with
@@ -54,8 +54,7 @@ let serve port threads cache datasets deadline_ms max_pending
         (Server.create ?datasets ~cache_capacity:cache
            ~incremental:(not no_incremental) ?max_context_bytes ?deadline_ms
            ?session_ttl_s:session_ttl ?max_sessions ?state_dir
-           ~fsync ~snapshot_every ?replica_of ~peers ?takeover_after
-           ~context_snapshots:(not no_context_snapshots) ())
+           ~fsync ~snapshot_every ?replica_of ~peers ?takeover_after ())
     with Invalid_argument msg -> Error msg
   in
   match server with
@@ -264,16 +263,6 @@ let takeover_after_arg =
            wins and the rest re-point to it). 0 or absent: manual \
            promotion only.")
 
-let no_context_snapshots_arg =
-  Arg.(
-    value & flag
-    & info [ "no-context-snapshots" ]
-        ~doc:
-          "Skip writing the warm-boot context snapshot on clean shutdown \
-           and skip loading one on recovery — boot always restores \
-           sessions cold (rebuilt on first touch). Only meaningful with \
-           --state-dir.")
-
 let cmd =
   let doc = "serve XSACT comparisons over a JSON HTTP API" in
   Cmd.v
@@ -283,7 +272,6 @@ let cmd =
       $ deadline_arg $ max_pending_arg $ session_ttl_arg $ max_sessions_arg
       $ state_dir_arg $ fsync_arg $ snapshot_every_arg $ no_incremental_arg
       $ max_context_mb_arg
-      $ replica_of_arg $ peers_arg $ takeover_after_arg
-      $ no_context_snapshots_arg)
+      $ replica_of_arg $ peers_arg $ takeover_after_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -576,14 +576,11 @@ let upper_bound_pair c ~i ~j =
 
 (* {2 Serialization}
 
-   The warm-boot wire form (DESIGN.md §14): params + stable ids + the
-   cached pair entry tables, i.e. exactly the expensive-to-recompute
-   first-gap data. Everything else in the record is a cheap pure
-   function of the profiles ([weights_row]) or of the pairs map itself
-   ([derive_links_table]), so
-   [deserialize_context] rebuilds those on load and the result is
-   bit-identical to the context that was serialized. All values are
-   64-bit LE words — packed entry word B reaches 2^62, past int32. *)
+   The canonical dump tests digest: params + stable ids + the cached pair
+   entry tables, i.e. exactly the first-gap data. Everything else in a
+   context is a pure function of the profiles ([weights_row]) or of the
+   pairs map itself ([derive_links_table]). All values are 64-bit LE
+   words — packed entry word B reaches 2^62, past int32. *)
 
 let ser_version = 1
 
@@ -606,97 +603,3 @@ let serialize_context c =
       Array.iter add_int entries)
     c.pairs;
   Buffer.contents buf
-
-let deserialize_context ?(weight = fun _ -> 1) profiles blob =
-  let fail msg = failwith ("Dod.deserialize_context: " ^ msg) in
-  try
-    let len = String.length blob in
-    let pos = ref 0 in
-    let rd () =
-      if !pos + 8 > len then fail "truncated";
-      let v = Int64.to_int (String.get_int64_le blob !pos) in
-      pos := !pos + 8;
-      v
-    in
-    let rd_float () =
-      if !pos + 8 > len then fail "truncated";
-      let v = Int64.float_of_bits (String.get_int64_le blob !pos) in
-      pos := !pos + 8;
-      v
-    in
-    if rd () <> ser_version then fail "version mismatch";
-    let threshold_pct = rd_float () in
-    let measure =
-      match rd () with 0 -> Raw | 1 -> Rate | _ -> fail "bad measure"
-    in
-    let n = rd () in
-    if n <> Array.length profiles then fail "result count mismatch";
-    if n < 2 then fail "fewer than two results";
-    let ids = Array.make n 0 in
-    for i = 0 to n - 1 do
-      ids.(i) <- rd ();
-      if ids.(i) < 0 || (i > 0 && ids.(i) <= ids.(i - 1)) then
-        fail "ids not strictly increasing"
-    done;
-    let next_id = rd () in
-    if next_id <= ids.(n - 1) then fail "stale next_id";
-    let npairs = rd () in
-    if npairs <> n * (n - 1) / 2 then fail "pair count mismatch";
-    let pairs = ref Pair_map.empty in
-    for _ = 1 to npairs do
-      let lo = rd () in
-      let hi = rd () in
-      let ne = rd () in
-      (* bound the claimed length by the bytes actually left — a corrupt
-         count must not become an allocation attempt *)
-      if ne < 0 || ne mod 2 <> 0 || ne > (len - !pos) / 8 then
-        fail "bad entry table length";
-      if lo >= hi then fail "bad pair key";
-      let entries = Array.make ne 0 in
-      for k = 0 to ne - 1 do
-        entries.(k) <- rd ()
-      done;
-      pairs := Pair_map.add (lo, hi) entries !pairs
-    done;
-    if !pos <> len then fail "trailing bytes";
-    if Pair_map.cardinal !pairs <> npairs then fail "duplicate pair key";
-    let params = { threshold_pct; measure } in
-    let weights = Array.map (weights_row weight) profiles in
-    (* entry gi fields must index the profiles' type rows — checked here
-       so [derive_links_table] (and every later link walk) never reads a
-       word this blob smuggled out of range *)
-    Pair_map.iter
-      (fun (lo, hi) entries ->
-        let idx_of id =
-          let rec go i =
-            if i >= n then fail "pair key names an unknown id"
-            else if ids.(i) = id then i
-            else go (i + 1)
-          in
-          go 0
-        in
-        let i = idx_of lo and j = idx_of hi in
-        let ne = Array.length entries / 2 in
-        for k = 0 to ne - 1 do
-          let a = entries.(2 * k) in
-          let gi_i = a lsr gi_bits and gi_j = a land gi_mask in
-          if gi_i >= Array.length weights.(i) || gi_j >= Array.length weights.(j)
-          then fail "entry type index out of range"
-        done)
-      !pairs;
-    let links, starts = derive_links_table profiles !pairs in
-    Ok
-      {
-        params;
-        weight_fn = weight;
-        results = profiles;
-        links;
-        starts;
-        weights;
-        ids;
-        next_id;
-        pairs = !pairs;
-      }
-  with
-  | Failure msg -> Error msg
-  | Invalid_argument msg -> Error ("Dod.deserialize_context: " ^ msg)

@@ -182,26 +182,11 @@ val upper_bound_pair : context -> i:int -> j:int -> int
 (** {1 Serialization} *)
 
 val serialize_context : context -> string
-(** The warm-boot wire form (DESIGN.md §14): params, stable result ids
-    and the cached pair entry tables — exactly the data whose recompute
-    is the O(n² × features) first-gap scan. Profiles and the weighting
-    are {e not} included: the caller stores profiles beside the blob and
-    reconstructs the weighting from its own request state, and
-    {!deserialize_context} derives every remaining field from those. *)
-
-val deserialize_context :
-  ?weight:(Feature.ftype -> int) ->
-  Result_profile.t array ->
-  string ->
-  (context, string) result
-(** Rebuild a context from {!serialize_context}'s blob over the given
-    profiles (which must be the same results, in the same order, as at
-    serialization time — ids, counts and pair keys are cross-checked and
-    any inconsistency, truncation or corruption is an [Error], never an
-    exception or an unchecked allocation). The result is bit-identical
-    to the serialized context, with [O(total links)] replay work and no
-    first-gap scans. [weight] defaults to the uniform weighting, as in
-    {!make_context}. *)
+(** The canonical dump tests digest: params, stable result ids and the
+    cached pair entry tables — exactly the data whose recompute is the
+    O(n² × features) first-gap scan — as 64-bit little-endian words.
+    Profiles and the weighting are {e not} included. Two contexts with
+    equal dumps over the same profiles are bit-identical. *)
 
 (** {1 Explanations} *)
 

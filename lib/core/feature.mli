@@ -35,7 +35,7 @@ val to_string : t -> string
 
     Every entity tag, attribute path and value string has an integer id
     in one process-wide table, so profiles built by different paths — the
-    corpus scan, {!Result_profile.make} from a decoded or hand-built bag —
+    corpus scan, {!Result_profile.make} from a hand-built bag —
     give equal strings equal ids and compare by [int]. Ids are dense in
     insertion order: they say nothing about string order, differ between
     processes, and are never persisted. *)

@@ -38,10 +38,10 @@ let create ?(config = Config.default) ?context ~size_bound profiles =
     let dfss = generate skeleton context in
     Ok { skeleton with dfss }
 
-(* Adopt fully-materialized state — deserialized context and DFSs — with
-   no search, extraction, context build or generation. The warm-boot
-   path: everything here was produced by [create]/[apply] in a previous
-   process, so validity is re-checked rather than re-derived. *)
+(* Adopt a rebuilt context and resumed DFSs with no search, extraction,
+   context build or generation. The DFSs were produced by
+   [create]/[apply] earlier, possibly in another process, so validity is
+   re-checked rather than re-derived. *)
 let restore ?(runs = 1) ~config ~size_bound ~context ~dfss () =
   let profiles = Dod.results context in
   if config.Config.algorithm = Algorithm.Exhaustive then
@@ -59,9 +59,9 @@ let restore ?(runs = 1) ~config ~size_bound ~context ~dfss () =
          dfss profiles)
   then invalid_arg "Session.restore: invalid DFS"
   else
-    (* [runs] defaults to 1 — what [create] leaves behind; a warm-boot
-       caller passes the run count it snapshotted so the restored session
-       is indistinguishable from the live one it resumes. *)
+    (* [runs] defaults to 1 — what [create] leaves behind; a caller
+       passes the run count it kept so the restored session is
+       indistinguishable from the live one it resumes. *)
     Ok { config; size_bound; context; dfss; runs = ref (max 1 runs) }
 
 (* Swap in a canonical, physically shared context that is structurally

@@ -50,20 +50,20 @@ val restore :
   dfss:Dfs.t array ->
   unit ->
   (t, Error.t) result
-(** Adopt fully-materialized state with {e no} search, extraction,
-    context build or DFS generation — the warm-boot path
-    (DESIGN.md §14): the caller deserialized [context]
-    ({!Dod.deserialize_context}) and the DFS q-vectors from a context
-    snapshot; the session's profiles are [context]'s results. The same
-    request-level validations as {!create} apply ([Exhaustive], result
-    count, bound), and every DFS is re-checked for arity, size and
-    downward closure at [size_bound]. A restored session is
-    observably identical to the one that was serialized — including its
-    {!stats} run count when the caller snapshotted it ([runs],
+(** Adopt a context and DFSs with {e no} search, extraction, context
+    build or DFS generation — how the serve layer brings back a session
+    it journaled or demoted (DESIGN.md §10): the caller rebuilt
+    [context] as a fresh {!create} over the same results would, and the
+    DFSs from the q-vectors the session served; the session's profiles
+    are [context]'s results. The same request-level validations as
+    {!create} apply ([Exhaustive], result count, bound), and every DFS is
+    re-checked for arity, size and downward closure at [size_bound]. A
+    restored session is observably identical to the one it resumes —
+    including its {!stats} run count when the caller kept it ([runs],
     default 1, clamped from below to 1).
     @raise Invalid_argument on an arity mismatch, a DFS over a foreign
-    profile, or an invalid DFS — snapshot corruption, which the caller
-    turns into a cold rebuild. *)
+    profile, or an invalid DFS — stale or corrupt resume data, which the
+    caller turns into a fresh generation. *)
 
 val intern : t -> context:Dod.context -> t
 (** Swap in a canonical, physically shared context that is structurally

@@ -74,7 +74,7 @@ type frame =
 
 val input_frame : max_record_bytes:int -> in_channel -> frame
 (** Read one frame: the one parser of the frame header, shared by the
-    journal's reads, [Snapshot.read] and the replication stream. A length
+    journal's reads and the replication stream. A length
     over [max_record_bytes] is [Torn] before the payload is allocated.
     After [Cut] or [Torn] framing is lost. *)
 

@@ -4,12 +4,17 @@ module Prng = Xsact_util.Prng
 
 (* ---- Wire format --------------------------------------------------------
    After the HTTP head, messages until the connection closes: a kind byte
-   ('S' resync header, then its 'P' state payloads and 'W' warm records;
-   'R' journal record; 'H' heartbeat), then one journal frame. The .mli
-   has the fields. Every frame is read under [max_frame_bytes]. *)
+   ('S' resync header, then its 'P' state payloads; 'R' journal record;
+   'H' heartbeat), then one journal frame. The .mli has the fields. Every
+   frame is read under [max_frame_bytes], and a resync's payloads under
+   [max_resync_bytes] together. *)
 
 let content_type = "application/x-xsact-frames"
 let max_frame_bytes = Journal.default_max_record_bytes
+
+(* 1 GiB: the frames of one resync are held until the last arrives, so
+   their number needs a bound as well as their size. *)
+let max_resync_bytes = 64 * max_frame_bytes
 
 (* The kind byte, the header, then the payload itself, uncopied. *)
 let send oc kind payload =
@@ -31,11 +36,8 @@ let stream_head =
    message by message, as journal records are acked. [boot], [gen] and
    [from] are the follower's cursor (absent on a cold connect): when they
    name a live position in our current journal the stream resumes there,
-   otherwise it opens with a full resync. [warm] supplies the
-   context-snapshot records a resync ships (empty when warm resyncs are
-   disabled). *)
-let serve_stream ~durability:d ~oc ?boot ?gen ?from ?(warm = fun () -> [])
-    ~stopping () =
+   otherwise it opens with a full resync. *)
+let serve_stream ~durability:d ~oc ?boot ?gen ?from ~stopping () =
   (* (gen, offset) the next record must continue from; [None] forces a
      resync. The boot id is checked once — ours never changes. *)
   let cursor =
@@ -65,9 +67,6 @@ let serve_stream ~durability:d ~oc ?boot ?gen ?from ?(warm = fun () -> [])
   in
   let send_resync () =
     let r = Durability.resync d in
-    let warm =
-      List.filter (fun w -> String.length w <= max_frame_bytes) (warm ())
-    in
     send oc 'S'
       (Json.to_string
          (Json.Obj
@@ -79,10 +78,8 @@ let serve_stream ~durability:d ~oc ?boot ?gen ?from ?(warm = fun () -> [])
               ("records", Json.Int r.Durability.r_records);
               ("digest", Json.Int r.Durability.r_digest);
               ("payloads", Json.Int (List.length r.Durability.r_payloads));
-              ("warm", Json.Int (List.length warm));
             ]));
     List.iter (send oc 'P') r.Durability.r_payloads;
-    List.iter (send oc 'W') warm;
     flush oc;
     cursor := Some (r.Durability.r_gen, r.Durability.r_offset);
     last_hb := Unix.gettimeofday ()
@@ -132,8 +129,8 @@ type client = {
   probe : unit -> (string * int) option;
   on_repoint : (string * int) -> unit;  (* the target changed *)
   apply : string -> unit;  (* one replicated journal payload *)
-  reset : payloads:string list -> warm:string list -> unit;
-      (* resync: full payload list (meta first) + raw warm records *)
+  reset : payloads:string list -> unit;
+      (* resync: the full payload list, meta first *)
   takeover_after : float option;
   (* the election: a primary to re-point to, or [None] to stop *)
   on_lost : (unit -> (string * int) option) option;
@@ -211,11 +208,17 @@ let json_payload ic =
   | Ok json -> json
   | Error _ -> raise Reconnect
 
-(* The [n] frames of one kind that a resync header announced. *)
-let rec frames ic kind n acc =
+(* The [n] [P] frames a resync header announced, [bytes] of them read so
+   far, kind bytes and headers included: past [max_resync_bytes] the
+   stream is dropped. *)
+let rec frames ic n ~bytes acc =
   if n = 0 then List.rev acc
-  else if input_char ic <> kind then raise Reconnect
-  else frames ic kind (n - 1) (payload ic :: acc)
+  else if input_char ic <> 'P' then raise Reconnect
+  else
+    let p = payload ic in
+    let bytes = bytes + 1 + Journal.header_bytes + String.length p in
+    if bytes > max_resync_bytes then raise Reconnect
+    else frames ic (n - 1) ~bytes (p :: acc)
 
 let handle_message c ic = function
   | 'S' -> (
@@ -227,14 +230,10 @@ let handle_message c ic = function
         int "gen",
         int "offset",
         int "records",
-        int "payloads",
-        int "warm" )
+        int "payloads" )
     with
-    | Some boot, Some gen, Some offset, Some records, Some np, Some nw
-      when np >= 0 && nw >= 0 ->
-      let payloads = frames ic 'P' np [] in
-      let warm = frames ic 'W' nw [] in
-      c.reset ~payloads ~warm;
+    | Some boot, Some gen, Some offset, Some records, Some np when np >= 0 ->
+      c.reset ~payloads:(frames ic np ~bytes:0 []);
       c.cursor <- Some (boot, gen, offset);
       c.applied_in_gen <- records;
       Atomic.set c.lag 0;

@@ -16,10 +16,9 @@
     - [S] — resync header, JSON: the cursor (primary boot id, compaction
       [gen], journal byte [offset]) the record stream continues from,
       [records], the state [digest], the primary's fencing [epoch], and
-      the counts [payloads] and [warm] of the [P] frames (state payloads,
-      meta first) and [W] frames ({!Warmboot} records, raw bytes) that
-      follow. The follower resets once all have arrived; any other kind
-      in between drops the stream;
+      the count [payloads] of the [P] frames (state payloads, meta first)
+      that follow. The follower resets once all have arrived; any other
+      kind in between drops the stream;
     - [R] — one journal record, verbatim; the follower's byte cursor
       advances by [Journal.header_bytes + length];
     - [H] — heartbeat every ~0.2 s, JSON: [gen], [epoch], [records] (the
@@ -27,9 +26,9 @@
       [digest] (the divergence probe).
 
     A clean end is a close at a message boundary. The follower reads every
-    frame under [Journal.default_max_record_bytes], so the primary never
-    ships a larger warm record (the follower would drop the stream,
-    resync and meet it again); those sessions are rebuilt eagerly. There
+    frame under [Journal.default_max_record_bytes], and one resync's [P]
+    frames under 64 times that (1 GiB) together, kind bytes and headers
+    included: past either bound it drops the stream and reconnects. There
     is no version negotiation: both ends ship in one binary, and a
     cluster is upgraded together.
 
@@ -58,16 +57,14 @@ val serve_stream :
   ?boot:string ->
   ?gen:int ->
   ?from:int ->
-  ?warm:(unit -> string list) ->
   stopping:(unit -> bool) ->
   unit ->
   unit
 (** Primary side. Takes over the connection's [oc] after the request was
     read and writes the entire response, polling the journal file
     (~45 ms) and streaming records as they are acked, until the follower
-    disconnects or [stopping ()] — never raises. [warm] is called at
-    each resync for the context-snapshot records to ship (default none).
-    The caller closes the connection. *)
+    disconnects or [stopping ()] — never raises. The caller closes the
+    connection. *)
 
 type client
 
@@ -79,7 +76,7 @@ val start_client :
   ?probe:(unit -> (string * int) option) ->
   ?on_repoint:(string * int -> unit) ->
   apply:(string -> unit) ->
-  reset:(payloads:string list -> warm:string list -> unit) ->
+  reset:(payloads:string list -> unit) ->
   ?takeover_after:float ->
   ?on_lost:(unit -> (string * int) option) ->
   unit ->
@@ -88,7 +85,7 @@ val start_client :
     (discovering one via [probe] when absent or lost), reconnecting with
     capped jittered exponential backoff (50 ms → 1 s), and drives
     [apply] with each replicated journal payload and [reset] with each
-    resync's full payload list plus its warm records — both called from
+    resync's full payload list — both called from
     the replication thread; they own journaling the data locally
     ({!Durability.append_replicated} / {!Durability.install_resync}) and
     mirroring it into live state.

@@ -11,21 +11,21 @@ type session_entry = {
 (* A stored session is either warm — the resident [Session.t] with its
    live pair-table context — or cold: the recipe (originating request,
    current selection, current bound) that [build_session_entry] rebuilds
-   the context from. Recovery restores cold cells and the first touch
-   rewarms them (so recovery latency no longer pays for sessions nobody
-   asks for), and the warm-context memory budget demotes least-recently-
-   used cells back to cold. A demoted cell also keeps, in memory only,
-   the DFS q-vectors and run count it served: a mutated session's DFSs
-   are a warm-started fixpoint that a fresh generation need not reach, so
-   its rewarm restores them and demotion stays invisible in response
-   bytes. Every read and write of [state] runs under [session_update]. *)
+   the context from, plus the DFS q-vectors and run count the session
+   served. A mutated session's DFSs are a warm-started fixpoint that a
+   fresh generation need not reach, so every rewarm restores them and
+   neither demotion nor a restart shows in response bytes. Recovery and
+   replication install cold cells and the first touch rewarms them, and
+   the warm-context memory budget demotes least-recently-used cells back
+   to cold. Every read and write of [state] runs under
+   [session_update]. *)
 type cold_session = {
   c_request : Api.compare_request;
   c_ranks : int list;
   c_size_bound : int;
   c_resume : (int array array * int) option;
-      (* a demoted cell's DFS q-vectors and runs; [None] when recovered
-         from the journal, which regenerates them *)
+      (* the DFS q-vectors and runs it served; [None] for a journal entry
+         written without them, which regenerates *)
 }
 
 type session_state = Warm of session_entry | Cold of cold_session
@@ -36,15 +36,15 @@ type session_state = Warm of session_entry | Cold of cold_session
    so each one moves that reference with nothing racing it. *)
 type stored_session = { mutable state : session_state }
 
+let resume_of session =
+  (Array.map Dfs.to_q_array (Session.dfss session), Session.stats session)
+
 let cold_of_entry se =
   {
     c_request = se.s_request;
     c_ranks = se.s_ranks;
     c_size_bound = Session.size_bound se.s_session;
-    c_resume =
-      Some
-        ( Array.map Dfs.to_q_array (Session.dfss se.s_session),
-          Session.stats se.s_session );
+    c_resume = Some (resume_of se.s_session);
   }
 
 type t = {
@@ -88,7 +88,6 @@ type t = {
   cluster_lock : Mutex.t;
   replica_of : (string * int) option;
   takeover_after : float option;
-  context_snapshots : bool;
   repl_client : Replication.client option ref;
   streams : int Atomic.t;
   peers : (string * int) list;
@@ -244,14 +243,23 @@ let probe_request ~host ~port ?meth ?body path =
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO probe_timeout_s;
           Unix.setsockopt_float fd Unix.SO_SNDTIMEO probe_timeout_s;
           Unix.connect fd (Unix.ADDR_INET (addr, port));
-          let oc = Unix.out_channel_of_descr fd in
-          let ic = Unix.in_channel_of_descr fd in
-          Http.send_request oc ~host:(addr_string (host, port)) ?meth ?body
-            path;
-          Http.read_response ic)
+          (* The channels own a duplicate of [fd] and are closed with it,
+             for the reason [serve_connection]'s are. *)
+          let cfd = Unix.dup fd in
+          let ic = Unix.in_channel_of_descr cfd in
+          let oc = Unix.out_channel_of_descr cfd in
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () ->
+              Http.send_request oc ~host:(addr_string (host, port)) ?meth
+                ?body path;
+              Http.read_response ic))
     with
-    | exception (Unix.Unix_error _ | Sys_error _ | Failure _ | End_of_file)
-      ->
+    | exception
+        ( Unix.Unix_error _ | Sys_error _ | Sys_blocked_io | Failure _
+        | End_of_file ) ->
+      (* [Sys_blocked_io]: a channel read or write that ran into a socket
+         timeout *)
       None
     | status, _, resp_body -> Some (status, resp_body))
 
@@ -343,11 +351,10 @@ let cluster_fields ?self t =
 
 (* Readiness: route traffic here only once recovered state is live. Not a
    bare 200/503 — the body reports how far recovery/replication has
-   progressed (records folded, warm-boot snapshot hits and misses,
-   current journal offset; on a follower, replication lag and liveness),
-   so an operator watching a slow boot sees movement, not a coin flip. *)
+   progressed (records folded, current journal offset; on a follower,
+   replication lag and liveness), so an operator watching a slow boot
+   sees movement, not a coin flip. *)
 let handle_ready t _req _params =
-  let counter = Metrics.counter t.metrics in
   let progress =
     cluster_fields t
     @ [
@@ -361,9 +368,6 @@ let handle_ready t _req _params =
           (match !(t.durability) with
           | Some d -> Durability.journal_offset d
           | None -> 0) );
-      ("context_snapshot_loads", Json.Int (counter "context_snapshot_loads"));
-      ( "context_snapshot_misses",
-        Json.Int (counter "context_snapshot_misses") );
     ]
     @
     match !(t.repl_client) with
@@ -673,12 +677,13 @@ let session_ctx_key se = ctx_key se.s_request se.s_ranks
 
 (* Build the resident state for a session over [creq] with [ranks]
    selected ([None] → the first [top]) at [size_bound]. Shared by
-   POST /session, lazy recovery rewarming and budget re-promotion, so a
-   recovered session is exactly what creating it fresh from its journaled
-   request would produce. [resume] (a demoted cell's DFS q-vectors and
-   run count) replaces the generation: the DFSs are restored over the
-   context through [Session.restore], which re-validates them, and a
-   failed validation falls back to generating. On an incremental server
+   POST /session and every rewarm of a cold cell — after a restart, on a
+   follower, after demotion — so a session comes back over the context a
+   fresh create from its journaled request would build. [resume] (the DFS
+   q-vectors and run count the cell served) replaces the generation: the
+   DFSs are restored over the context through [Session.restore], which
+   re-validates them, and a failed validation falls back to generating.
+   On an incremental server
    the entry comes with one intern-table reference on its context key,
    which the caller's cell then holds: a hit adopts the interned
    (profiles, context) pair — skipping extraction and the O(n²)
@@ -846,10 +851,10 @@ let enforce_context_budget t sessions ~keep =
     end
 
 (* Rebuild a cold session's resident state on first touch — the exact
-   [build_session_entry] path POST /session took. A demoted cell resumes
-   the DFSs it served, so it answers what it answered before demotion; a
-   cell recovered from the journal regenerates them, deterministically
-   what a fresh create over its recipe serves (DESIGN.md §10). An
+   [build_session_entry] path POST /session took. The cell resumes the
+   DFSs it served, so it answers what was acknowledged (DESIGN.md §10);
+   only an entry journaled without them regenerates, which is what a
+   fresh create over its recipe serves. An
    unrecoverable cold cell (e.g. its dataset is no longer loaded)
    surfaces its error and stays cold: a later restart with the dataset
    back still serves it. Called under [session_update]. *)
@@ -1188,12 +1193,6 @@ let handle_metrics t _req _params =
                     Json.Int (Metrics.counter t.metrics "promotions") );
                   ( "demotions",
                     Json.Int (Metrics.counter t.metrics "demotions") );
-                  ( "context_snapshot_loads",
-                    Json.Int
-                      (Metrics.counter t.metrics "context_snapshot_loads") );
-                  ( "context_snapshot_misses",
-                    Json.Int
-                      (Metrics.counter t.metrics "context_snapshot_misses") );
                 ]
                @
                match !(t.repl_client) with
@@ -1210,31 +1209,74 @@ let handle_metrics t _req _params =
                | None -> []) );
          ])
 
-(* The session's durable representation: everything needed to rebuild it
-   through [build_session_entry] — the originating request (in
-   request-body format), the current selection and the current size bound.
-   Warm and cold cells journal identically (residency is not durable
-   state); derived state (search results, profiles, the warm DFSs and
-   context) is recomputed on rewarm, and the "runs" diagnostic restarts
-   from zero. *)
+(* A session's DFS q-vectors as one string: each vector's counts joined
+   by ',', the vectors by ';'. It is written under [session_update] on
+   every mutation, so it stays one flat string rather than a JSON tree. *)
+let string_of_qs qs =
+  let b = Buffer.create 64 in
+  Array.iteri
+    (fun i q ->
+      if i > 0 then Buffer.add_char b ';';
+      Array.iteri
+        (fun j v ->
+          if j > 0 then Buffer.add_char b ',';
+          Buffer.add_string b (string_of_int v))
+        q)
+    qs;
+  Buffer.contents b
+
+(* The inverse, on bytes read back from disk or a peer: [None] unless
+   every count is a plain decimal. Arity and range are checked later, by
+   [Dfs.of_q_array] and [Session.restore] against the rebuilt context. *)
+let qs_of_string s =
+  let count c =
+    if c <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') c then
+      int_of_string c (* [Failure] past [max_int] *)
+    else raise Exit
+  in
+  let vector = function
+    | "" -> [||]
+    | v -> Array.of_list (List.map count (String.split_on_char ',' v))
+  in
+  match Array.of_list (List.map vector (String.split_on_char ';' s)) with
+  | qs -> Some qs
+  | exception (Exit | Failure _) -> None
+
+(* The session's durable representation: everything needed to bring it
+   back through [build_session_entry] — the originating request (in
+   request-body format), the current selection and size bound, and the
+   DFS q-vectors ("dfss") and run count ("runs") it serves. Warm and cold
+   cells journal identically (residency is not durable state); search
+   results, profiles and the context are recomputed on rewarm. *)
 let json_of_stored st =
-  let dataset, request, ranks, size_bound =
+  let dataset, request, ranks, size_bound, resume =
     match st.state with
     | Warm se ->
       ( se.s_dataset,
         se.s_request,
         se.s_ranks,
-        Session.size_bound se.s_session )
-    | Cold c -> (c.c_request.Api.dataset, c.c_request, c.c_ranks, c.c_size_bound)
+        Session.size_bound se.s_session,
+        Some (resume_of se.s_session) )
+    | Cold c ->
+      ( c.c_request.Api.dataset,
+        c.c_request,
+        c.c_ranks,
+        c.c_size_bound,
+        c.c_resume )
   in
   Json.Obj
-    [
-      ("v", Json.Int 1);
-      ("dataset", Json.String dataset);
-      ("request", Api.json_of_compare request);
-      ("ranks", Json.List (List.map (fun r -> Json.Int r) ranks));
-      ("size_bound", Json.Int size_bound);
-    ]
+    ([
+       ("v", Json.Int 1);
+       ("dataset", Json.String dataset);
+       ("request", Api.json_of_compare request);
+       ("ranks", Json.List (List.map (fun r -> Json.Int r) ranks));
+       ("size_bound", Json.Int size_bound);
+     ]
+    @
+    match resume with
+    | None -> []
+    | Some (qs, runs) ->
+      [ ("dfss", Json.String (string_of_qs qs)); ("runs", Json.Int runs) ])
 
 let log_event d = function
   | Session_store.Created { id; value; at } ->
@@ -1248,79 +1290,6 @@ let log_event d = function
   | Session_store.Evicted { id; value = _ } ->
     Durability.log_delete d ~op:"evict" ~id
 
-(* ---- Warm-boot context snapshots ----------------------------------------- *)
-
-let contexts_path dir = Filename.concat dir "contexts"
-
-(* Context snapshots need interned contexts to snapshot. *)
-let warm_snapshots t = t.context_snapshots && t.incremental
-
-(* Serialize the warm population: one record per distinct interned
-   context (k sessions over one corpus write one context), one per warm
-   session. Cold cells are skipped — their contexts do not exist — and
-   so are compare-cache-only intern entries, whose weighting no stored
-   request can reconstruct. Both record lists are sorted, so the output
-   is deterministic for a given warm set. Two consumers: the [contexts]
-   file written at clean shutdown, and the [W] frames of a replication
-   resync. Called under [session_update]. *)
-let warm_records sessions =
-  let ctxs = Hashtbl.create 8 in
-  let warm =
-    Session_store.fold sessions ~init:[]
-      ~f:(fun id st ~last_used:_ acc ->
-        match st.state with
-        | Warm se ->
-          let key = session_ctx_key se in
-          if not (Hashtbl.mem ctxs key) then
-            Hashtbl.replace ctxs key
-              (Session.profiles se.s_session, Session.context se.s_session);
-          (id, key, se) :: acc
-        | Cold _ -> acc)
-  in
-  if warm = [] then []
-  else
-    let ctx_records =
-      Hashtbl.fold
-        (fun key (profiles, context) acc ->
-          Warmboot.encode
-            (Warmboot.Ctx
-               {
-                 Warmboot.x_key = key;
-                 x_profiles = profiles;
-                 x_blob = Dod.serialize_context context;
-               })
-          :: acc)
-        ctxs []
-      |> List.sort compare
-    in
-    let sess_records =
-      List.map
-        (fun (id, key, se) ->
-          Warmboot.encode
-            (Warmboot.Sess
-               {
-                 Warmboot.z_id = id;
-                 z_ctx = key;
-                 z_bound = Session.size_bound se.s_session;
-                 z_runs = Session.stats se.s_session;
-                 z_dfss = Array.map Dfs.to_q_array (Session.dfss se.s_session);
-               }))
-        warm
-      |> List.sort compare
-    in
-    ctx_records @ sess_records
-
-(* Shutdown consumer: no warm sessions → no file (a stale one would only
-   produce misses). *)
-let write_context_snapshot t =
-  match t.persist with
-  | Some (dir, _, _) when warm_snapshots t ->
-    let path = contexts_path dir in
-    (match with_sessions t warm_records with
-    | [] -> ( try Sys.remove path with Sys_error _ -> ())
-    | records -> Xsact_persist.Snapshot.write path records)
-  | _ -> ()
-
 (* ---- Installing sessions --------------------------------------------------
 
    Recovery, a replication resync and a replicated record all land session
@@ -1328,12 +1297,14 @@ let write_context_snapshot t =
    ([drop]/[restore]): the entries are already in this node's journal,
    exactly once, as themselves. *)
 
-(* Decode a journal entry into the cold recipe. Pure parsing — no search,
+(* Decode a journal entry into a cold cell. Pure parsing — no search,
    no extraction, no context build: recovery restores every session cold
    and the first touch rewarms it through [build_session_entry], so boot
    time is O(journal) instead of O(sessions × n²) and the durability
    contract (a recovered session serves exactly what was acknowledged) is
-   discharged lazily by the same deterministic build path. *)
+   discharged lazily by the path that demotion's rewarm also takes. A
+   missing or malformed "dfss"/"runs" pair only costs the resume: the
+   session regenerates from its recipe. *)
 let cold_of_journal entry_json =
   match Json.member "request" entry_json with
   | None -> Error "missing \"request\""
@@ -1341,6 +1312,7 @@ let cold_of_journal entry_json =
     match Api.decode_compare rj with
     | Error e -> Error e
     | Ok creq -> (
+      let int name = Option.bind (Json.member name entry_json) Json.to_int in
       let ranks =
         match Option.bind (Json.member "ranks" entry_json) Json.to_list with
         | None -> None
@@ -1348,17 +1320,22 @@ let cold_of_journal entry_json =
           let ints = List.filter_map Json.to_int items in
           if List.length ints = List.length items then Some ints else None
       in
-      let size_bound =
-        Option.bind (Json.member "size_bound" entry_json) Json.to_int
+      let resume =
+        match
+          (Option.bind (Json.member "dfss" entry_json) Json.to_str, int "runs")
+        with
+        | Some qs, Some runs ->
+          Option.map (fun qs -> (qs, runs)) (qs_of_string qs)
+        | _ -> None
       in
-      match (ranks, size_bound) with
+      match (ranks, int "size_bound") with
       | Some ranks, Some size_bound ->
         Ok
           {
             c_request = creq;
             c_ranks = ranks;
             c_size_bound = size_bound;
-            c_resume = None;
+            c_resume = resume;
           }
       | _ -> Error "malformed entry (ranks/size_bound)"))
 
@@ -1367,135 +1344,28 @@ let drop_session t sessions id =
     (release_cell ~incremental:t.incremental t.intern)
     (Session_store.drop sessions id)
 
-(* Warm-boot one cold cell from its snapshot record, paying bounded
-   verification instead of an O(n²) rebuild. The record must name the same
-   context key and bound as the journal's recipe (the journal is truth — a
-   session mutated after the snapshot was written simply misses and stays
-   cold). The context comes from the intern table when another session
-   already loaded it (k sessions over one corpus = one deserialization) or
-   from the blob, itself cross-checked by [Dod.deserialize_context]; the
-   DFS vectors and the assembly are re-validated by [Dfs.of_q_array] and
-   [Session.restore]. Any defect is a miss, never wrong state. *)
-let warm_from_record t sessions ~blobs ~search (s : Warmboot.sess) =
-  let miss () = Metrics.incr_counter t.metrics "context_snapshot_misses" in
-  match Session_store.find sessions s.Warmboot.z_id with
-  | Some ({ state = Cold c } as st)
-    when ctx_key c.c_request c.c_ranks = s.Warmboot.z_ctx
-         && c.c_size_bound = s.Warmboot.z_bound -> (
-    let key = s.Warmboot.z_ctx in
-    let creq = c.c_request in
-    let config = request_config t creq in
-    match find_entry t creq.Api.dataset with
-    | None -> miss () (* dataset gone; stays cold *)
-    | Some entry -> (
-      let interned =
-        match Intern.acquire t.intern key with
-        | Some pair -> Some pair
-        | None ->
-          Option.bind (Hashtbl.find_opt blobs key) (fun (profiles, blob) ->
-              match
-                Dod.deserialize_context ~weight:config.Config.weight profiles
-                  blob
-              with
-              | Error _ -> None
-              | Ok context ->
-                Some (Intern.publish t.intern key ~profiles ~context))
-      in
-      match interned with
-      | None -> miss ()
-      | Some (_, context) -> (
-        let profiles = Dod.results context in
-        match
-          Session.restore ~runs:s.Warmboot.z_runs ~config
-            ~size_bound:s.Warmboot.z_bound ~context
-            ~dfss:
-              (Array.mapi
-                 (fun i q -> Dfs.of_q_array profiles.(i) q)
-                 s.Warmboot.z_dfss)
-            ()
-        with
-        | exception Invalid_argument _ ->
-          Intern.release t.intern key;
-          miss ()
-        | Error _ ->
-          Intern.release t.intern key;
-          miss ()
-        | Ok session ->
-          st.state <-
-            Warm
-              {
-                s_dataset = creq.Api.dataset;
-                s_request = creq;
-                s_results = search entry creq;
-                s_ranks = c.c_ranks;
-                s_session = session;
-              };
-          Metrics.incr_counter t.metrics "context_snapshot_loads")))
-  | Some _ | None -> miss ()
-
 (* The one install path. Journal [entries] restore cold (an entry this
    build cannot even parse is counted and skipped — the server keeps
-   serving); warm-boot [records] upgrade the cells they match; [eager]
-   rebuilds whatever is still cold, so a follower serves — and, promoted,
-   keeps serving — warm sessions. [replace] drops every other session
-   first (a resync is the whole state). *)
-let install_sessions t d ?(replace = false) ?(records = []) ~eager entries =
+   serving); [eager] rewarms them at once, so a follower serves — and,
+   promoted, keeps serving — warm sessions. [replace] drops every other
+   session first (a resync is the whole state). *)
+let install_sessions t d ?(replace = false) ~eager entries =
   with_sessions t (fun sessions ->
       if replace then
         List.iter (drop_session t sessions) (Session_store.ids sessions);
-      let ids =
-        List.filter_map
-          (fun (id, at, entry) ->
-            drop_session t sessions id;
-            match cold_of_journal entry with
-            | Ok cold ->
-              Session_store.restore sessions ~id ~last_used:at
-                { state = Cold cold };
-              Some id
-            | Error msg ->
-              Durability.mark_dropped d;
-              Printf.eprintf
-                "xsact-serve: dropped unrecoverable session %s: %s\n%!" id msg;
-              None)
-          entries
-      in
-      if records <> [] then begin
-        let blobs = Hashtbl.create 8 in
-        (* one search per distinct (dataset, keywords): restored sessions
-           over one query share the result list as they share the context *)
-        let searches = Hashtbl.create 8 in
-        let search entry creq =
-          let key = creq.Api.dataset ^ "\x00" ^ creq.Api.keywords in
-          match Hashtbl.find_opt searches key with
-          | Some r -> r
-          | None ->
-            let r = Pipeline.search entry.pipeline creq.Api.keywords in
-            Hashtbl.add searches key r;
-            r
-        in
-        List.filter_map
-          (fun r ->
-            match Warmboot.decode r with
-            | Ok (Warmboot.Ctx c) ->
-              Hashtbl.replace blobs c.Warmboot.x_key
-                (c.Warmboot.x_profiles, c.Warmboot.x_blob);
-              None
-            | Ok (Warmboot.Sess s) -> Some s
-            | Error _ ->
-              Metrics.incr_counter t.metrics "context_snapshot_misses";
-              None)
-          records
-        |> List.iter (warm_from_record t sessions ~blobs ~search);
-        enforce_context_budget t sessions ~keep:""
-      end;
-      if eager then
-        List.iter
-          (fun id ->
-            match Session_store.find sessions id with
-            | Some ({ state = Cold _ } as st) ->
-              ignore (warm_session t sessions id st)
-            | Some { state = Warm _ } | None -> ())
-          ids)
+      List.iter
+        (fun (id, at, entry) ->
+          drop_session t sessions id;
+          match cold_of_journal entry with
+          | Ok cold ->
+            let st = { state = Cold cold } in
+            Session_store.restore sessions ~id ~last_used:at st;
+            if eager then ignore (warm_session t sessions id st)
+          | Error msg ->
+            Durability.mark_dropped d;
+            Printf.eprintf
+              "xsact-serve: dropped unrecoverable session %s: %s\n%!" id msg)
+        entries)
 
 (* The replication client's state hooks, run on its thread. Both journal
    through [Durability] first, never through the store's event hook. *)
@@ -1509,14 +1379,12 @@ let repl_apply t d payload =
     with_sessions t (fun sessions -> Session_store.ensure_next sessions next)
   | Durability.P_unknown -> ()  (* counted by the fold *)
 
-(* Full-state handover: the primary's warm records (the warm resync — k
-   sessions over one corpus decode one context blob) cover what they can,
-   the rest rebuilds eagerly. *)
-let repl_reset t d ~payloads ~warm =
+(* Full-state handover: every session rewarms eagerly from its entry,
+   resuming the DFSs the primary served (k sessions over one corpus share
+   one context build through the intern table). *)
+let repl_reset t d ~payloads =
   let r = Durability.install_resync d payloads in
-  let records = if warm_snapshots t then warm else [] in
-  install_sessions t d ~replace:true ~records ~eager:true
-    r.Durability.entries;
+  install_sessions t d ~replace:true ~eager:true r.Durability.entries;
   with_sessions t (fun sessions ->
       Session_store.ensure_next sessions r.Durability.next_id)
 
@@ -1823,8 +1691,7 @@ let create ?datasets ?(cache_capacity = 128) ?(incremental = true)
     ?max_context_bytes ?deadline_ms ?(max_deadline_ms = 60_000)
     ?session_ttl_s ?max_sessions ?state_dir
     ?(fsync = Xsact_persist.Journal.Interval 0.1) ?(snapshot_every = 256)
-    ?replica_of ?(peers = []) ?takeover_after ?(context_snapshots = true) ()
-    =
+    ?replica_of ?(peers = []) ?takeover_after () =
   (match deadline_ms with
   | Some ms when ms < 1 ->
     invalid_arg "Server.create: deadline_ms must be positive"
@@ -1900,7 +1767,6 @@ let create ?datasets ?(cache_capacity = 128) ?(incremental = true)
       cluster_lock = Mutex.create ();
       replica_of;
       takeover_after;
-      context_snapshots;
       repl_client = ref None;
       streams = Atomic.make 0;
       peers;
@@ -1922,14 +1788,7 @@ let recover t =
   | Some _, Some _ -> ()  (* already recovered *)
   | Some (dir, fsync, snapshot_every), None ->
     let d, recovered = Durability.recover ~dir ~fsync ~snapshot_every in
-    let records =
-      if not (warm_snapshots t) then []
-      else
-        match Xsact_persist.Snapshot.read (contexts_path dir) with
-        | { Xsact_persist.Snapshot.records; valid = true } -> records
-        | _ -> []
-    in
-    install_sessions t d ~records ~eager:false recovered.Durability.entries;
+    install_sessions t d ~eager:false recovered.Durability.entries;
     with_sessions t (fun sessions ->
         Session_store.ensure_next sessions recovered.Durability.next_id);
     t.durability := Some d;
@@ -2151,9 +2010,6 @@ let serve_connection r fd =
               Replication.serve_stream ~durability:d ~oc
                 ?boot:(query_param req "boot") ?gen:(int_param "gen")
                 ?from:(int_param "from")
-                ~warm:(fun () ->
-                  (* the resync consumer of [warm_records] *)
-                  if warm_snapshots t then with_sessions t warm_records else [])
                 ~stopping:(fun () ->
                   Atomic.get r.accept_stop
                   || (cluster t).Cluster.role <> Cluster.Primary)
@@ -2399,11 +2255,10 @@ let stop r =
      interval's acked records may still ride only on the page cache, and
      the snapshot below can stall or die (disk full, injected fault) —
      a clean [stop] must never be the reason an acked record is lost.
-     The snapshots are pure accelerators after that barrier, so their
-     failures are absorbed. *)
+     The snapshot is a pure accelerator after that barrier, so its
+     failure is absorbed. *)
   match !(r.server.durability) with
   | None -> ()
   | Some d ->
     Durability.flush d;
-    (try Durability.snapshot_now d with _ -> ());
-    (try write_context_snapshot r.server with _ -> ())
+    (try Durability.snapshot_now d with _ -> ())

@@ -49,12 +49,10 @@
     state, serves reads (and [POST /compare]) while refusing mutations
     with [503 {"code":"follower"}] (hinting at the primary it currently
     follows), and becomes the primary on [POST /v1/promote] or — with
-    [takeover_after] — when the primary stays silent that long. Clean
-    shutdown also writes a {e context snapshot} (serialized pair tables
-    + DFS vectors) that the next boot loads, so restart rewarms sessions
-    by bounded verification instead of per-session rebuilds; a
-    replication resync ships the same records inline, as raw frames,
-    so a fresh or diverged follower boots warm too.
+    [takeover_after] — when the primary stays silent that long. A
+    journal entry carries the DFS q-vectors and run count its session
+    serves, so a restart, a crash recovery, a follower and a promoted
+    follower all serve every session exactly as it was acknowledged.
 
     Coordinated fencing (DESIGN.md §14): role and fencing epoch are one
     {!Cluster.t}, changed only through {!Cluster.step} with the epoch
@@ -75,7 +73,7 @@ val create :
   ?max_sessions:int -> ?state_dir:string ->
   ?fsync:Xsact_persist.Journal.policy -> ?snapshot_every:int ->
   ?replica_of:string * int -> ?peers:(string * int) list ->
-  ?takeover_after:float -> ?context_snapshots:bool -> unit -> t
+  ?takeover_after:float -> unit -> t
 (** Load and index [datasets] (default: the whole {!Xsact_dataset.Dataset}
     registry). [cache_capacity] sizes the comparison LRU (default 128).
 
@@ -124,22 +122,21 @@ val create :
     - [takeover_after]: run the takeover election after the primary has
       been unreachable this many seconds (the winner self-promotes);
       omitted, promotion is manual only ([POST /v1/promote]).
-    - [context_snapshots] (default [true]): write the warm-boot context
-      snapshot at {!stop}, load it in {!recover}, and ship its records
-      inside replication resyncs (warm resync).
 
     @raise Invalid_argument on an unknown dataset name, a non-positive
     knob, or [replica_of] without [state_dir]. *)
 
 val recover : t -> unit
 (** Replay [state_dir]'s snapshot + journal, restore the recovered
-    sessions {e cold} (parsed recipes — request, selection, bound — with
-    no search, extraction or context build), and flip the server ready.
-    Each cold session is rebuilt deterministically on its first touch by
-    the same path that created it, so what it serves is unchanged by the
-    laziness — but boot no longer pays O(sessions × n²) for sessions
-    nobody asks for. Until this returns, [GET /ready] answers 503 and
-    every non-probe route is refused with [503 + Retry-After: 1];
+    sessions {e cold} (parsed entries — request, selection, bound, and
+    the DFS q-vectors and run count served — with no search, extraction
+    or context build), and flip the server ready. Each cold session is
+    rebuilt on its first touch over the context its create built, with
+    the journaled DFSs restored rather than regenerated, so it serves
+    exactly what was acknowledged — and boot does not pay
+    O(sessions × n²) for sessions nobody asks for. Until this returns,
+    [GET /ready] answers 503 and every non-probe route is refused with
+    [503 + Retry-After: 1];
     [GET /health] stays 200 throughout (liveness). Torn journal tails (a
     crash mid-append) are truncated at the first bad checksum and counted
     under [recovery_truncated_records] in [/metrics]; a second recovery of
@@ -182,6 +179,14 @@ val start :
     @raise Unix.Unix_error if the port is taken.
     @raise Invalid_argument if [threads < 1], [idle_timeout <= 0], or
     [max_pending < 1]. *)
+
+val probe_request :
+  host:string -> port:int -> ?meth:string -> ?body:string -> string ->
+  (int * string) option
+(** The short peer request behind discovery, election and fencing:
+    [meth] (default [GET], [POST] with a [body]) [path] to [host:port]
+    with 0.5 s socket timeouts, returning the status and body, or [None]
+    when the peer cannot be reached or answers garbage. Never raises. *)
 
 val shed : Unix.file_descr -> unit
 (** What {!start}'s acceptor runs, on a thread of its own, for a

@@ -19,9 +19,6 @@
     - ["persist.snapshot.rename"] / ["persist.snapshot.truncate"] —
       before the snapshot's atomic rename / before the journal truncation
       that follows it (crash windows of compaction);
-    - ["persist.ctxsnap.tear"] / ["persist.ctxsnap.rename"] — mid-body
-      write of the context snapshot / before its atomic rename (torn
-      warm-boot snapshots, DESIGN.md §14);
     - ["repl.apply.corrupt"] — a follower swallows a streamed journal
       record while advancing its cursor (manufactured replay divergence;
       the healing resync path must detect and repair it). *)

@@ -1,19 +1,18 @@
 (* Warm failover tests, bottom-up: the offset-addressed journal tailer and
-   its record-size cap, the verified context-snapshot container and its
-   crash failpoints, the warm-boot record codec — and the acceptance
-   harnesses at the top of the stack: a real primary/follower pair of
-   xsact-serve children driven over HTTP, the primary killed with SIGKILL
-   mid-mutation, the follower promoted and required to serve every acked
-   session byte-identically; plus clean-shutdown stop-drain, warm-boot
-   snapshot loading, cross-restart intern rewarming, self-promotion on
-   loss of the primary, and replay-divergence detection + healing. *)
+   its record-size cap, a session resumed from its journaled DFSs — and
+   the acceptance harnesses at the top of the stack: a real
+   primary/follower pair of xsact-serve children driven over HTTP, the
+   primary killed with SIGKILL mid-mutation, the follower promoted and
+   required to serve every acked session byte-identically; plus
+   clean-shutdown stop-drain, restarts that serve every session as
+   acknowledged, cross-restart intern rewarming, self-promotion on loss
+   of the primary, and replay-divergence detection + healing. *)
 
 module Journal = Xsact_persist.Journal
-module Snapshot = Xsact_persist.Snapshot
 module Failpoint = Xsact_util.Failpoint
 module Http = Xsact_server.Http
 module Json = Xsact_server.Json
-module Warmboot = Xsact_server.Warmboot
+module Server = Xsact_server.Server
 
 let check = Alcotest.check
 
@@ -135,189 +134,64 @@ let test_record_cap () =
     r.Journal.payloads;
   check Alcotest.int "batch read: forgery counted" 1 r.Journal.truncated_records
 
-(* ---- Context-snapshot container ------------------------------------------- *)
-
-let test_ctxsnap_roundtrip () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "contexts" in
-  let records = [ "plain"; ""; "bin\x00\xff\nwith newline and nul" ] in
-  Snapshot.write path records;
-  let r = Snapshot.read path in
-  check Alcotest.bool "valid" true r.Snapshot.valid;
-  check Alcotest.(list string) "records round-trip" records r.Snapshot.records;
-  (* missing file: invalid, empty — the caller cold-boots *)
-  let r = Snapshot.read (Filename.concat dir "nope") in
-  check Alcotest.bool "missing = invalid" false r.Snapshot.valid;
-  check Alcotest.(list string) "missing = empty" [] r.Snapshot.records;
-  (* any truncation invalidates the whole file — all-or-nothing *)
-  let full = read_file path in
-  write_file path (String.sub full 0 (String.length full - 1));
-  let r = Snapshot.read path in
-  check Alcotest.bool "truncated = invalid" false r.Snapshot.valid;
-  check Alcotest.(list string) "truncated = nothing" [] r.Snapshot.records;
-  (* one corrupt byte mid-body: CRC catches it *)
-  let bad = Bytes.of_string full in
-  let mid = String.length full / 2 in
-  Bytes.set bad mid (Char.chr (Char.code (Bytes.get bad mid) lxor 0x20));
-  write_file path (Bytes.to_string bad);
-  let r = Snapshot.read path in
-  check Alcotest.bool "corrupt = invalid" false r.Snapshot.valid
-
-let test_ctxsnap_failpoints () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "contexts" in
-  let old = [ "the"; "previous"; "snapshot" ] in
-  Snapshot.write path old;
-  (* a write torn between body and trailer never clobbers the last valid
-     snapshot — tmp + atomic rename *)
-  Failpoint.reset ();
-  Failpoint.enable "persist.ctxsnap.tear" Failpoint.Fail;
-  (match Snapshot.write path [ "new" ] with
-  | () -> Alcotest.fail "tear failpoint did not fire"
-  | exception Failpoint.Injected _ -> ());
-  Failpoint.reset ();
-  let r = Snapshot.read path in
-  check Alcotest.bool "old snapshot survives a torn write" true
-    r.Snapshot.valid;
-  check Alcotest.(list string) "old records intact" old r.Snapshot.records;
-  (* same for a crash just before the rename *)
-  Failpoint.enable "persist.ctxsnap.rename" Failpoint.Fail;
-  (match Snapshot.write path [ "newer" ] with
-  | () -> Alcotest.fail "rename failpoint did not fire"
-  | exception Failpoint.Injected _ -> ());
-  Failpoint.reset ();
-  let r = Snapshot.read path in
-  check Alcotest.bool "old snapshot survives a pre-rename crash" true
-    r.Snapshot.valid;
-  check Alcotest.(list string) "old records still intact" old
-    r.Snapshot.records
-
-(* ---- Warm-boot record codec ----------------------------------------------- *)
-
-let mk_profile label =
-  let f e a v =
-    { Feature.ftype = { Feature.entity = e; attribute = a }; value = v }
-  in
-  Result_profile.make ~label
-    ~populations:[ ("camera", 3); ("lens", 2) ]
-    [
-      (f "camera" "zoom" "10x", 2);
-      (f "camera" "zoom" "4x", 1);
-      (f "camera" "price" "cheap", 3);
-      (f "lens" "mount" "EF", 2);
-    ]
-
-let test_warmboot_codec () =
-  (* a context record: binary blob (newlines, nuls) after the JSON header *)
-  let ctx =
-    Warmboot.Ctx
-      {
-        Warmboot.x_key = "dataset=product-reviews&q=gps";
-        x_profiles = [| mk_profile "Alpha \"quoted\""; mk_profile "Beta\n" |];
-        x_blob = "\x00\x01\x02\nBLOB\xff\xfe\x00tail";
-      }
-  in
-  (match Warmboot.decode (Warmboot.encode ctx) with
-  | Ok (Warmboot.Ctx c) ->
-    check Alcotest.string "key" "dataset=product-reviews&q=gps"
-      c.Warmboot.x_key;
-    check Alcotest.string "blob byte-identical" "\x00\x01\x02\nBLOB\xff\xfe\x00tail"
-      c.Warmboot.x_blob;
-    check Alcotest.int "profile count" 2 (Array.length c.Warmboot.x_profiles);
-    check Alcotest.bool "profiles structurally equal" true
-      (c.Warmboot.x_profiles
-      = [| mk_profile "Alpha \"quoted\""; mk_profile "Beta\n" |]);
-    check Alcotest.string "re-encode is stable" (Warmboot.encode ctx)
-      (Warmboot.encode (Warmboot.Ctx c))
-  | Ok _ -> Alcotest.fail "decoded to the wrong record kind"
-  | Error e -> Alcotest.failf "ctx decode failed: %s" e);
-  (* a session record *)
-  let sess =
-    Warmboot.Sess
-      {
-        Warmboot.z_id = "s7";
-        z_ctx = "dataset=product-reviews&q=gps";
-        z_bound = 6;
-        z_runs = 3;
-        z_dfss = [| [| 2; 1; 0 |]; [| 3 |]; [||] |];
-      }
-  in
-  (match Warmboot.decode (Warmboot.encode sess) with
-  | Ok (Warmboot.Sess s) ->
-    check Alcotest.string "id" "s7" s.Warmboot.z_id;
-    check Alcotest.string "ctx key" "dataset=product-reviews&q=gps"
-      s.Warmboot.z_ctx;
-    check Alcotest.int "bound" 6 s.Warmboot.z_bound;
-    check Alcotest.int "runs" 3 s.Warmboot.z_runs;
-    check Alcotest.bool "q-vectors equal" true
-      (s.Warmboot.z_dfss = [| [| 2; 1; 0 |]; [| 3 |]; [||] |])
-  | Ok _ -> Alcotest.fail "decoded to the wrong record kind"
-  | Error e -> Alcotest.failf "sess decode failed: %s" e);
-  (* garbage is a shape error, not an exception *)
-  List.iter
-    (fun s ->
-      match Warmboot.decode s with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "decoded garbage %S" s)
-    [ ""; "not json"; "{}"; {|{"k":"wat"}|}; {|{"k":"sess","id":3}|} ]
-
-(* A warm-booted session — profiles decoded through [Result_profile.make],
-   the context from its blob — that then adds a result the corpus scan
-   just extracted equals a fresh build over the same results: decoded and
-   scanned profiles intern through one symbol table, so they share a
-   context. *)
+(* A session resumed from the q-vectors it served — its context rebuilt
+   from freshly scanned profiles, its DFSs restored, as the first touch
+   after a restart does — that then adds a result the corpus scan just
+   extracted equals a fresh build over the same results, and serves what
+   the live session it resumes serves after the same add. *)
 let test_warm_session_adds_scanned () =
   let pipeline =
     Pipeline.create (Xsact_dataset.Dataset.product_reviews ()).document
   in
-  let scanned =
+  let scan () =
     Pipeline.search pipeline "gps"
     |> List.filteri (fun i _ -> i < 4)
     |> List.map (Pipeline.profile_of pipeline)
     |> Array.of_list
   in
+  let scanned = scan () in
   let first = Array.sub scanned 0 3 and fourth = scanned.(3) in
-  let live = Result.get_ok (Session.create ~size_bound:8 (Array.to_list first)) in
-  let record =
-    Warmboot.Ctx
-      {
-        Warmboot.x_key = "k";
-        x_profiles = first;
-        x_blob = Dod.serialize_context (Session.context live);
-      }
+  let live =
+    Result.get_ok (Session.create ~size_bound:8 (Array.to_list first))
   in
-  match Warmboot.decode (Warmboot.encode record) with
-  | Ok (Warmboot.Ctx c) ->
-    check Alcotest.bool "decoded profiles equal the scanned ones" true
-      (c.Warmboot.x_profiles = first);
-    let context =
-      Result.get_ok (Dod.deserialize_context c.x_profiles c.x_blob)
-    in
-    let dfss =
-      Array.map2
-        (fun p d -> Dfs.of_q_array p (Dfs.to_q_array d))
-        c.x_profiles (Session.dfss live)
-    in
-    let warm =
-      Result.get_ok
-        (Session.restore ~config:Config.default ~size_bound:8 ~context ~dfss ())
-    in
-    let added = Result.get_ok (Session.apply warm [ Session.Add fourth ]) in
-    let fresh =
-      Result.get_ok
-        (Session.create ~size_bound:8
-           (Array.to_list (Array.append c.x_profiles [| fourth |])))
-    in
-    check Alcotest.bool "context equals a fresh build" true
-      (Dod.equal_context (Session.context added) (Session.context fresh));
-    check Alcotest.string "same serialized context"
-      (Dod.serialize_context (Session.context fresh))
-      (Dod.serialize_context (Session.context added));
-    check Alcotest.int "same DoD" (Session.dod fresh) (Session.dod added)
-  | Ok _ -> Alcotest.fail "decoded to the wrong record kind"
-  | Error e -> Alcotest.failf "ctx decode failed: %s" e
+  (* the restart's side: profiles scanned again, the context built anew *)
+  let context = Dod.make_context (Array.sub (scan ()) 0 3) in
+  let profiles = Dod.results context in
+  let resumed =
+    Result.get_ok
+      (Session.restore ~runs:(Session.stats live) ~config:Config.default
+         ~size_bound:8 ~context
+         ~dfss:
+           (Array.mapi
+              (fun i d -> Dfs.of_q_array profiles.(i) (Dfs.to_q_array d))
+              (Session.dfss live))
+         ())
+  in
+  let added = Result.get_ok (Session.apply resumed [ Session.Add fourth ]) in
+  let live_added = Result.get_ok (Session.apply live [ Session.Add fourth ]) in
+  let fresh =
+    Result.get_ok
+      (Session.create ~size_bound:8
+         (Array.to_list (Array.append profiles [| fourth |])))
+  in
+  check Alcotest.bool "context equals a fresh build" true
+    (Dod.equal_context (Session.context added) (Session.context fresh));
+  check Alcotest.string "same serialized context"
+    (Dod.serialize_context (Session.context fresh))
+    (Dod.serialize_context (Session.context added));
+  check Alcotest.int "same DoD as a fresh build" (Session.dod fresh)
+    (Session.dod added);
+  check
+    Alcotest.(list (list int))
+    "same DFSs as the live session"
+    (Array.to_list
+       (Array.map (fun d -> Array.to_list (Dfs.to_q_array d))
+          (Session.dfss live_added)))
+    (Array.to_list
+       (Array.map (fun d -> Array.to_list (Dfs.to_q_array d))
+          (Session.dfss added)));
+  check Alcotest.int "same runs as the live session" (Session.stats live_added)
+    (Session.stats added)
 
 (* ---- The child harness ---------------------------------------------------- *)
 
@@ -416,7 +290,7 @@ let kill9 child =
   (try Unix.close child.out_fd with Unix.Unix_error _ -> ())
 
 (* Clean shutdown: SIGTERM and wait for the exit — the stop-drain path
-   (journal flush, final snapshot, context snapshot) runs to completion. *)
+   (journal flush, final snapshot) runs to completion. *)
 let stop_clean child =
   Unix.kill child.pid Sys.sigterm;
   ignore (Unix.waitpid [] child.pid);
@@ -563,9 +437,9 @@ let test_stop_drain () =
   let s1 = create_session c1 in
   let s2 = create_session c1 in
   resize_session c1 s1 6;
-  (* s2 is never mutated, so its cold rebuild after recovery must be
-     byte-identical; s1's resize history is recipe-normalized by recovery
-     (final bound, one run), so it is checked semantically *)
+  (* both recover byte-identically, the resized s1 with its warm-started
+     DFSs and its run count *)
+  let b1 = session_body c1 s1 in
   let b2 = session_body c1 s2 in
   Unix.kill c1.pid Sys.sigterm;
   wait_for "stop-drain to park on the final snapshot" (fun () ->
@@ -578,6 +452,7 @@ let test_stop_drain () =
   check Alcotest.int "no torn records" 0
     (durability_int c2 "recovery_truncated_records");
   assert_sessions c2 [ (s1, 6, [ 1; 2; 3 ]); (s2, 8, [ 1; 2; 3 ]) ];
+  check Alcotest.string "s1 byte-identical" b1 (session_body c2 s1);
   check Alcotest.string "s2 byte-identical" b2 (session_body c2 s2);
   kill9 c2
 
@@ -589,15 +464,13 @@ let test_intern_rewarm () =
   wait_ready c1;
   let ids = List.init 4 (fun _ -> create_session c1) in
   kill9 c1;
-  (* SIGKILL wrote no context snapshot: the restart restores every session
-     cold, then the k first touches over one corpus share one physical
-     context build through the intern table *)
+  (* the restart restores every session cold, then the k first touches
+     over one corpus share one physical context build through the intern
+     table *)
   let c2 = start_child ~state_dir:dir [] in
   wait_ready c2;
   check Alcotest.int "cold boot: nothing built yet" 0
     (metric_int c2 "context_builds_full");
-  check Alcotest.int "cold boot: no snapshot to load" 0
-    (repl_int c2 "context_snapshot_loads");
   check Alcotest.int "cold boot: all sessions cold" 4
     (metric_int c2 "sessions_cold");
   List.iter (fun id -> ignore (session_body c2 id)) ids;
@@ -610,8 +483,12 @@ let test_intern_rewarm () =
   check Alcotest.int "all warm" 4 (metric_int c2 "sessions_warm");
   kill9 c2
 
-(* ---- Warm boot from a context snapshot ------------------------------------ *)
+(* ---- Restarts serve what was acknowledged ---------------------------------- *)
 
+(* A clean stop compacts the journal into its snapshot; the restart, and a
+   crash restart after it, bring every session back cold and serve each
+   byte-identically on its first touch — the resized one with the
+   warm-started DFSs and run count it was acknowledged with. *)
 let test_warm_boot () =
   let dir = fresh_dir () in
   let c1 = start_child ~state_dir:dir [] in
@@ -622,44 +499,27 @@ let test_warm_boot () =
   let b1 = session_body c1 s1 in
   let b2 = session_body c1 s2 in
   stop_clean c1;
-  check Alcotest.bool "context snapshot written on clean stop" true
-    (Sys.file_exists (Filename.concat dir "contexts"));
   let c2 = start_child ~state_dir:dir [] in
   wait_ready c2;
-  check Alcotest.bool "sessions loaded from the snapshot" true
-    (repl_int c2 "context_snapshot_loads" >= 1);
-  check Alcotest.int "no snapshot misses" 0
-    (repl_int c2 "context_snapshot_misses");
-  check Alcotest.int "warm at boot, before any touch" 2
+  check Alcotest.int "cold at boot, before any touch" 0
     (metric_int c2 "sessions_warm");
-  check Alcotest.int "zero physical builds" 0
+  check Alcotest.int "nothing built at boot" 0
     (metric_int c2 "context_builds_full");
-  check Alcotest.string "s1 byte-identical from warm boot" b1
+  check Alcotest.string "s1 byte-identical after a clean stop" b1
     (session_body c2 s1);
-  check Alcotest.string "s2 byte-identical from warm boot" b2
+  check Alcotest.string "s2 byte-identical after a clean stop" b2
     (session_body c2 s2);
-  stop_clean c2;
-  (* a torn context snapshot falls back to the cold path, keeps serving *)
-  let path = Filename.concat dir "contexts" in
-  let full = read_file path in
-  write_file path (String.sub full 0 (String.length full - 3));
+  check Alcotest.int "one physical build for both" 1
+    (metric_int c2 "context_builds_full");
+  kill9 c2;
   let c3 = start_child ~state_dir:dir [] in
   wait_ready c3;
-  check Alcotest.int "torn snapshot: cold boot" 0
-    (repl_int c3 "context_snapshot_loads");
-  check Alcotest.string "torn snapshot: s1 still byte-identical" b1
+  check Alcotest.string "s2 byte-identical after a crash" b2
+    (session_body c3 s2);
+  check Alcotest.string "s1 byte-identical after a crash" b1
     (session_body c3 s1);
-  stop_clean c3;
-  (* the opt-out flag skips the (rewritten, valid) snapshot entirely *)
-  let c4 = start_child ~state_dir:dir [ "--no-context-snapshots" ] in
-  wait_ready c4;
-  check Alcotest.int "flag: nothing loaded" 0
-    (repl_int c4 "context_snapshot_loads");
-  check Alcotest.int "flag: all cold" 0 (metric_int c4 "sessions_warm");
-  check Alcotest.string "flag: rebuild still byte-identical" b1
-    (session_body c4 s1);
-  assert_sessions c4 [ (s1, 8, [ 1; 2; 3 ]); (s2, 6, [ 1; 2; 3 ]) ];
-  kill9 c4
+  assert_sessions c3 [ (s1, 8, [ 1; 2; 3 ]); (s2, 6, [ 1; 2; 3 ]) ];
+  kill9 c3
 
 (* ---- The failover harness ------------------------------------------------- *)
 
@@ -712,6 +572,8 @@ let test_failover () =
   let cmp_f = compare_body f in
   let cmp_p = compare_body p1 in
   check Alcotest.string "follower /compare byte-identical" cmp_p cmp_f;
+  (* the acked truth: every session as the primary served it *)
+  let pre = List.map (fun id -> (id, session_body p1 id)) [ s1; s2; s3 ] in
   (* restart the primary on its port with a parked torn-append failpoint:
      the follower resyncs to the new incarnation, then the primary is
      SIGKILLed mid-mutation — the op was never acked and its record is
@@ -726,10 +588,11 @@ let test_failover () =
   wait_ready p2;
   wait_for "follower to resync to the new primary" (fun () ->
       ready_bool f "connected" && ready_int f "lag_records" = 0);
-  (* the acked truth: every session as the recovered primary serves it
-     (recovery recipe-normalizes mutation history, and the follower's
-     replayed rebuilds go through the same deterministic path) *)
-  let pre = List.map (fun id -> (id, session_body p2 id)) [ s1; s2; s3 ] in
+  List.iter
+    (fun (id, b) ->
+      check Alcotest.string (id ^ " byte-identical after the restart") b
+        (session_body p2 id))
+    pre;
   let before = file_size (Filename.concat dir_p "journal") in
   let sock =
     send_unacked p2 {|{"size_bound":9}|} ("/session/" ^ s2 ^ "/size")
@@ -785,6 +648,73 @@ let test_failover () =
     [ (s1, 6, [ 1; 2; 3 ]); (s2, 9, [ 1; 2; 3 ]);
       (s3, 8, [ 1; 2; 3 ]); (s4, 8, [ 1; 2; 3 ]) ];
   kill9 f2
+
+(* ---- The acknowledged table survives a crash and replication -------------- *)
+
+(* gps, top 4, created at bound 7 and resized to 5, serves DoD 23: its
+   DFSs are a warm-started fixpoint that a fresh create at bound 5 (DoD
+   11) does not reach. A second server recovering the same directory
+   while the first still runs — a crash restart — and a live follower,
+   over its resync and over a streamed record, all serve the
+   acknowledged body. In process: [Server.handle] drives both sides. *)
+let test_resized_survives_crash_and_follower () =
+  let datasets = [ "product-reviews" ] in
+  let call ?(meth = "GET") ?(body = "") t target =
+    let path, query = Http.split_target target in
+    Server.handle t { Http.meth; target; path; query; headers = []; body }
+  in
+  let resized_session t =
+    let created =
+      call ~meth:"POST"
+        ~body:{|{"dataset":"product-reviews","q":"gps","top":4,"size_bound":7}|}
+        t "/session"
+    in
+    check Alcotest.int "created" 201 created.Http.status;
+    let id =
+      match member_exn "id" created.Http.resp_body with
+      | Json.String id -> id
+      | v -> Alcotest.failf "session id: %s" (Json.to_string v)
+    in
+    check Alcotest.int "resized" 200
+      (call ~meth:"POST" ~body:{|{"size_bound":5}|} t ("/session/" ^ id ^ "/size"))
+        .Http.status;
+    let body = (call t ("/session/" ^ id)).Http.resp_body in
+    (match member_exn "dod" body with
+    | Json.Int n -> check Alcotest.int "acked at the warm-started DoD" 23 n
+    | v -> Alcotest.failf "dod: %s" (Json.to_string v));
+    (id, body)
+  in
+  let serves t (id, body) =
+    match call t ("/session/" ^ id) with
+    | { Http.status = 200; resp_body; _ } -> resp_body = body
+    | _ -> false
+  in
+  let dir_p = fresh_dir () in
+  let p = Server.create ~datasets ~state_dir:dir_p () in
+  Server.recover p;
+  let p_running = Server.start ~threads:2 ~port:0 p in
+  Fun.protect
+    ~finally:(fun () -> Server.stop p_running)
+    (fun () ->
+      let first = resized_session p in
+      let crashed = Server.create ~datasets ~state_dir:dir_p () in
+      Server.recover crashed;
+      check Alcotest.bool "byte-identical after a crash restart" true
+        (serves crashed first);
+      let f =
+        Server.create ~datasets ~state_dir:(fresh_dir ())
+          ~replica_of:("127.0.0.1", Server.port p_running)
+          ()
+      in
+      let f_running = Server.start ~threads:1 ~port:0 f in
+      Fun.protect
+        ~finally:(fun () -> Server.stop f_running)
+        (fun () ->
+          Server.recover f;
+          wait_for "the resync to serve it" (fun () -> serves f first);
+          let second = resized_session p in
+          wait_for "the streamed record to serve it" (fun () ->
+              serves f second)))
 
 (* ---- Auto-takeover on loss of the primary ---------------------------------- *)
 
@@ -845,9 +775,9 @@ let test_divergence () =
 
    A listening socket in the test answers the real follower's GET with
    bytes the test chooses: the follower must drop a peer that claims an
-   oversized frame or never ends its status line before it allocates
-   what the peer asked for, and must hand [reset] a resync's frames
-   byte-for-byte. *)
+   oversized frame, never ends its status line or never ends a resync
+   before it allocates what the peer asked for, and must hand [reset] a
+   resync's frames byte-for-byte. *)
 
 module Replication = Xsact_server.Replication
 module Durability = Xsact_server.Durability
@@ -890,7 +820,7 @@ let recover_durability () =
 
 (* Start the real follower against a listening socket; [serve client fd]
    gets the first connection once the follower's GET is read. *)
-let with_fake_primary ?(reset = fun ~payloads:_ ~warm:_ -> ()) serve =
+let with_fake_primary ?(reset = fun ~payloads:_ -> ()) serve =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
@@ -960,94 +890,56 @@ let test_wire_endless_status () =
         Alcotest.failf "allocated %.0f words reading a %d-byte status line"
           allocated (String.length line))
 
-let test_wire_skips_big_warm () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let d = recover_durability () in
-  let big = String.make (Journal.default_max_record_bytes + 1) 'b' in
-  let small = "small\x00warm\nrecord" in
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let stop = Atomic.make false in
-  let primary =
-    Thread.create
-      (fun () ->
-        Replication.serve_stream ~durability:d
-          ~oc:(Unix.out_channel_of_descr a)
-          ~warm:(fun () -> [ big; small ])
-          ~stopping:(fun () -> Atomic.get stop)
-          ())
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Unix.close b;
-      Thread.join primary;
-      Unix.close a)
-    (fun () ->
-      Unix.setsockopt_float b Unix.SO_RCVTIMEO 10.;
-      let ic = Unix.in_channel_of_descr b in
-      (match Http.read_response_head ic with
-      | Ok (status, headers) ->
-        check Alcotest.int "status" 200 status;
-        check Alcotest.(option string) "framing"
-          (Some "application/x-xsact-frames")
-          (List.assoc_opt "content-type" headers);
-        check Alcotest.(option string) "no transfer coding" None
-          (List.assoc_opt "transfer-encoding" headers)
-      | Error e -> Alcotest.failf "bad head: %s" e);
-      let next kind =
-        check Alcotest.char "message kind" kind (input_char ic);
-        match
-          Journal.input_frame ~max_record_bytes:Journal.default_max_record_bytes
-            ic
-        with
-        | Journal.Record p -> p
-        | _ -> Alcotest.failf "bad %C frame" kind
-      in
-      let header = next 'S' in
-      let count name =
-        match Option.bind (Result.to_option (Json.of_string header)) (Json.member name) with
-        | Some (Json.Int n) -> n
-        | _ -> Alcotest.failf "no %S count in %s" name header
-      in
-      check Alcotest.int "one warm record announced" 1 (count "warm");
-      for _ = 1 to count "payloads" do
-        ignore (next 'P')
-      done;
-      check Alcotest.string "only the small record ships" small (next 'W');
-      (* the stream goes on *)
-      ignore (next 'H');
-      ignore (next 'H'))
+let resync_header payloads =
+  Json.to_string
+    (Json.Obj
+       [ ("boot", Json.String "b0"); ("gen", Json.Int 0); ("epoch", Json.Int 0);
+         ("offset", Json.Int 0); ("records", Json.Int 0); ("digest", Json.Int 0);
+         ("payloads", Json.Int payloads) ])
 
 let test_wire_resync_bytes () =
   let payloads =
     [ {|{"q":"a \"quoted\" word"}|}; "line one\nline two\n"; "nul\x00inside\x00";
-      "" ]
+      ""; String.init 256 Char.chr ]
   in
-  let warm = [ String.init 256 Char.chr; "W\r\n\x00" ] in
   let got = Atomic.make None in
   with_fake_primary
-    ~reset:(fun ~payloads ~warm -> Atomic.set got (Some (payloads, warm)))
+    ~reset:(fun ~payloads -> Atomic.set got (Some payloads))
     (fun c fd ->
-      let header =
-        Json.to_string
-          (Json.Obj
-             [ ("boot", Json.String "b0"); ("gen", Json.Int 0);
-               ("epoch", Json.Int 0); ("offset", Json.Int 0);
-               ("records", Json.Int 0); ("digest", Json.Int 0);
-               ("payloads", Json.Int (List.length payloads));
-               ("warm", Json.Int (List.length warm)) ])
-      in
       write_all fd
         (String.concat ""
-           ((stream_head :: message 'S' header :: List.map (message 'P') payloads)
-           @ List.map (message 'W') warm));
+           (stream_head
+           :: message 'S' (resync_header (List.length payloads))
+           :: List.map (message 'P') payloads));
       wait_for "the resync lands" (fun () -> Replication.resyncs c = 1);
       match Atomic.get got with
-      | Some (p, w) ->
-        check Alcotest.(list string) "payloads byte-identical" payloads p;
-        check Alcotest.(list string) "warm records byte-identical" warm w
+      | Some p -> check Alcotest.(list string) "payloads byte-identical" payloads p
       | None -> Alcotest.fail "reset never ran")
+
+(* A peer announces 2^40 payloads and streams 1 MiB frames without end:
+   the follower holds a resync's frames until the last arrives, so it
+   drops the stream once they pass the 1 GiB resync bound, having
+   allocated about that much and no more. *)
+let test_wire_resync_bound () =
+  let bound = 64 * Journal.default_max_record_bytes in
+  let frame = message 'P' (String.make (1 lsl 20) 'p') in
+  let frames = (bound / String.length frame) + 64 in
+  with_fake_primary (fun c fd ->
+      let w0 = words () in
+      write_all fd (stream_head ^ message 'S' (resync_header (1 lsl 40)));
+      (* once the follower gives up, the rest of the writes fail *)
+      (try
+         for _ = 1 to frames do
+           write_all fd frame
+         done
+       with Unix.Unix_error _ -> ());
+      check Alcotest.bool "the follower drops the connection" true
+        (peer_closed fd);
+      let allocated = words () -. w0 in
+      check Alcotest.int "no resync" 0 (Replication.resyncs c);
+      if allocated > 1.25 *. float_of_int bound /. 8. then
+        Alcotest.failf "allocated %.0f words against a %d-byte bound"
+          allocated bound)
 
 (* ---- Fencing epochs --------------------------------------------------------- *)
 
@@ -1282,60 +1174,35 @@ let test_ready_disconnected () =
   check Alcotest.int "mutations still refused" 503 status;
   kill9 f
 
-(* ---- Warm resync: the snapshot ships inline --------------------------------- *)
+(* ---- Warm resync: every session arrives serving what the primary served -- *)
 
 let test_warm_resync () =
   let dir_p = fresh_dir () in
   let p = start_child ~state_dir:dir_p [] in
   wait_ready p;
   let ids = List.init 3 (fun _ -> create_session p) in
-  List.iter (fun id -> ignore (session_body p id)) ids;
+  List.iteri (fun i id -> resize_session p id (5 + i)) ids;
   check Alcotest.bool "primary sessions warm" true
     (metric_int p "sessions_warm" >= 3);
   let bodies = List.map (fun id -> (id, session_body p id)) ids in
-  (* a fresh follower's resync carries the warm records: its contexts are
-     deserialized from the stream, never rebuilt *)
+  (* a fresh follower's resync carries every entry with the DFSs it
+     serves: the follower rewarms them all on arrival, over one context
+     build for the one corpus *)
   let dir_f = fresh_dir () in
   let f = start_child ~state_dir:dir_f [ "--replica-of"; addr_of p.port ] in
   wait_ready f;
   wait_for "warm resync to land" (fun () ->
-      ready_bool f "connected"
-      && List.for_all (fun id -> session_status f id = 200) ids);
-  check Alcotest.bool "warm records installed" true
-    (repl_int f "context_snapshot_loads" >= 3);
-  check Alcotest.int "no defective records" 0
-    (repl_int f "context_snapshot_misses");
-  check Alcotest.int "zero physical builds on the follower" 0
+      ready_bool f "connected" && metric_int f "sessions_warm" >= 3);
+  check Alcotest.int "one physical build on the follower" 1
     (metric_int f "context_builds_full");
-  check Alcotest.bool "sessions warm on arrival" true
-    (metric_int f "sessions_warm" >= 3);
+  check Alcotest.int "k sessions pin one context" 3 (intern_int f "refs");
   List.iter
     (fun (id, b) ->
       check Alcotest.string (id ^ " byte-identical from warm resync") b
         (session_body f id))
     bodies;
-  (* the opted-out follower resyncs cold and rebuilds — bodies identical *)
-  let dir_f2 = fresh_dir () in
-  let f2 =
-    start_child ~state_dir:dir_f2
-      [ "--replica-of"; addr_of p.port; "--no-context-snapshots" ]
-  in
-  wait_ready f2;
-  wait_for "cold resync to land" (fun () ->
-      ready_bool f2 "connected"
-      && List.for_all (fun id -> session_status f2 id = 200) ids);
-  check Alcotest.int "flag: nothing decoded" 0
-    (repl_int f2 "context_snapshot_loads");
-  check Alcotest.bool "flag: the rebuild path ran" true
-    (metric_int f2 "context_builds_full" >= 1);
-  List.iter
-    (fun (id, b) ->
-      check Alcotest.string (id ^ " byte-identical from cold resync") b
-        (session_body f2 id))
-    bodies;
   kill9 p;
-  kill9 f;
-  kill9 f2
+  kill9 f
 
 (* ---- The coordinated-failover harness: 3 nodes, one SIGKILL ----------------- *)
 
@@ -1456,15 +1323,8 @@ let () =
           Alcotest.test_case "offset-addressed reads" `Quick test_tailer;
           Alcotest.test_case "record-size cap" `Quick test_record_cap;
         ] );
-      ( "ctxsnap",
-        [
-          Alcotest.test_case "roundtrip and corruption" `Quick
-            test_ctxsnap_roundtrip;
-          Alcotest.test_case "crash failpoints" `Quick test_ctxsnap_failpoints;
-        ] );
       ( "warmboot",
         [
-          Alcotest.test_case "record codec" `Quick test_warmboot_codec;
           Alcotest.test_case "warm session adds a scanned result" `Quick
             test_warm_session_adds_scanned;
           Alcotest.test_case "snapshot warm boot" `Quick test_warm_boot;
@@ -1475,6 +1335,8 @@ let () =
       ( "failover",
         [
           Alcotest.test_case "kill the primary" `Quick test_failover;
+          Alcotest.test_case "resized session survives a crash and a follower"
+            `Quick test_resized_survives_crash_and_follower;
           Alcotest.test_case "auto takeover" `Quick test_auto_takeover;
           Alcotest.test_case "divergence heals" `Quick test_divergence;
         ] );
@@ -1483,9 +1345,9 @@ let () =
           Alcotest.test_case "frame over the cap" `Quick test_wire_over_cap;
           Alcotest.test_case "endless status line" `Quick
             test_wire_endless_status;
-          Alcotest.test_case "oversized warm record" `Quick
-            test_wire_skips_big_warm;
           Alcotest.test_case "resync bytes" `Quick test_wire_resync_bytes;
+          Alcotest.test_case "resync over its byte bound" `Quick
+            test_wire_resync_bound;
         ] );
       ( "fencing",
         [

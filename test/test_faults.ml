@@ -444,6 +444,61 @@ let test_shed_closes_its_channel () =
         check Alcotest.string "nothing flushed into the reused descriptor" ""
           (In_channel.with_open_bin path In_channel.input_all))
 
+(* The peer probe must not leave its request behind in an unclosed
+   channel either, nor raise. A forked child probes a listener that never
+   reads, with a body larger than the socket buffers hold, so the send
+   times out mid-flush; then it puts a file on the descriptor number the
+   probe's socket had and exits. *)
+let test_probe_closes_its_channels () =
+  let path = Filename.temp_file "xsact_probe" ".out" in
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lsock;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen lsock 1;
+      let port =
+        match Unix.getsockname lsock with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "no port"
+      in
+      match Unix.fork () with
+      | 0 ->
+        let code =
+          try
+            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+            (* the probe's socket takes the lowest free descriptor *)
+            let next = Unix.openfile Filename.null [ Unix.O_RDONLY ] 0 in
+            Unix.close next;
+            let code =
+              match
+                Server.probe_request ~host:"127.0.0.1" ~port
+                  ~body:(String.make (16 lsl 20) 'x') "/v1/demote"
+              with
+              | None -> 0
+              | Some _ -> 3
+              | exception _ -> 4
+            in
+            let file = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+            if file <> next then begin
+              Unix.dup2 file next;
+              Unix.close file
+            end;
+            code
+          with _ -> 2
+        in
+        exit code
+      | pid ->
+        let status = snd (Unix.waitpid [] pid) in
+        check Alcotest.int "nothing flushed into the reused descriptor" 0
+          (String.length (In_channel.with_open_bin path In_channel.input_all));
+        match status with
+        | Unix.WEXITED 0 -> ()
+        | Unix.WEXITED 4 -> Alcotest.fail "the probe raised"
+        | _ -> Alcotest.fail "child failed")
+
 let test_e2e_saturation_burst () =
   (* the acceptance drill: 2 workers, admission bound 4, 50ms deadlines,
      slow computations, 16 concurrent cold compares — every client gets a
@@ -568,5 +623,7 @@ let () =
             test_e2e_saturation_burst;
           Alcotest.test_case "shed closes its channel" `Quick
             test_shed_closes_its_channel;
+          Alcotest.test_case "probe closes its channels" `Quick
+            test_probe_closes_its_channels;
         ] );
     ]

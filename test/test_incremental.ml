@@ -11,6 +11,7 @@
 module Http = Xsact_server.Http
 module Json = Xsact_server.Json
 module Server = Xsact_server.Server
+module Durability = Xsact_server.Durability
 
 open Xsact_util
 
@@ -1135,6 +1136,15 @@ let with_state_dir name f =
   rm ();
   Fun.protect ~finally:rm (fun () -> f dir)
 
+(* Journal [entry] under [id] into [dir] as the daemon's store hook would,
+   without a server: how a test lays down an entry of an older format, or
+   a corrupt one. *)
+let journal_entry dir ~id entry =
+  let d, _ =
+    Durability.recover ~dir ~fsync:Xsact_persist.Journal.Never ~snapshot_every:0
+  in
+  Durability.log_upsert d ~op:"create" ~id ~at:(Unix.gettimeofday ()) ~entry
+
 (* The new origins journal one record per request and replay on boot:
    a batch and a patch survive recovery with byte-identical session
    state. *)
@@ -1204,15 +1214,20 @@ let test_server_delete_during_resize () =
             (handle2 ("/session/" ^ id)).Http.status))
 
 (* A DELETE that lands while a journal-recovered cell rewarms on its first
-   GET (regenerating, so [compare.round] parks it) waits for the rewarm
-   and then releases the reference the rewarm took: nothing stays
-   pinned. *)
+   GET waits for the rewarm and then releases the reference the rewarm
+   took: nothing stays pinned. The entry is journaled without DFSs, as
+   entries were before they carried them, so the rewarm regenerates and
+   [compare.round] parks it. *)
 let test_server_delete_during_rewarm () =
   with_state_dir "delwarm" (fun dir ->
       Fun.protect ~finally:Failpoint.reset (fun () ->
-          let t, handle = session_server ~state_dir:dir () in
-          Server.recover t;
-          let id = create_session handle in
+          let id = "s1" in
+          journal_entry dir ~id
+            (Result.get_ok
+               (Json.of_string
+                  (Printf.sprintf
+                     {|{"v":1,"dataset":"product-reviews","request":%s,"ranks":[1,2,3],"size_bound":6}|}
+                     (compare_body 6))));
           let t2, handle2 = session_server ~state_dir:dir () in
           Server.recover t2;
           let get = park (fun () -> handle2 ("/session/" ^ id)) in
@@ -1247,6 +1262,185 @@ let test_server_failed_create_releases_ref () =
           let metrics = (handle "/metrics").Http.resp_body in
           check Alcotest.int "no reference left" 0 (intern_stat "refs" metrics);
           check Alcotest.int "nothing pinned" 0 (intern_stat "pinned" metrics)))
+
+(* An entry without usable q-vectors costs its resume, never its session:
+   one journaled before entries carried them regenerates from its recipe,
+   and so do corrupt ones — a vector short, a count out of range, a count
+   that is not a decimal, "dfss" that is not a string, "runs" that is not
+   an integer. The recipe is gps, top 4, bound 7 resized to 5, whose
+   served DFSs (DoD 23) a fresh create at bound 5 (DoD 11) does not
+   reach, so each body shows which path ran. *)
+let test_server_entries_without_dfss () =
+  let acked, entry =
+    with_state_dir "dfss" (fun dir ->
+        let t, handle = session_server ~state_dir:dir () in
+        Server.recover t;
+        let created =
+          handle ~meth:"POST"
+            ~body:{|{"dataset":"product-reviews","q":"gps","top":4,"size_bound":7}|}
+            "/session"
+        in
+        check Alcotest.int "created" 201 created.Http.status;
+        check Alcotest.int "resized" 200
+          (handle ~meth:"POST" ~body:{|{"size_bound":5}|} "/session/s1/size")
+            .Http.status;
+        let _, recovered =
+          Durability.recover ~dir ~fsync:Xsact_persist.Journal.Never
+            ~snapshot_every:0
+        in
+        match recovered.Durability.entries with
+        | [ ("s1", _, entry) ] ->
+          ((handle "/session/s1").Http.resp_body, entry)
+        | _ -> Alcotest.fail "expected the one entry")
+  in
+  check Alcotest.int "acked at the warm-started DoD" 23 (int_exn "dod" acked);
+  let fresh =
+    let _, handle = session_server () in
+    check Alcotest.int "fresh create" 201
+      (handle ~meth:"POST"
+         ~body:{|{"dataset":"product-reviews","q":"gps","top":4,"size_bound":5}|}
+         "/session")
+        .Http.status;
+    (handle "/session/s1").Http.resp_body
+  in
+  check Alcotest.int "a fresh create serves less" 11 (int_exn "dod" fresh);
+  let fields = match entry with Json.Obj f -> f | _ -> [] in
+  let dfss =
+    match List.assoc_opt "dfss" fields with
+    | Some (Json.String q) -> q
+    | _ -> Alcotest.fail "the entry carries no q-vectors"
+  in
+  let with_resume resume =
+    Json.Obj
+      (List.filter (fun (k, _) -> k <> "dfss" && k <> "runs") fields @ resume)
+  in
+  let first_count_as c =
+    let rec stop i =
+      if i = String.length dfss || dfss.[i] = ',' || dfss.[i] = ';' then i
+      else stop (i + 1)
+    in
+    let i = stop 0 in
+    c ^ String.sub dfss i (String.length dfss - i)
+  in
+  let serves entry =
+    with_state_dir "dfss_variant" (fun dir ->
+        journal_entry dir ~id:"s1" entry;
+        let t, handle = session_server ~state_dir:dir () in
+        Server.recover t;
+        let got = handle "/session/s1" in
+        check Alcotest.int "served" 200 got.Http.status;
+        got.Http.resp_body)
+  in
+  check Alcotest.string "the entry as journaled resumes" acked (serves entry);
+  List.iter
+    (fun (what, resume) ->
+      check Alcotest.string (what ^ " regenerates") fresh
+        (serves (with_resume resume)))
+    [
+      ("no q-vectors", []);
+      ( "a vector short",
+        [ ("dfss", Json.String (String.sub dfss 0 (String.rindex dfss ';')));
+          ("runs", Json.Int 2) ] );
+      ( "a count out of range",
+        [ ("dfss", Json.String (first_count_as "999")); ("runs", Json.Int 2) ] );
+      ( "a count not a decimal",
+        [ ("dfss", Json.String (first_count_as "x")); ("runs", Json.Int 2) ] );
+      ("dfss not a string", [ ("dfss", Json.Int 3); ("runs", Json.Int 2) ]);
+      ("runs not an int", [ ("dfss", Json.String dfss); ("runs", Json.String "2") ]);
+    ]
+
+(* Seeded sequences of the session ops on a state-dir server. After each
+   sequence a second server recovers the same directory while the first
+   still runs, as after a crash, and must serve every live session's GET
+   body byte-identically, runs included. The cases share one primary and
+   one directory — each deletes what the previous one left — so a case
+   costs one recovery, over the smallest corpus. *)
+let crash_dir =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "xsact_crash_%d" (Unix.getpid ()))
+
+let crash_primary =
+  lazy
+    (let rm () =
+       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote crash_dir)))
+     in
+     rm ();
+     at_exit rm;
+     let t = Server.create ~datasets:[ "outdoor-retailer" ] ~state_dir:crash_dir () in
+     Server.recover t;
+     fun ?meth ?body target -> Server.handle t (request ?meth ?body target))
+
+let crash_step prng ids =
+  let queries = [| "men jackets"; "hiking boots"; "backpacking tents" |] in
+  let at suffix =
+    match !ids with
+    | [] -> "/session/none" ^ suffix
+    | l -> "/session/" ^ List.nth l (Prng.int prng (List.length l)) ^ suffix
+  in
+  let rank () = 1 + Prng.int prng 7 in
+  let bound () = Prng.int_in prng 1 12 in
+  match Prng.int prng 8 with
+  | 0 | 1 ->
+    ( "POST",
+      "/session",
+      Printf.sprintf
+        {|{"dataset":"outdoor-retailer","q":%S,"top":%d,"size_bound":%d}|}
+        queries.(Prng.int prng (Array.length queries))
+        (Prng.int_in prng 2 5) (bound ()) )
+  | 2 -> ("POST", at "/size", Printf.sprintf {|{"size_bound":%d}|} (bound ()))
+  | 3 -> ("POST", at "/add", Printf.sprintf {|{"rank":%d}|} (rank ()))
+  | 4 -> ("POST", at "/remove", Printf.sprintf {|{"rank":%d}|} (rank ()))
+  | 5 ->
+    ( "PATCH",
+      at "/params",
+      Printf.sprintf {|{"threshold_pct":%d.0}|} (5 * Prng.int_in prng 1 8) )
+  | 6 ->
+    ( "POST",
+      at "/apply",
+      Printf.sprintf
+        {|{"ops":[{"op":"add","rank":%d},{"op":"size","size_bound":%d}]}|}
+        (rank ()) (bound ()) )
+  | _ -> ("DELETE", at "", "")
+
+let prop_crash_recovery_byte_identical =
+  QCheck.Test.make ~name:"a crash recovery serves every acked body" ~count:200
+    (QCheck.make
+       ~print:(Printf.sprintf "seed %d")
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let handle = Lazy.force crash_primary in
+      let live () =
+        match member_exn "sessions" (handle "/session").Http.resp_body with
+        | Json.List ids -> List.filter_map Json.to_str ids
+        | _ -> []
+      in
+      List.iter (fun id -> ignore (handle ~meth:"DELETE" ("/session/" ^ id)))
+        (live ());
+      let prng = Prng.of_int seed in
+      let ids = ref [] in
+      for _ = 1 to 10 do
+        let meth, target, body = crash_step prng ids in
+        let resp = handle ~meth ~body target in
+        if meth = "POST" && target = "/session" && resp.Http.status = 201 then
+          match member_exn "id" resp.Http.resp_body with
+          | Json.String id -> ids := !ids @ [ id ]
+          | _ -> ()
+      done;
+      let acked =
+        List.map (fun id -> (id, (handle ("/session/" ^ id)).Http.resp_body))
+          (live ())
+      in
+      let t = Server.create ~datasets:[ "outdoor-retailer" ] ~state_dir:crash_dir () in
+      Server.recover t;
+      List.iter
+        (fun (id, body) ->
+          let got = Server.handle t (request ("/session/" ^ id)) in
+          if got.Http.resp_body <> body then
+            QCheck.Test.fail_reportf "seed %d: %s after the crash: %s, acked %s"
+              seed id got.Http.resp_body body)
+        acked;
+      true)
 
 (* Seeded sequences of every session op, plus /compare, against a server
    small enough (3 sessions, a 60 kB context budget) that LRU eviction
@@ -1406,6 +1600,9 @@ let () =
             test_server_delete_during_rewarm;
           Alcotest.test_case "failed create releases its ref" `Quick
             test_server_failed_create_releases_ref;
+          Alcotest.test_case "entries without usable q-vectors regenerate"
+            `Quick test_server_entries_without_dfss;
           qtest prop_session_refs_track_warm;
+          qtest prop_crash_recovery_byte_identical;
         ] );
     ]

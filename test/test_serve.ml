@@ -391,8 +391,8 @@ let test_canonical_key_normalization () =
        { (decode_exn {|{"dataset":"product-reviews","q":"gps","top":2}|}) with
          Api.select = Some [ 1; 3 ];
        });
-  (* both scopes, pinned byte for byte: the LRU, the intern table and
-     warm-boot context snapshots are keyed by these strings *)
+  (* both scopes, pinned byte for byte: the LRU and the intern table are
+     keyed by these strings *)
   let keys body full context =
     let r = decode_exn body in
     check Alcotest.string ("full key of " ^ body) full

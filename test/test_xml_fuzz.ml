@@ -5,8 +5,8 @@
    as [Ok] or a located [Error] — never an escaping exception, never a
    hang. The same discipline covers the JSON codec every request, journal
    record and replication message goes through (an accepted value must
-   also print back to itself), and the frame reader under the journal,
-   the context snapshot and the replication stream (a damaged journal
+   also print back to itself), and the frame reader under the journal
+   and the replication stream (a damaged journal
    must read back as exactly its intact prefix), and the HTTP request
    reader the daemon runs on every connection (its line, header and body
    bounds hold, and an accepted request writes back to itself). The
